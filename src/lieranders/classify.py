@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace, catalog, format_combination
+from .errors import NotDouglas
 from .randers import RandersStructure
 from .riemann import MetricTensor, identity_metric, levi_civita, orthogonal_complement
 
@@ -44,6 +45,13 @@ def is_douglas(
                 f"g(Q, {format_combination(b, algebra.labels)}) = {val}"
             )
     return (not evidence, evidence)
+
+
+def require_douglas(r: RandersStructure) -> None:
+    """Raise NotDouglas, carrying the exact evidence, unless r is of Douglas type."""
+    ok, evidence = is_douglas(r.algebra, r.metric, r.q_field)
+    if not ok:
+        raise NotDouglas("; ".join(evidence))
 
 
 def douglas_subspace(algebra: LieAlgebra, metric: MetricTensor) -> Subspace:

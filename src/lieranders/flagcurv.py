@@ -22,10 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra
-from .classify import douglas_subspace, is_douglas
-from .errors import DegenerateFlag, NotDouglas
+from .classify import douglas_subspace, require_douglas
+from .errors import DegenerateFlag
 from .randers import RandersStructure
 from .riemann import (
     CurvatureTable,
@@ -74,12 +76,6 @@ def u_map(
     return xl.vec_scale(half, xl.mat_vec(metric.inverse_gram, t))
 
 
-def _require_douglas(r: RandersStructure) -> None:
-    ok, evidence = is_douglas(r.algebra, r.metric, r.q_field)
-    if not ok:
-        raise NotDouglas("; ".join(evidence))
-
-
 def _ad_star_on_self(
     algebra: LieAlgebra, metric: MetricTensor, v: AlgebraVector
 ) -> AlgebraVector:
@@ -106,7 +102,7 @@ def flag_curvature_deng_hou(
     Raises NotDouglas when Q is not g-orthogonal to [g, g]; the formula does
     not cover that case.
     """
-    _require_douglas(r)
+    require_douglas(r)
     gvv, k_g, f = _f_and_plane(r, flag, curvature)
     m = u_map(r.algebra, r.metric, flag.v, flag.v)
     t1 = r.metric.inner(m, r.q_field)
@@ -123,7 +119,7 @@ def flag_curvature_simplified(
 
     correction = (3 g([Q,V],V)^2 - 2F (g([[Q,V],V],V) - g(V,[Q,ad*_V V]))) / (4 F^4).
     """
-    _require_douglas(r)
+    require_douglas(r)
     gvv, k_g, f = _f_and_plane(r, flag, curvature)
     v, q = flag.v, r.q_field
     qv = r.algebra.bracket(q, v)
@@ -180,6 +176,17 @@ def flag_curvature_case(
     return gvv / (f * f) * k_g + numer / (4.0 * f**4)
 
 
+def signs_agree(k_f, k_g, tol: float):
+    """Whether K^F and K^g share their sign, elementwise on floats or arrays.
+
+    They do when np.sign gives the same value, or when both lie within
+    ``tol * max(1, |k_f|, |k_g|)`` of zero.  NaN agrees with nothing.
+    """
+    scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
+    both_zero = (np.abs(k_f) <= tol * scale) & (np.abs(k_g) <= tol * scale)
+    return (np.sign(k_f) == np.sign(k_g)) | both_zero
+
+
 @dataclass
 class SignSample:
     v: AlgebraVector
@@ -214,7 +221,7 @@ def sign_analysis(
     their sign.  Any sampled flag violating either condition is reported as a
     counterexample.
     """
-    _require_douglas(r)
+    require_douglas(r)
     directions = douglas_subspace(r.algebra, r.metric)
     curvature = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
     rng = make_rng(seed, stream=2)
@@ -229,9 +236,7 @@ def sign_analysis(
             continue
         res = flag_curvature_simplified(r, Flag(v=v, u=u), curvature=curvature)
         scale = max(1.0, abs(res.k_f), abs(res.k_g))
-        match = (res.k_f == res.k_g == 0.0) or (
-            res.k_f * res.k_g > 0.0
-        ) or (abs(res.k_f) <= correction_tol * scale and abs(res.k_g) <= correction_tol * scale)
+        match = bool(signs_agree(res.k_f, res.k_g, correction_tol))
         sample = SignSample(
             v=v, u=u, k_f=res.k_f, k_g=res.k_g,
             correction=res.correction, sign_match=match,

@@ -1,284 +1,83 @@
 """Batch float kernels behind the sweep machinery.
 
-The exact-rational core of the package cannot be jitted (it works on
-``Fraction`` objects), but sweeps evaluate the same formulas over many float
-samples, and those inner loops are hot.  Each kernel has a vectorized
-pure-numpy implementation, always available, and a numba ``@njit`` one built
-only when numba is installed (the optional ``jit`` extra,
-``pip install -e .[jit]``).  The numba path is the default whenever numba
-imports and numpy is used otherwise; set
+A sweep evaluates the same formulas over many float flags.  Each structure
+is compiled once into four small arrays, and every kernel is then a few
+matrix products per sample block:
 
-    LIERANDERS_NUMBA=0
+* :func:`bivector_forms` gives ``R2`` and ``G2`` on the p = d(d-1)/2
+  bivector coordinates ``w_(ij) = U_i V_j - U_j V_i`` (i < j):
+  ``g(R(U,V)V, U) = w^T R2 w`` is the curvature operator on Lambda^2 g
+  (Milnor, *Curvatures of left invariant metrics on Lie groups*, Adv. Math.
+  21, 1976), and ``|U^V|^2 = w^T G2 w``.
+* :func:`randers_forms` gives ``A`` (d x d, symmetric) and ``C`` (d x d^2,
+  symmetrised) with ``A(V) = V^T A V = g([Q,V],V)`` and
+  ``C(V) = sum C_abc V_a V_b V_c = g([[Q,V],V],V) - g(V,[Q,ad*_V V])``,
+  the two forms of the simplified Douglas flag-curvature correction.
 
-in the environment to select numpy even with numba installed.
-``benchmarks/bench_kernels.py`` times whichever families are present.
+The compilers only add and multiply, so they also run on object arrays of
+``Fraction`` and then return the exact coefficients.
 
 Array conventions: ``struct[i,j,k]`` are structure constants, ``gram`` the
 metric, ``V``/``U`` are (n, dim) sample blocks, ``rm4[i,j,k,l]`` is
-g(R(e_i,e_j)e_k, e_l).
+g(R(e_i,e_j)e_k, e_l).  Every kernel takes its per-sample block last.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 
 import numpy as np
 
-_ENV_FLAG = os.environ.get("LIERANDERS_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _ENV_FLAG not in ("0", "false", "no", "off")
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is the optional ``jit`` extra
-    numba = None
-    _HAVE_NUMBA = False
-
-_USE_NUMBA = _WANT_NUMBA and _HAVE_NUMBA
-
-
-def active_backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+def bivector_forms(rm4: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R2, G2) on the bivector coordinates w_(ij), i < j."""
+    i, j = np.triu_indices(len(gram), 1)
+    a, b = i[:, None], j[:, None]
+    c, d = i[None, :], j[None, :]
+    # g(R(U,V)V,U) = sum rm4[i,j,k,l] U_i V_j V_k U_l, antisymmetric in (i,j)
+    # and in (k,l), is -sum_{i<j, k<l} rm4[i,j,k,l] w_(ij) w_(kl)
+    r2 = -rm4[a, b, c, d]
+    g2 = gram[a, c] * gram[b, d] - gram[a, d] * gram[b, c]
+    return r2, g2
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def randers_forms(
+    struct: np.ndarray, gram: np.ndarray, gram_inv: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, C): the quadratic form g([Q,V],V) and the cubic correction form."""
+    dim = len(gram)
+    bracket_q = np.einsum("i,ijk->jk", q, struct)  # [Q, x] = x @ bracket_q
+    m = bracket_q @ gram  # g([Q,V], W) = V^T m W
+    quad = (m + m.T) / 2
+    # g([[Q,V],V],V)
+    t1 = np.einsum("jm,mbn,nc->jbc", bracket_q, struct, gram)
+    # g(V,[Q,ad*_V V]) with g(ad*_V V, e_k) = g(V,[V,e_k])
+    t2 = np.einsum("an,bkn,kc->abc", gram, struct, gram_inv @ m)
+    t = t1 - t2
+    sym = sum(t.transpose(axes) for axes in itertools.permutations(range(3))) / 6
+    return quad, sym.reshape(dim, dim * dim)
 
 
-def eval_f_batch_numpy(gram: np.ndarray, q: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def eval_f_batch(gram: np.ndarray, q: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """F(y) = sqrt(g(y,y)) + g(q,y) per row of Y."""
     gy = Y @ gram
     return np.sqrt(np.einsum("nk,nk->n", Y, gy)) + gy @ q
 
 
-def sectional_batch_numpy(
-    rm4: np.ndarray, gram: np.ndarray, U: np.ndarray, V: np.ndarray
+def sectional_batch(
+    R2: np.ndarray, G2: np.ndarray, U: np.ndarray, V: np.ndarray
 ) -> np.ndarray:
-    a = np.einsum("ijkl,nj,nk->nil", rm4, V, V)
-    num = np.einsum("nil,ni,nl->n", a, U, U)
-    gu = U @ gram
-    gv = V @ gram
-    den = np.einsum("nk,nk->n", gu, U) * np.einsum("nk,nk->n", gv, V) - np.einsum(
-        "nk,nk->n", gu, V
-    ) ** 2
-    return num / den
+    """Sectional curvature of span{U, V} per row, through the bivector U^V."""
+    i, j = np.triu_indices(U.shape[1], 1)
+    w = U[:, i] * V[:, j] - U[:, j] * V[:, i]
+    return ((w @ R2) * w).sum(1) / ((w @ G2) * w).sum(1)
 
 
-def correction_batch_numpy(
-    struct: np.ndarray,
-    gram: np.ndarray,
-    gram_inv: np.ndarray,
-    q: np.ndarray,
-    V: np.ndarray,
-    F: np.ndarray,
+def correction_batch(
+    A: np.ndarray, C: np.ndarray, V: np.ndarray, F: np.ndarray
 ) -> np.ndarray:
-    """Correction term of the simplified Douglas flag-curvature formula."""
-    bracket_q = np.einsum("i,ijk->jk", q, struct)  # x -> [q, x] as x @ bracket_q
-    gv = V @ gram
-    qv = V @ bracket_q
-    t1 = np.einsum("nk,nk->n", qv, gv)
-    qvv = np.einsum("ni,nj,ijk->nk", qv, V, struct)
-    cubic1 = np.einsum("nk,nk->n", qvv, gv)
-    t = np.einsum("ni,ijk->njk", V, struct)  # t[n,j,k] = (ad_V)^T as a matrix
-    advv = np.einsum("aj,njk,kb,nb->na", gram_inv, t, gram, V)
-    q_advv = advv @ bracket_q
-    cubic2 = np.einsum("nk,nk->n", gv, q_advv)
-    return (3.0 * t1 * t1 - 2.0 * F * (cubic1 - cubic2)) / (4.0 * F**4)
-
-
-def case_correction_batch_numpy(
-    case_id: int, p: float, q: float, V: np.ndarray, F: np.ndarray
-) -> np.ndarray:
-    """Correction term of the per-family closed forms, cases 2/3/4."""
-    a, b, c, d = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
-    if case_id == 2:
-        s = a * a + b * b
-        numer = 3.0 * p * p * s * s + 4.0 * c * p * F * s
-    elif case_id == 3:
-        s = b * b + c * c + d * d
-        numer = 3.0 * q * q * s * s + 4.0 * a * q * F * s
-    elif case_id == 4:
-        numer = 0.75 * q * q * (2 * b * b + c * c + d * d) ** 2 + a * q * F * (
-            4 * b * b + c * c + d * d
-        )
-    else:
-        raise ValueError(f"no closed form for case {case_id!r}")
-    return numer / (4.0 * F**4)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop style; njit compiles them to tight machine code)
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def eval_f_batch_numba(gram, q, Y):  # pragma: no cover - exercised via wrapper
-        n, dim = Y.shape
-        out = np.empty(n)
-        gq = gram @ q
-        for s in range(n):
-            acc = 0.0
-            lin = 0.0
-            for i in range(dim):
-                row = 0.0
-                for j in range(dim):
-                    row += gram[i, j] * Y[s, j]
-                acc += Y[s, i] * row
-                lin += gq[i] * Y[s, i]
-            out[s] = np.sqrt(acc) + lin
-        return out
-
-    @numba.njit(cache=True)
-    def sectional_batch_numba(rm4, gram, U, V):  # pragma: no cover
-        n, dim = U.shape
-        out = np.empty(n)
-        for s in range(n):
-            num = 0.0
-            for i in range(dim):
-                if U[s, i] == 0.0:
-                    continue
-                for j in range(dim):
-                    for k in range(dim):
-                        c = U[s, i] * V[s, j] * V[s, k]
-                        for l in range(dim):
-                            num += rm4[i, j, k, l] * c * U[s, l]
-            guu = 0.0
-            gvv = 0.0
-            guv = 0.0
-            for i in range(dim):
-                gu_i = 0.0
-                gv_i = 0.0
-                for j in range(dim):
-                    gu_i += gram[i, j] * U[s, j]
-                    gv_i += gram[i, j] * V[s, j]
-                guu += U[s, i] * gu_i
-                gvv += V[s, i] * gv_i
-                guv += U[s, i] * gv_i
-            out[s] = num / (guu * gvv - guv * guv)
-        return out
-
-    @numba.njit(cache=True)
-    def correction_batch_numba(struct, gram, gram_inv, q, V, F):  # pragma: no cover
-        n, dim = V.shape
-        out = np.empty(n)
-        bracket_q = np.zeros((dim, dim))
-        for i in range(dim):
-            if q[i] == 0.0:
-                continue
-            for j in range(dim):
-                for k in range(dim):
-                    bracket_q[j, k] += q[i] * struct[i, j, k]
-        gv = np.empty(dim)
-        qv = np.empty(dim)
-        qvv = np.empty(dim)
-        tvec = np.empty(dim)
-        advv = np.empty(dim)
-        q_advv = np.empty(dim)
-        for s in range(n):
-            for k in range(dim):
-                acc_g = 0.0
-                acc_q = 0.0
-                for j in range(dim):
-                    acc_g += gram[k, j] * V[s, j]
-                    acc_q += V[s, j] * bracket_q[j, k]
-                gv[k] = acc_g
-                qv[k] = acc_q
-            t1 = 0.0
-            for k in range(dim):
-                t1 += qv[k] * gv[k]
-            for k in range(dim):
-                acc = 0.0
-                for i in range(dim):
-                    if qv[i] == 0.0:
-                        continue
-                    for j in range(dim):
-                        acc += qv[i] * V[s, j] * struct[i, j, k]
-                qvv[k] = acc
-            cubic1 = 0.0
-            for k in range(dim):
-                cubic1 += qvv[k] * gv[k]
-            # ad*_V V via g(ad*_V V, e_k) = g(V, [V, e_k]): tvec = G [V, e_k] . V
-            for k in range(dim):
-                acc = 0.0
-                for i in range(dim):
-                    if V[s, i] == 0.0:
-                        continue
-                    for l in range(dim):
-                        acc += V[s, i] * struct[i, k, l] * gv[l]
-                tvec[k] = acc
-            for k in range(dim):
-                acc = 0.0
-                for j in range(dim):
-                    acc += gram_inv[k, j] * tvec[j]
-                advv[k] = acc
-            for k in range(dim):
-                acc = 0.0
-                for j in range(dim):
-                    acc += advv[j] * bracket_q[j, k]
-                q_advv[k] = acc
-            cubic2 = 0.0
-            for k in range(dim):
-                cubic2 += gv[k] * q_advv[k]
-            f = F[s]
-            out[s] = (3.0 * t1 * t1 - 2.0 * f * (cubic1 - cubic2)) / (4.0 * f**4)
-        return out
-
-    @numba.njit(cache=True)
-    def _case_correction_numba(case_id, p, q, V, F):  # pragma: no cover
-        n = V.shape[0]
-        out = np.empty(n)
-        for s in range(n):
-            a, b, c, d = V[s, 0], V[s, 1], V[s, 2], V[s, 3]
-            f = F[s]
-            if case_id == 2:
-                t = a * a + b * b
-                numer = 3.0 * p * p * t * t + 4.0 * c * p * f * t
-            elif case_id == 3:
-                t = b * b + c * c + d * d
-                numer = 3.0 * q * q * t * t + 4.0 * a * q * f * t
-            else:
-                numer = 0.75 * q * q * (2 * b * b + c * c + d * d) ** 2 + a * q * f * (
-                    4 * b * b + c * c + d * d
-                )
-            out[s] = numer / (4.0 * f**4)
-        return out
-
-    def case_correction_batch_numba(case_id, p, q, V, F):
-        if case_id not in (2, 3, 4):
-            raise ValueError(f"no closed form for case {case_id!r}")
-        return _case_correction_numba(case_id, p, q, V, F)
-
-else:
-    eval_f_batch_numba = None
-    sectional_batch_numba = None
-    correction_batch_numba = None
-    case_correction_batch_numba = None
-
-
-def implementations() -> dict[str, dict]:
-    """Both kernel families, keyed by backend name; numba may be absent."""
-    table = {
-        "numpy": {
-            "eval_f_batch": eval_f_batch_numpy,
-            "sectional_batch": sectional_batch_numpy,
-            "correction_batch": correction_batch_numpy,
-            "case_correction_batch": case_correction_batch_numpy,
-        }
-    }
-    if _HAVE_NUMBA:
-        table["numba"] = {
-            "eval_f_batch": eval_f_batch_numba,
-            "sectional_batch": sectional_batch_numba,
-            "correction_batch": correction_batch_numba,
-            "case_correction_batch": case_correction_batch_numba,
-        }
-    return table
-
-
-_active = implementations()[active_backend()]
-eval_f_batch = _active["eval_f_batch"]
-sectional_batch = _active["sectional_batch"]
-correction_batch = _active["correction_batch"]
-case_correction_batch = _active["case_correction_batch"]
+    """(3 A(V)^2 - 2 F C(V)) / (4 F^4), the Douglas flag-curvature correction."""
+    quad = ((V @ A) * V).sum(1)
+    vv = (V[:, :, None] * V[:, None, :]).reshape(len(V), -1)
+    cubic = ((vv @ C.T) * V).sum(1)
+    return (3.0 * quad * quad - 2.0 * F * cubic) / (4.0 * F**4)

@@ -52,8 +52,9 @@ def make_randers(
     )
 
 
-def _gram_float(metric: MetricTensor) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in metric.gram])
+def dense_gram(metric: MetricTensor) -> np.ndarray:
+    """The Gram matrix as floats."""
+    return np.array(metric.gram, dtype=float)
 
 
 def eval_F(r: RandersStructure, y) -> float:
@@ -61,7 +62,7 @@ def eval_F(r: RandersStructure, y) -> float:
     yv = np.asarray([float(c) for c in y])
     if yv.shape != (r.dim,):
         raise DimensionMismatch("direction has wrong length")
-    gram = _gram_float(r.metric)
+    gram = dense_gram(r.metric)
     qv = np.asarray([float(c) for c in r.q_field])
     return math.sqrt(max(yv @ gram @ yv, 0.0)) + float(qv @ gram @ yv)
 
@@ -81,7 +82,7 @@ def fundamental_tensor(r: RandersStructure, y) -> np.ndarray:
     yv = np.asarray([float(c) for c in y], dtype=float)
     if not yv.any():
         raise ZeroDirection("fundamental tensor is undefined at y = 0")
-    gram = _gram_float(r.metric)
+    gram = dense_gram(r.metric)
     qg = gram @ np.asarray([float(c) for c in r.q_field])
     n = r.dim
     h = FD_STEP * max(1.0, math.sqrt(yv @ gram @ yv))
@@ -108,7 +109,7 @@ def g_V(r: RandersStructure, v, u, w) -> float:
         raise ZeroDirection("g_V is undefined for V = 0")
     uv = np.asarray([float(c) for c in u], dtype=float)
     wv = np.asarray([float(c) for c in w], dtype=float)
-    gram = _gram_float(r.metric)
+    gram = dense_gram(r.metric)
     qg = gram @ np.asarray([float(c) for c in r.q_field])
     h = FD_STEP * max(1.0, math.sqrt(vv @ gram @ vv))
     # evaluation points built from u+w and u-w so that swapping u and w

@@ -170,12 +170,18 @@ class CurvatureTable:
 
 
 def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTable:
-    """R(u,v)w from the connection table, at the identity."""
+    """R(u,v)w from the connection table, at the identity.
+
+    Only R(e_i, e_j) with i < j is computed; R(e_j, e_i) = -R(e_i, e_j) and
+    R(e_i, e_i) = 0 fill in the rest.
+    """
     n = algebra.dim
     e = algebra.basis()
-    r = tuple(
-        tuple(
-            tuple(
+    zero = (xl.zero_vector(n),) * n
+    r = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            r[i][j] = tuple(
                 xl.vec_sub(
                     xl.vec_sub(
                         conn.nabla(e[i], conn.gamma[j][k]),
@@ -185,11 +191,8 @@ def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTab
                 )
                 for k in range(n)
             )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return CurvatureTable(r=r)
+            r[j][i] = tuple(xl.vec_scale(-1, v) for v in r[i][j])
+    return CurvatureTable(r=tuple(tuple(row) for row in r))
 
 
 def sectional_curvature(

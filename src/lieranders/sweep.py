@@ -1,8 +1,9 @@
 """Batch flag-curvature sweeps over seeded random flags.
 
 Exact tables (structure constants, Gram matrix, curvature tensor) are
-flattened once into float arrays; per-sample work then runs through the
-kernels in :mod:`lieranders.kernels`, on whichever backend is active.
+flattened once per sweep into float arrays and compiled into the bivector
+curvature operator and the quadratic and cubic correction forms of
+:mod:`lieranders.kernels`; per-sample work is then a few matrix products.
 """
 
 from __future__ import annotations
@@ -13,38 +14,20 @@ import numpy as np
 
 from . import kernels
 from .algebra import LieAlgebra
-from .errors import NotDouglas
-from .classify import is_douglas
-from .randers import RandersStructure
+from .classify import require_douglas
+from .flagcurv import signs_agree
+from .randers import RandersStructure, dense_gram
 from .riemann import MetricTensor, curvature_tensor, levi_civita
 
 
 def dense_structure(algebra: LieAlgebra) -> np.ndarray:
-    n = algebra.dim
-    out = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i, j, k] = float(algebra.structure[i][j][k])
-    return out
-
-
-def dense_gram(metric: MetricTensor) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in metric.gram])
+    return np.array(algebra.structure, dtype=float)
 
 
 def dense_curvature(algebra: LieAlgebra, metric: MetricTensor) -> np.ndarray:
     """rm4[i,j,k,l] = g(R(e_i,e_j)e_k, e_l) as floats."""
     table = curvature_tensor(algebra, levi_civita(algebra, metric))
-    n = algebra.dim
-    out = np.zeros((n, n, n, n))
-    gram = dense_gram(metric)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                vec = np.array([float(x) for x in table.r[i][j][k]])
-                out[i, j, k] = gram @ vec
-    return out
+    return np.array(table.r, dtype=float) @ dense_gram(metric)
 
 
 @dataclass
@@ -69,15 +52,14 @@ def run_sweep(
     Flags are drawn from the counter-based Philox stream keyed by ``seed``,
     so results do not depend on evaluation order or batch size.
     """
-    ok, evidence = is_douglas(r.algebra, r.metric, r.q_field)
-    if not ok:
-        raise NotDouglas("; ".join(evidence))
+    require_douglas(r)
     dim = r.dim
     struct = dense_structure(r.algebra)
     gram = dense_gram(r.metric)
-    gram_inv = np.linalg.inv(gram)
     rm4 = dense_curvature(r.algebra, r.metric)
-    q = np.array([float(x) for x in r.q_field])
+    q = np.array(r.q_field, dtype=float)
+    r2, g2 = kernels.bivector_forms(rm4, gram)
+    quad, cubic = kernels.randers_forms(struct, gram, np.linalg.inv(gram), q)
 
     rng = np.random.Generator(np.random.Philox(key=[seed, 3]))
     V = np.empty((n_samples, dim))
@@ -98,11 +80,9 @@ def run_sweep(
         filled += took
 
     f = kernels.eval_f_batch(gram, q, V)
-    k_g = kernels.sectional_batch(rm4, gram, U, V)
-    correction = kernels.correction_batch(struct, gram, gram_inv, q, V, f)
+    k_g = kernels.sectional_batch(r2, g2, U, V)
+    correction = kernels.correction_batch(quad, cubic, V, f)
     gvv = np.einsum("ni,ij,nj->n", V, gram, V)
     k_f = gvv / f**2 * k_g + correction
-    scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
-    both_zero = (np.abs(k_f) <= sign_tol * scale) & (np.abs(k_g) <= sign_tol * scale)
-    sign_match = (np.sign(k_f) == np.sign(k_g)) | both_zero
+    sign_match = signs_agree(k_f, k_g, sign_tol)
     return SweepResult(v=V, k_g=k_g, k_f=k_f, correction=correction, sign_match=sign_match)

@@ -20,6 +20,7 @@ from lieranders import (
 )
 from lieranders import exactlinalg as xl
 from lieranders.errors import DegenerateFlag, NotDouglas
+from lieranders.flagcurv import signs_agree
 from lieranders.riemann import MetricTensor, curvature_tensor, levi_civita
 from lieranders.sampling import (
     make_rng,
@@ -227,3 +228,28 @@ def test_sign_analysis_pole_on_q(case_id, metric4):
     if case_id == 3:
         # constant negative curvature: both signs strictly negative
         assert all(s.k_f < 0 and s.k_g < 0 for s in report.samples)
+
+
+@pytest.mark.parametrize(
+    "k_f, k_g, agree",
+    [
+        (0.0, 1e-300, True),
+        (0.0, -1e-300, True),
+        (1e-300, -1e-300, True),
+        (0.0, 0.0, True),
+        (5e-13, -5e-13, True),  # both within tolerance
+        (2e-12, -2e-12, False),  # just outside it
+        (1.0, -1.0, False),
+        (-3.0, -1e-20, True),
+        (-3.0, 1e-20, False),
+        (float("nan"), 1.0, False),
+        (float("nan"), 0.0, False),
+        (float("nan"), float("nan"), False),
+    ],
+)
+def test_signs_agree_edge_values(k_f, k_g, agree):
+    assert bool(signs_agree(k_f, k_g, 1e-12)) is agree
+    assert bool(signs_agree(k_g, k_f, 1e-12)) is agree
+    # the elementwise rule run_sweep applies to whole columns
+    column = signs_agree(np.array([k_f, 1.0]), np.array([k_g, 1.0]), 1e-12)
+    assert column.tolist() == [agree, True]

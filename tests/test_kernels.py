@@ -1,20 +1,25 @@
-"""Kernel backends: the numpy path, and the numba path where numba is
-installed, must agree with each other and with the scalar reference
-implementations."""
+"""Float kernels and the forms they are compiled from.
 
-import importlib.util
-import os
-import subprocess
-import sys
+The compiled forms are checked exactly (the compilers run on ``Fraction``
+object arrays too) and against the per-family closed forms coefficient by
+coefficient.  The float kernels are checked against the exact
+``flag_curvature_simplified`` at the same flag, converted exactly with
+``Fraction(float)``, within 1e-9 of the largest term.
+"""
+
+import itertools
+from collections import defaultdict
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lieranders import (
     Flag,
+    LieAlgebra,
+    MetricTensor,
     catalog,
+    douglas_subspace,
     eval_F,
     flag_curvature_case,
     flag_curvature_simplified,
@@ -23,142 +28,219 @@ from lieranders import (
     sectional_curvature,
 )
 from lieranders import kernels
-from lieranders.flagcurv import u_map
-from lieranders.riemann import curvature_tensor, levi_civita
+from lieranders.riemann import ad_star, curvature_tensor, levi_civita
 from lieranders.sweep import dense_curvature, dense_gram, dense_structure
 
 from conftest import fr
 
-IMPLS = kernels.implementations()
-BACKENDS = sorted(IMPLS)
-KERNELS = (
-    "eval_f_batch",
-    "sectional_batch",
-    "correction_batch",
-    "case_correction_batch",
+TOL = 1e-9  # of the largest term (at least 1), as in the benchmark's check
+
+SO3 = LieAlgebra.from_brackets(
+    3, ("e1", "e2", "e3"), {(0, 1): fr(0, 0, 1), (1, 2): fr(1, 0, 0), (2, 0): fr(0, 1, 0)}
+)
+# R acting by the derivation diag(1, 2, 3, 1/2) on heis3 + R
+SOLV5 = LieAlgebra.from_brackets(
+    5,
+    ("e0", "e1", "e2", "e3", "e4"),
+    {
+        (0, 1): fr(0, 1, 0, 0, 0),
+        (0, 2): fr(0, 0, 2, 0, 0),
+        (0, 3): fr(0, 0, 0, 3, 0),
+        (0, 4): fr(0, 0, 0, 0, "1/2"),
+        (1, 2): fr(0, 0, 0, 1, 0),
+    },
 )
 
 
-@pytest.fixture(scope="module")
-def case2_setup():
-    a = catalog(2)
-    m = identity_metric(4)
+def dense_metric(n):
+    """Every entry nonzero; diagonally dominant, so positive definite."""
+    return MetricTensor(
+        gram=tuple(
+            tuple(Fraction(i + 2) if i == j else Fraction(1, i + j + 2) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def douglas_q(algebra, metric):
+    """A Douglas Q mixing every direction of the Douglas subspace, g(Q,Q) < 1."""
+    basis = douglas_subspace(algebra, metric).basis
+    q = tuple(
+        sum(Fraction(k + 1) * b[i] for k, b in enumerate(basis)) for i in range(algebra.dim)
+    )
+    norm = metric.inner(q, q)
+    return tuple(Fraction(3, 4) * x / (1 + int(norm)) for x in q)
+
+
+def dense_douglas(algebra):
+    metric = dense_metric(algebra.dim)
+    return make_randers(algebra, metric, douglas_q(algebra, metric))
+
+
+STRUCTURES = {
+    "case2-identity": lambda: make_randers(catalog(2), identity_metric(4), fr(0, 0, "2/5", "1/5")),
+    "case3-dense": lambda: dense_douglas(catalog(3)),
+    "case4-dense": lambda: dense_douglas(catalog(4)),
+    "so3-dense": lambda: dense_douglas(SO3),  # [g, g] = g, so Q = 0
+    "solv5-identity": lambda: make_randers(SOLV5, identity_metric(5), fr("2/5", 0, 0, 0, 0)),
+    "solv5-dense": lambda: dense_douglas(SOLV5),
+}
+
+
+def float_forms(r):
+    gram = dense_gram(r.metric)
+    q = np.array(r.q_field, dtype=float)
+    r2, g2 = kernels.bivector_forms(dense_curvature(r.algebra, r.metric), gram)
+    quad, cubic = kernels.randers_forms(dense_structure(r.algebra), gram, np.linalg.inv(gram), q)
+    return gram, q, r2, g2, quad, cubic
+
+
+def obj(x):
+    return np.array(x, dtype=object)
+
+
+def exact_forms(r):
+    """The compiled forms on Fraction object arrays: exact coefficients."""
+    gram = obj(r.metric.gram)
+    table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
+    r2, g2 = kernels.bivector_forms(obj(table.r) @ gram, gram)
+    quad, cubic = kernels.randers_forms(
+        obj(r.algebra.structure), gram, obj(r.metric.inverse_gram), obj(r.q_field)
+    )
+    return r2, g2, quad, cubic
+
+
+def exact_flag(row_v, row_u):
+    """The flag at exactly the float sample's values."""
+    return Flag(v=tuple(map(Fraction, row_v)), u=tuple(map(Fraction, row_u)))
+
+
+@pytest.fixture(scope="module", params=sorted(STRUCTURES))
+def setup(request):
+    """Kernel columns on seeded flags, and the exact results on every 5th row."""
+    r = STRUCTURES[request.param]()
+    assert not r.algebra.jacobi_check()
     rng = np.random.Generator(np.random.Philox(key=[99, 0]))
-    n = 257
-    V = rng.uniform(-1, 1, size=(n, 4))
-    U = rng.uniform(-1, 1, size=(n, 4))
-    q = np.array([0.0, 0.0, 0.4, 0.2])
+    V = rng.uniform(-1, 1, size=(101, r.dim))
+    U = rng.uniform(-1, 1, size=(101, r.dim))
+    gram, q, r2, g2, quad, cubic = float_forms(r)
+    f = kernels.eval_f_batch(gram, q, V)
+    k_g = kernels.sectional_batch(r2, g2, U, V)
+    corr = kernels.correction_batch(quad, cubic, V, f)
+    k_f = np.einsum("ni,ij,nj->n", V, gram, V) / f**2 * k_g + corr
+    table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
+    rows = range(0, len(V), 5)
+    exact = {
+        row: flag_curvature_simplified(r, exact_flag(V[row], U[row]), curvature=table)
+        for row in rows
+    }
     return {
-        "algebra": a,
-        "metric": m,
-        "struct": dense_structure(a),
-        "gram": dense_gram(m),
-        "gram_inv": np.linalg.inv(dense_gram(m)),
-        "rm4": dense_curvature(a, m),
-        "V": V,
-        "U": U,
-        "q": q,
+        "r": r, "table": table, "V": V, "U": U,
+        "f": f, "k_g": k_g, "k_f": k_f, "correction": corr, "exact": exact,
     }
 
 
-def test_both_backends_present():
-    # numpy is always built; numba is the optional ``jit`` extra, and its family
-    # must be present exactly when numba is installed, so that a broken numba
-    # fails here instead of hiding behind the numpy fallback
-    missing = [name for name in KERNELS if not callable(IMPLS["numpy"].get(name))]
-    assert not missing, f"numpy family lacks {missing}"
-    numba_installed = importlib.util.find_spec("numba") is not None
-    assert ("numba" in IMPLS) == numba_installed
-    if "numba" in IMPLS:
-        assert IMPLS["numba"].keys() == IMPLS["numpy"].keys()
+def assert_within_bound(setup, names):
+    """Each named column within TOL of the largest term of its row."""
+    for row, res in setup["exact"].items():
+        got = [setup[name][row] for name in names]
+        want = [getattr(res, name) for name in names]
+        big = max(1.0, abs(res.k_f), abs(res.k_g), *(abs(x) for x in got + want))
+        for name, a, b in zip(names, got, want):
+            assert abs(a - b) <= TOL * big, (name, row, a, b)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_eval_f_batch_matches_scalar(backend, case2_setup):
-    s = case2_setup
-    f = IMPLS[backend]["eval_f_batch"](s["gram"], s["q"], s["V"])
-    r = make_randers(s["algebra"], s["metric"], fr(0, 0, "2/5", "1/5"))
-    for row in range(0, len(f), 37):
-        assert f[row] == pytest.approx(eval_F(r, s["V"][row]), rel=1e-13)
+def test_eval_f_batch_matches_scalar(setup):
+    r, V, f = setup["r"], setup["V"], setup["f"]
+    for row in range(0, len(V), 7):
+        assert f[row] == pytest.approx(eval_F(r, V[row]), rel=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sectional_batch_matches_exact(backend, case2_setup):
-    s = case2_setup
-    kg = IMPLS[backend]["sectional_batch"](s["rm4"], s["gram"], s["U"], s["V"])
-    table = curvature_tensor(s["algebra"], levi_civita(s["algebra"], s["metric"]))
-    for row in range(0, len(kg), 41):
-        u = tuple(Fraction(x).limit_denominator(10**6) for x in s["U"][row])
-        v = tuple(Fraction(x).limit_denominator(10**6) for x in s["V"][row])
-        exact = sectional_curvature(s["algebra"], s["metric"], u, v, curvature=table)
-        assert kg[row] == pytest.approx(float(exact), rel=1e-4)
+def test_sectional_batch_matches_exact(setup):
+    assert_within_bound(setup, ["k_g"])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_correction_batch_matches_scalar(backend, case2_setup):
-    s = case2_setup
-    f = IMPLS[backend]["eval_f_batch"](s["gram"], s["q"], s["V"])
-    corr = IMPLS[backend]["correction_batch"](
-        s["struct"], s["gram"], s["gram_inv"], s["q"], s["V"], f
-    )
-    r = make_randers(s["algebra"], s["metric"], fr(0, 0, "2/5", "1/5"))
-    table = curvature_tensor(s["algebra"], levi_civita(s["algebra"], s["metric"]))
-    for row in range(0, len(corr), 53):
-        v = tuple(Fraction(x).limit_denominator(10**9) for x in s["V"][row])
-        u = tuple(Fraction(x).limit_denominator(10**9) for x in s["U"][row])
-        res = flag_curvature_simplified(r, Flag(v=v, u=u), curvature=table)
-        assert corr[row] == pytest.approx(res.correction, rel=1e-6, abs=1e-9)
+def test_correction_batch_matches_scalar(setup):
+    assert_within_bound(setup, ["correction", "k_f"])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def test_compiled_forms_are_exact(setup):
+    r, V, U, table = setup["r"], setup["V"], setup["U"], setup["table"]
+    r2, g2, quad, cubic = exact_forms(r)
+    a, m = r.algebra, r.metric
+    for row in range(0, len(V), 20):
+        flag = exact_flag(V[row], U[row])
+        v, u = obj(flag.v)[None], obj(flag.u)[None]
+        assert kernels.sectional_batch(r2, g2, u, v)[0] == sectional_curvature(
+            a, m, flag.u, flag.v, curvature=table
+        )
+        assert ((v @ quad) * v).sum() == m.inner(a.bracket(r.q_field, flag.v), flag.v)
+        vv = (v[:, :, None] * v[:, None, :]).reshape(1, -1)
+        advv = tuple(obj(ad_star(a, m, flag.v)) @ v[0])
+        want = m.inner(a.bracket(a.bracket(r.q_field, flag.v), flag.v), flag.v) - m.inner(
+            flag.v, a.bracket(r.q_field, advv)
+        )
+        assert ((vv @ cubic.T) * v).sum() == want
+
+
+def as_poly(coeffs):
+    """{exponents: coefficient} of sum coeffs[i1..ik] x_i1 ... x_ik."""
+    coeffs = np.asarray(coeffs, dtype=object)
+    dim = coeffs.shape[0]
+    out = defaultdict(Fraction)
+    for idx in itertools.product(range(dim), repeat=coeffs.ndim):
+        out[tuple(idx.count(v) for v in range(dim))] += coeffs[idx]
+    return {k: c for k, c in out.items() if c}
+
+
+def poly_mul(p, q, scale=1):
+    out = defaultdict(Fraction)
+    for (ka, ca), (kb, cb) in itertools.product(p.items(), q.items()):
+        out[tuple(x + y for x, y in zip(ka, kb))] += scale * ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def diag(*entries):
+    return np.diag(np.array([Fraction(x) for x in entries], dtype=object))
+
+
+def coordinate(i):
+    return np.array([Fraction(int(k == i)) for k in range(4)], dtype=object)
+
+
+def closed_form(case_id):
+    """(p, q, F-free term, F-linear term) of flag_curvature_case's numerator."""
+    if case_id == 2:
+        p, q = Fraction(3, 10), Fraction(1, 5)
+        s = as_poly(diag(1, 1, 0, 0))  # a^2 + b^2
+        return p, q, poly_mul(s, s, 3 * p * p), poly_mul(as_poly(coordinate(2)), s, 4 * p)
+    p, q = Fraction(0), Fraction(3, 10)
+    a = as_poly(coordinate(0))
+    if case_id == 3:
+        s = as_poly(diag(0, 1, 1, 1))  # b^2 + c^2 + d^2
+        return p, q, poly_mul(s, s, 3 * q * q), poly_mul(a, s, 4 * q)
+    s = as_poly(diag(0, 2, 1, 1))
+    return p, q, poly_mul(s, s, 3 * q * q / 4), poly_mul(a, as_poly(diag(0, 4, 1, 1)), q)
+
+
+def case_structure(case_id, p, q):
+    qvec = fr(0, 0, p, q) if case_id == 2 else fr(q, 0, 0, 0)
+    return make_randers(catalog(case_id), identity_metric(4), qvec)
+
+
 @pytest.mark.parametrize("case_id", [2, 3, 4])
-def test_case_correction_batch_matches_scalar(backend, case_id, case2_setup):
-    s = case2_setup
-    p, q = (0.3, 0.2) if case_id == 2 else (0.0, 0.3)
-    qvec = np.array([q, 0, 0, 0]) if case_id != 2 else np.array([0, 0, p, q])
-    f = IMPLS[backend]["eval_f_batch"](s["gram"], qvec, s["V"])
-    corr = IMPLS[backend]["case_correction_batch"](case_id, p, q, s["V"], f)
-    for row in range(0, len(corr), 61):
-        a, b, c, d = s["V"][row]
-        full = flag_curvature_case(case_id, p, q, a, b, c, d, k_g=0.0)
-        assert corr[row] == pytest.approx(full, rel=1e-12, abs=1e-15)
+def test_compiled_forms_match_closed_form_coefficients(case_id):
+    p, q, free, linear = closed_form(case_id)
+    _, _, quad, cubic = exact_forms(case_structure(case_id, p, q))
+    assert poly_mul(as_poly(quad), as_poly(quad), 3) == free
+    assert {k: -2 * c for k, c in as_poly(cubic.reshape(4, 4, 4)).items()} == linear
 
 
-@pytest.mark.skipif("numba" not in IMPLS, reason="numba unavailable")
-def test_backends_agree(case2_setup):
-    s = case2_setup
-    for name in ("eval_f_batch", "sectional_batch", "correction_batch"):
-        if name == "eval_f_batch":
-            args = (s["gram"], s["q"], s["V"])
-        elif name == "sectional_batch":
-            args = (s["rm4"], s["gram"], s["U"], s["V"])
-        else:
-            f = IMPLS["numpy"]["eval_f_batch"](s["gram"], s["q"], s["V"])
-            args = (s["struct"], s["gram"], s["gram_inv"], s["q"], s["V"], f)
-        a = IMPLS["numpy"][name](*args)
-        b = IMPLS["numba"][name](*args)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_env_flag_selects_numpy_backend():
-    # the child inherits the environment but not this process's sys.path, so
-    # point its PYTHONPATH at the directory holding the imported package
-    package_root = str(Path(kernels.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    )
-    env = dict(os.environ, LIERANDERS_NUMBA="0", PYTHONPATH=pythonpath)
-    code = "from lieranders import kernels; print(kernels.active_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_unknown_case_rejected_by_both(case2_setup):
-    s = case2_setup
-    f = np.ones(len(s["V"]))
-    for backend in BACKENDS:
-        with pytest.raises(ValueError):
-            IMPLS[backend]["case_correction_batch"](7, 0.1, 0.1, s["V"], f)
+@pytest.mark.parametrize("case_id", [2, 3, 4])
+def test_correction_batch_matches_closed_form(case_id):
+    p, q, *_ = closed_form(case_id)
+    gram, qv, _, _, quad, cubic = float_forms(case_structure(case_id, p, q))
+    V = np.random.Generator(np.random.Philox(key=[7, case_id])).uniform(-1, 1, size=(64, 4))
+    corr = kernels.correction_batch(quad, cubic, V, kernels.eval_f_batch(gram, qv, V))
+    want = [flag_curvature_case(case_id, float(p), float(q), *row, k_g=0.0) for row in V]
+    np.testing.assert_allclose(corr, want, rtol=1e-12, atol=1e-15)

@@ -34,6 +34,16 @@ X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 GENERIC_GRAM = MetricTensor(
     gram=xl.mat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]])
 )
+DENSE_GRAM = MetricTensor(
+    gram=xl.mat(
+        [
+            [2, "1/2", "1/3", "1/4"],
+            ["1/2", 3, "1/5", "1/6"],
+            ["1/3", "1/5", 2, "1/7"],
+            ["1/4", "1/6", "1/7", 1],
+        ]
+    )
+)
 
 
 def test_inner_orthonormal(metric4):
@@ -148,6 +158,33 @@ def test_curvature_abelian_zero(metric4):
         for j in range(4)
         for k in range(4)
     )
+
+
+@pytest.mark.parametrize("metric_name", ["identity", "dense"])
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_curvature_table_equals_full_comprehension(case_id, metric_name, metric4):
+    # the table computes i < j only; every entry must equal the direct formula
+    metric = metric4 if metric_name == "identity" else DENSE_GRAM
+    a = catalog(case_id)
+    conn = levi_civita(a, metric)
+    e = a.basis()
+    full = tuple(
+        tuple(
+            tuple(
+                xl.vec_sub(
+                    xl.vec_sub(
+                        conn.nabla(e[i], conn.gamma[j][k]),
+                        conn.nabla(e[j], conn.gamma[i][k]),
+                    ),
+                    conn.nabla(a.structure[i][j], e[k]),
+                )
+                for k in range(4)
+            )
+            for j in range(4)
+        )
+        for i in range(4)
+    )
+    assert curvature_tensor(a, conn).r == full
 
 
 def test_curvature_spot_values(metric4):
