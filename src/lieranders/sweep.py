@@ -50,7 +50,9 @@ def run_sweep(
     """Evaluate K^g, K^F and the correction on seeded random flags.
 
     Flags are drawn from the counter-based Philox stream keyed by ``seed``,
-    so results do not depend on evaluation order or batch size.
+    so the same seed and the same ``n_samples`` give the same rows.  Rows do
+    depend on ``n_samples``: V and U are drawn as separate ``(want, dim)``
+    blocks, so a shorter sweep is not a prefix of a longer one.
     """
     require_douglas(r)
     dim = r.dim
@@ -64,6 +66,7 @@ def run_sweep(
     rng = np.random.Generator(np.random.Philox(key=[seed, 3]))
     V = np.empty((n_samples, dim))
     U = np.empty((n_samples, dim))
+    gvv = np.empty(n_samples)  # g(V, V), kept from the rejection test
     filled = 0
     while filled < n_samples:
         want = n_samples - filled
@@ -77,12 +80,12 @@ def run_sweep(
         took = int(good.sum())
         V[filled : filled + took] = cand_v[good]
         U[filled : filled + took] = cand_u[good]
+        gvv[filled : filled + took] = gv[good]
         filled += took
 
     f = kernels.eval_f_batch(gram, q, V)
     k_g = kernels.sectional_batch(r2, g2, U, V)
     correction = kernels.correction_batch(quad, cubic, V, f)
-    gvv = np.einsum("ni,ij,nj->n", V, gram, V)
     k_f = gvv / f**2 * k_g + correction
     sign_match = signs_agree(k_f, k_g, sign_tol)
     return SweepResult(v=V, k_g=k_g, k_f=k_f, correction=correction, sign_match=sign_match)

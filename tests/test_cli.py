@@ -1,14 +1,17 @@
 """CLI subcommands, output format, and exit-code mapping."""
 
 import json
+import math
 
 import pytest
 
-from lieranders import cli
+from lieranders import cli, make_randers, run_sweep
 from lieranders.definition import DefinitionFile, save_definition
 from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutation_triples
 from lieranders import catalog, identity_metric
 from lieranders import exactlinalg as xl
+
+from conftest import fr
 
 
 def run(argv, capsys):
@@ -137,6 +140,117 @@ def test_sweep_csv_mode(capsys):
     assert lines[0] == "a,b,c,d,K_g,K_F,correction,sign_match"
     assert len(lines) == 4
     assert all(len(line.split(",")) == 8 for line in lines[1:])
+
+
+def reference_rows(structure, n, seed):
+    """Sweep rows with every value formatted on its own by ``f"{x:.12g}"``."""
+    res = run_sweep(structure, n_samples=n, seed=seed)
+    rows = []
+    for i in range(len(res)):
+        values = [*res.v[i], res.k_g[i], res.k_f[i], res.correction[i]]
+        rows.append(
+            ",".join(f"{float(x):.12g}" for x in values) + f",{int(res.sign_match[i])}\n"
+        )
+    return rows, int(res.sign_match.sum())
+
+
+@pytest.mark.parametrize("csv", [True, False], ids=["csv", "report"])
+@pytest.mark.parametrize("n", [1, cli.CSV_BLOCK, 3 * cli.CSV_BLOCK + 5])
+def test_sweep_output_matches_per_value_format(capsys, n, csv):
+    q = "0,0,1/2,0"
+    argv = ["sweep", "--case", "2", "--Q", q, "--samples", str(n), "--seed", "9"]
+    code, out, _ = run(argv + ["--csv"] if csv else argv, capsys)
+    assert code == 0
+    structure = make_randers(catalog(2), identity_metric(4), fr(0, 0, "1/2", 0))
+    rows, matched = reference_rows(structure, n, 9)
+    header = "a,b,c,d,K_g,K_F,correction,sign_match\n"
+    if csv:
+        expected = header + "".join(rows)
+    else:
+        expected = (
+            f"# lieranders sweep case 2 --Q {q} --samples {n} --seed 9\n"
+            + header + "".join(rows) + f"# sign matches: {matched}/{n}\n"
+        )
+    assert out == expected
+
+
+def test_csv_row_template_matches_per_value_format():
+    # dim 4; the sign match arrives as a float from the stacked block
+    values = (-0.0, 5e-324, 1e16, 1 / 3, math.inf, -math.inf, math.nan)
+    for flag in (0.0, 1.0):
+        line = cli.csv_row_template(4) % (*values, flag)
+        assert line == ",".join(f"{x:.12g}" for x in values) + f",{int(flag)}\n"
+    assert line == "-0,4.94065645841e-324,1e+16,0.333333333333,inf,-inf,nan,1\n"
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+SO3_DOC = {
+    "dim": 3,
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": ["0", "0", "1"]},
+        {"i": 1, "j": 2, "coeffs": ["1", "0", "0"]},
+        {"i": 2, "j": 0, "coeffs": ["0", "1", "0"]},
+    ],
+}
+# e0 acts on span{e1, .., e4} by diag(1, 2, 3, 1/2); Q along e0 is Douglas
+DIAG5_DOC = {
+    "dim": 5,
+    "brackets": [
+        {"i": 0, "j": k, "coeffs": ["0"] * k + [c] + ["0"] * (4 - k)}
+        for k, c in zip(range(1, 5), ["1", "2", "3", "1/2"])
+    ],
+}
+
+
+@pytest.mark.parametrize("csv", [True, False], ids=["csv", "report"])
+@pytest.mark.parametrize(
+    "doc, q, header",
+    [
+        (SO3_DOC, "0,0,0", "a,b,c,K_g,K_F,correction,sign_match"),
+        (DIAG5_DOC, "2/5,0,0,0,0", "a,b,c,d,e,K_g,K_F,correction,sign_match"),
+    ],
+    ids=["so3", "diag5"],
+)
+def test_sweep_header_follows_dimension(tmp_path, capsys, doc, q, header, csv):
+    path = write_doc(tmp_path, "space.json", doc)
+    argv = ["sweep", "--file", path, "--Q", q, "--samples", "7", "--seed", "2"]
+    code, out, _ = run(argv + ["--csv"] if csv else argv, capsys)
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == header
+    assert len(lines) == 8
+    assert {len(line.split(",")) for line in lines} == {doc["dim"] + 4}
+
+
+def test_sweep_rejects_dimension_over_csv_limit(tmp_path, capsys):
+    path = write_doc(tmp_path, "abelian27.json", {"dim": 27, "brackets": []})
+    code, out, err = run(
+        ["sweep", "--file", path, "--Q", ",".join(["0"] * 27), "--samples", "2", "--seed", "1"],
+        capsys,
+    )
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert "dimension 27" in err and "26" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "x"])
+def test_sweep_samples_below_one_is_usage_error(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", samples, "--seed", "1"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1/0", "x", "1/2/3"])
+def test_bad_rational_names_token(capsys, token):
+    code, _, err = run(["classify", "--case", "2", "--Q", f"0,{token},0,0"], capsys)
+    assert code == cli.EXIT_DEFINITION
+    assert err == f"error: --Q: bad rational '{token}'\n"
 
 
 def test_check_valid_file(tmp_path, capsys):

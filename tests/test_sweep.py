@@ -23,6 +23,18 @@ def test_sweep_deterministic(structure):
     assert not np.array_equal(a.k_f, c.k_f)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: V and U are drawn as separate (want, dim) blocks, "
+    "so a shorter sweep is not a prefix of a longer one",
+)
+def test_sweep_prefix_stable(structure):
+    short = run_sweep(structure, n_samples=64, seed=5)
+    long = run_sweep(structure, n_samples=128, seed=5)
+    np.testing.assert_array_equal(long.v[:64], short.v)
+    np.testing.assert_array_equal(long.k_g[:64], short.k_g)
+
+
 def test_sweep_columns_consistent(structure):
     res = run_sweep(structure, n_samples=128, seed=5)
     assert len(res) == 128
