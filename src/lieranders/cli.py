@@ -7,7 +7,8 @@ byte-identical for fixed inputs and seed.
 
 Exit codes: 0 success, 1 failed verification, 2 usage, 3 bad definition or
 argument parse, 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
-flag/plane, 7 other validation error.
+flag/plane, 7 other validation error (among them a ``--file`` algebra that
+fails the Jacobi identity).
 """
 
 from __future__ import annotations
@@ -88,9 +89,24 @@ def _echo(args_list: list[str]) -> str:
     return "# lieranders " + " ".join(args_list)
 
 
+def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
+    """The Jacobi verdict of ``check``, then one line per defect triple."""
+    if not violations:
+        return ["jacobi identity: ok"]
+    labels = algebra.labels
+    return [f"jacobi identity: FAIL ({len(violations)} triple(s))"] + [
+        f"  ({labels[i]},{labels[j]},{labels[k]}): defect {format_combination(defect, labels)}"
+        for i, j, k, defect in violations
+    ]
+
+
 def _load_space(args) -> tuple[LieAlgebra, MetricTensor]:
+    """The space of ``--file``, which must satisfy Jacobi, else catalog ``--case``."""
     if getattr(args, "file", None):
         defn = load_definition(args.file)
+        violations = defn.algebra.jacobi_check()
+        if violations:
+            raise LieRandersError("\n".join(jacobi_lines(defn.algebra, violations)))
         return defn.algebra, defn.metric
     algebra = catalog(args.case)
     return algebra, identity_metric(algebra.dim)
@@ -231,16 +247,7 @@ def cmd_check(args, out) -> int:
     violations = defn.algebra.jacobi_check()
     if violations:
         failures += 1
-        print(f"jacobi identity: FAIL ({len(violations)} triple(s))", file=out)
-        for i, j, k, defect in violations:
-            labels = defn.algebra.labels
-            print(
-                f"  ({labels[i]},{labels[j]},{labels[k]}): defect "
-                f"{format_combination(defect, labels)}",
-                file=out,
-            )
-    else:
-        print("jacobi identity: ok", file=out)
+    print("\n".join(jacobi_lines(defn.algebra, violations)), file=out)
 
     print("metric: ok (symmetric positive definite)", file=out)
 

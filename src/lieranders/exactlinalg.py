@@ -7,6 +7,7 @@ tiny (typically 4x4), so plain Gauss-Jordan elimination is all we need.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -45,6 +46,18 @@ def basis_vector(n: int, i: int) -> Vector:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(basis_vector(n, i) for i in range(n))
+
+
+def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator.
+
+    Returns ``(nums, d)`` with ``values[i] == nums[i] / d`` for the least
+    positive such ``d``; no values give ``([], 1)``.  Accepts ints and
+    Fractions.
+    """
+    values = list(values)
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:

@@ -1,8 +1,8 @@
 """Left-invariant Randers metrics F(y) = sqrt(g(y,y)) + g(Q,y).
 
 Validity (g(Q,Q) < 1) is decided exactly on the rational data; pointwise
-evaluation of F and its fundamental tensor is floating point, the square root
-being the only irrational ingredient.
+evaluation of F and its closed-form fundamental tensor is floating point, the
+square root being the only irrational ingredient.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import numpy as np
 from .algebra import AlgebraVector, LieAlgebra
 from .errors import DimensionMismatch, NormTooLarge, ZeroDirection
 from .riemann import MetricTensor
-
-# central-difference step scale; gives ~1e-8 truncation error on unit-scale data
-FD_STEP = 1e-5
-
 
 @dataclass(frozen=True)
 class RandersStructure:
@@ -67,57 +63,38 @@ def eval_F(r: RandersStructure, y) -> float:
     return math.sqrt(max(yv @ gram @ yv, 0.0)) + float(qv @ gram @ yv)
 
 
-def _F_squared(gram: np.ndarray, qg: np.ndarray, y: np.ndarray) -> float:
-    # qg = G q precomputed; F^2 as a plain float function of y
-    a = math.sqrt(max(y @ gram @ y, 0.0))
-    return (a + float(qg @ y)) ** 2
-
-
 def fundamental_tensor(r: RandersStructure, y) -> np.ndarray:
-    """Numerical Hessian (1/2) d^2 F^2 / dy_i dy_j at y, by central differences.
+    """Fundamental tensor g_ij(y) = (1/2) d^2 F^2 / dy_i dy_j, in closed form.
 
-    Symmetric by construction; positive definite whenever the structure is
-    valid and y != 0.
+    With F = alpha + beta, alpha^2 = a_ij y^i y^j, beta = b_i y^i, b = G Q and
+    y_i = a_ij y^j (Bao-Chern-Shen, *An Introduction to Riemann-Finsler
+    Geometry*, GTM 200, section 11):
+
+        g_ij = (F/alpha) (a_ij - y_i y_j / alpha^2) + (b_i + y_i/alpha)(b_j + y_j/alpha).
+
+    Exactly symmetric; positive definite whenever the structure is valid and
+    y != 0.
     """
     yv = np.asarray([float(c) for c in y], dtype=float)
     if not yv.any():
         raise ZeroDirection("fundamental tensor is undefined at y = 0")
     gram = dense_gram(r.metric)
-    qg = gram @ np.asarray([float(c) for c in r.q_field])
-    n = r.dim
-    h = FD_STEP * max(1.0, math.sqrt(yv @ gram @ yv))
-    out = np.empty((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(i, n):
-            pp = _F_squared(gram, qg, yv + h * eye[i] + h * eye[j])
-            pm = _F_squared(gram, qg, yv + h * eye[i] - h * eye[j])
-            mp = _F_squared(gram, qg, yv - h * eye[i] + h * eye[j])
-            mm = _F_squared(gram, qg, yv - h * eye[i] - h * eye[j])
-            out[i, j] = out[j, i] = (pp - pm - mp + mm) / (8.0 * h * h)
-    return out
+    b = gram @ np.asarray([float(c) for c in r.q_field])
+    y_low = gram @ yv
+    alpha = math.sqrt(yv @ y_low)
+    f = alpha + b @ yv
+    ell = b + y_low / alpha
+    return f / alpha * (gram - np.outer(y_low, y_low) / alpha**2) + np.outer(ell, ell)
 
 
 def g_V(r: RandersStructure, v, u, w) -> float:
-    """Osculating inner product g_V(u,w) = (1/2) d^2/ds dt F^2(V + sU + tW).
+    """Osculating inner product g_V(u, w) = u^i g_ij(V) w^j.
 
-    Mixed central differences at s = t = 0; symmetric and bilinear up to the
-    finite-difference tolerance, with g_V(V,V) = F(V)^2.
+    Bilinear, symmetric up to rounding, and g_V(V, V) = F(V)^2.
     """
     vv = np.asarray([float(c) for c in v], dtype=float)
     if not vv.any():
         raise ZeroDirection("g_V is undefined for V = 0")
     uv = np.asarray([float(c) for c in u], dtype=float)
     wv = np.asarray([float(c) for c in w], dtype=float)
-    gram = dense_gram(r.metric)
-    qg = gram @ np.asarray([float(c) for c in r.q_field])
-    h = FD_STEP * max(1.0, math.sqrt(vv @ gram @ vv))
-    # evaluation points built from u+w and u-w so that swapping u and w
-    # reproduces the identical float stencil: symmetry holds exactly
-    plus = h * (uv + wv)
-    minus = h * (uv - wv)
-    pp = _F_squared(gram, qg, vv + plus)
-    pm = _F_squared(gram, qg, vv + minus)
-    mp = _F_squared(gram, qg, vv - minus)
-    mm = _F_squared(gram, qg, vv - plus)
-    return (pp - pm - mp + mm) / (8.0 * h * h)
+    return float(uv @ fundamental_tensor(r, vv) @ wv)

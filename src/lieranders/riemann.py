@@ -1,16 +1,23 @@
 """Left-invariant Riemannian geometry evaluated at the identity.
 
 For a left-invariant metric everything reduces to exact linear algebra on the
-Lie algebra: the Levi-Civita connection comes from
+Lie algebra.  With the lowered structure constants c_ijk = g([e_i, e_j], e_k),
+the Koszul formula in index form (Milnor, *Curvatures of left invariant
+metrics on Lie groups*, Adv. Math. 21, 1976) gives the Levi-Civita connection
 
-    nabla_u v = ( [u,v] - ad*_u v - ad*_v u ) / 2,
+    2 g(nabla_{e_i} e_j, e_k) = c_ijk - c_jki + c_kij,
 
-where ad*_v is the g-transpose of ad_v, and the curvature operator is
+equivalently nabla_u v = ( [u,v] - ad*_u v - ad*_v u ) / 2 with ad*_v the
+g-transpose of ad_v, and the curvature operator is
 
     R(u,v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w.
 
-Sectional curvature K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) is an
-exact rational for exact inputs.
+The connection table, the curvature table and its trilinear extension are
+summed in Python ints: each input table is written as integer numerators
+over its least common denominator (``exactlinalg.common_denominator``), and
+one ``Fraction`` is built per output entry.  Sectional curvature
+K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) is an exact rational for
+exact inputs.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace
 from .errors import DegeneratePlane, DimensionMismatch
 from .exactlinalg import Matrix
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -113,27 +122,34 @@ class ConnectionTable:
 def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
     """Levi-Civita connection of a left-invariant metric, tabulated on the basis.
 
-    Caller is responsible for the Jacobi identity holding (see
-    ``LieAlgebra.jacobi_check``); the formula is only meaningful then.
+    Koszul in index form: with c_ijk = g([e_i, e_j], e_k),
+    2 g(nabla_{e_i} e_j, e_k) = c_ijk - c_jki + c_kij, and raising k with the
+    inverse Gram matrix gives gamma[i][j].  Caller is responsible for the
+    Jacobi identity holding (see ``LieAlgebra.jacobi_check``); the formula is
+    only meaningful then.
     """
     n = algebra.dim
-    stars = [ad_star(algebra, metric, algebra.basis_vector(i)) for i in range(n)]
-    half = Fraction(1, 2)
+    rn = range(n)
+    rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
+    c, d = xl.common_denominator(x for ci in algebra.structure for cij in ci for x in cij)
+    if not metric.is_identity:
+        g, dg = xl.common_denominator(x for row in metric.gram for x in row)
+        c = [sum(c[ij + m] * g[m * n + k] for m in rn) for ij in rows for k in rn]
+        d *= dg
+    two = [
+        c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
+        for i in rn
+        for j in rn
+        for k in rn
+    ]
+    if not metric.is_identity:
+        h, dh = xl.common_denominator(x for row in metric.inverse_gram for x in row)
+        two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
+        d *= dh
+    d *= 2
+    entries = [Fraction(x, d) if x else _ZERO for x in two]
     gamma = tuple(
-        tuple(
-            xl.vec_scale(
-                half,
-                xl.vec_sub(
-                    xl.vec_sub(
-                        algebra.structure[i][j],
-                        xl.mat_vec(stars[i], algebra.basis_vector(j)),
-                    ),
-                    xl.mat_vec(stars[j], algebra.basis_vector(i)),
-                ),
-            )
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(tuple(entries[ij : ij + n]) for ij in rows[i * n : (i + 1) * n]) for i in rn
     )
     return ConnectionTable(gamma=gamma)
 
@@ -149,49 +165,68 @@ class CurvatureTable:
         return len(self.r)
 
     def of(self, u: AlgebraVector, v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
-        out = [Fraction(0)] * self.dim
-        for i, j, k, l, val in self._entries:
-            c = u[i] * v[j] * w[k]
+        d, entries = self._entries
+        (un, du), (vn, dv), (wn, dw) = map(xl.common_denominator, (u, v, w))
+        out = [0] * self.dim
+        for i, j, k, l, val in entries:
+            c = un[i] * vn[j] * wn[k]
             if c:
                 out[l] += c * val
-        return tuple(out)
+        d *= du * dv * dw
+        return tuple(Fraction(x, d) if x else _ZERO for x in out)
 
     @cached_property
-    def _entries(self) -> tuple[tuple[int, int, int, int, Fraction], ...]:
-        # sparse nonzero list; the catalog tables are mostly zeros
-        items = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    for l, val in enumerate(self.r[i][j][k]):
-                        if val:
-                            items.append((i, j, k, l, val))
-        return tuple(items)
+    def _entries(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+        # sparse nonzero list, numerators over one denominator; the catalog
+        # tables are mostly zeros
+        n = self.dim
+        index = [
+            (i, j, k, l)
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+            for l in range(n)
+            if self.r[i][j][k][l]
+        ]
+        nums, d = xl.common_denominator(self.r[i][j][k][l] for i, j, k, l in index)
+        return d, tuple((*ijkl, x) for ijkl, x in zip(index, nums))
 
 
 def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTable:
     """R(u,v)w from the connection table, at the identity.
 
-    Only R(e_i, e_j) with i < j is computed; R(e_j, e_i) = -R(e_i, e_j) and
-    R(e_i, e_i) = 0 fill in the rest.
+    With G_ij^k = gamma[i][j][k] and c_ij^k the structure constants,
+    R(e_i, e_j) e_k = sum_m (G_jk^m G_im^l - G_ik^m G_jm^l - c_ij^m G_mk^l) e_l,
+    summed on integer numerators.  Only i < j is computed;
+    R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0 fill in the rest.
     """
     n = algebra.dim
-    e = algebra.basis()
+    rn = range(n)
+    gam, dg = xl.common_denominator(x for gi in conn.gamma for gij in gi for x in gij)
+    c, dc = xl.common_denominator(x for ci in algebra.structure for cij in ci for x in cij)
+    # numerator rows: G[i][j] of gamma[i][j] over dg, C[i][j] of [e_i, e_j] over dc
+    G = [[gam[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
+    C = [[c[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
+    d = dg * dg * dc
     zero = (xl.zero_vector(n),) * n
-    r = [[zero] * n for _ in range(n)]
-    for i in range(n):
+    r = [[zero] * n for _ in rn]
+    for i in rn:
         for j in range(i + 1, n):
-            r[i][j] = tuple(
-                xl.vec_sub(
-                    xl.vec_sub(
-                        conn.nabla(e[i], conn.gamma[j][k]),
-                        conn.nabla(e[j], conn.gamma[i][k]),
-                    ),
-                    conn.nabla(algebra.structure[i][j], e[k]),
-                )
-                for k in range(n)
-            )
-            r[j][i] = tuple(xl.vec_scale(-1, v) for v in r[i][j])
+            rij = []
+            for k in rn:
+                acc = [0] * n
+                for m in rn:
+                    for a, row in (
+                        (dc * G[j][k][m], G[i][m]),
+                        (-dc * G[i][k][m], G[j][m]),
+                        (-dg * C[i][j][m], G[m][k]),
+                    ):
+                        if a:
+                            for l in rn:
+                                acc[l] += a * row[l]
+                rij.append(acc)
+            r[i][j] = tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in rij)
+            r[j][i] = tuple(tuple(Fraction(-x, d) if x else _ZERO for x in row) for row in rij)
     return CurvatureTable(r=tuple(tuple(row) for row in r))
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lieranders import cli, make_randers, run_sweep
+from lieranders import LieAlgebra, cli, make_randers, run_sweep
 from lieranders.definition import DefinitionFile, save_definition
 from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutation_triples
 from lieranders import catalog, identity_metric
@@ -270,23 +270,57 @@ def test_check_valid_file(tmp_path, capsys):
     assert "check: PASS" in out
 
 
+# case 4 with [X,Z] = Z instead of Z/2: Jacobi fails on (X,Z,W) only
+NON_JACOBI_DOC = {
+    "dim": 4,
+    "labels": ["X", "Y", "Z", "W"],
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": ["0", "1", "0", "0"]},
+        {"i": 0, "j": 2, "coeffs": ["0", "0", "1", "0"]},
+        {"i": 0, "j": 3, "coeffs": ["0", "0", "0", "1/2"]},
+        {"i": 2, "j": 3, "coeffs": ["0", "1/2", "0", "0"]},
+    ],
+}
+NON_JACOBI_REPORT = "jacobi identity: FAIL (1 triple(s))\n  (X,Z,W): defect 1/4*Y\n"
+
+
 def test_check_corrupted_structure(tmp_path, capsys):
-    doc = {
-        "dim": 4,
-        "labels": ["X", "Y", "Z", "W"],
-        "brackets": [
-            {"i": 0, "j": 1, "coeffs": ["0", "1", "0", "0"]},
-            {"i": 0, "j": 2, "coeffs": ["0", "0", "1", "0"]},
-            {"i": 0, "j": 3, "coeffs": ["0", "0", "0", "1/2"]},
-            {"i": 2, "j": 3, "coeffs": ["0", "1/2", "0", "0"]},
-        ],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(["check", str(path)], capsys)
+    path = write_doc(tmp_path, "bad.json", NON_JACOBI_DOC)
+    code, out, _ = run(["check", path], capsys)
     assert code == 1
-    assert "jacobi identity: FAIL" in out
+    assert NON_JACOBI_REPORT in out
     assert "check: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--Q", "1/2,0,0,0"],
+        ["flag", "--Q", "1/2,0,0,0", "--V", "1,0,0,0", "--U", "0,1,0,0"],
+        ["sweep", "--Q", "1/2,0,0,0", "--samples", "2", "--seed", "1", "--csv"],
+    ],
+    ids=["classify", "flag", "sweep"],
+)
+def test_file_failing_jacobi_is_rejected(tmp_path, capsys, argv):
+    path = write_doc(tmp_path, "bad.json", NON_JACOBI_DOC)
+    code, out, err = run([argv[0], "--file", path, *argv[1:]], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: " + NON_JACOBI_REPORT
+
+
+def test_case_skips_jacobi_gate(monkeypatch, capsys):
+    # the catalog is tested once (test_algebra); a --case sweep must not pay for it
+    def refuse(self):
+        raise AssertionError("jacobi_check ran on a catalog case")
+
+    monkeypatch.setattr(LieAlgebra, "jacobi_check", refuse)
+    code, out, _ = run(
+        ["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "2", "--seed", "1", "--csv"],
+        capsys,
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 3
 
 
 def test_check_invalid_q_norm(tmp_path, capsys):

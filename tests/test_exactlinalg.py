@@ -73,3 +73,31 @@ def test_rref_rows_span_input(rows):
 def test_format_scalar():
     assert xl.format_scalar(Fraction(1, 2)) == "1/2"
     assert xl.format_scalar(Fraction(-3)) == "-3"
+
+
+def test_common_denominator_empty():
+    assert xl.common_denominator([]) == ([], 1)
+
+
+def test_common_denominator_integers():
+    assert xl.common_denominator([3, -2, 0]) == ([3, -2, 0], 1)
+    assert xl.common_denominator([Fraction(4), Fraction(0)]) == ([4, 0], 1)
+
+
+def test_common_denominator_negatives_and_least_d():
+    values = [Fraction(-1, 6), Fraction(3, 4), Fraction(-5, 9), 2]
+    nums, d = xl.common_denominator(values)
+    assert d == 36  # lcm(6, 4, 9), not the product 216
+    assert nums == [-6, 27, -20, 72]
+    assert [Fraction(x, d) for x in nums] == values
+
+
+@given(st.lists(RATIONALS, max_size=8))
+def test_common_denominator_is_least(values):
+    nums, d = xl.common_denominator(values)
+    assert all(isinstance(x, int) for x in nums)
+    assert [Fraction(x, d) for x in nums] == values
+    # no proper divisor d/p of d is a common denominator
+    for p in range(2, d + 1):
+        if d % p == 0:
+            assert any((d // p) % v.denominator for v in values)

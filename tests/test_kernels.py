@@ -16,8 +16,6 @@ import pytest
 
 from lieranders import (
     Flag,
-    LieAlgebra,
-    MetricTensor,
     catalog,
     douglas_subspace,
     eval_F,
@@ -31,36 +29,9 @@ from lieranders import kernels
 from lieranders.riemann import ad_star, curvature_tensor, levi_civita
 from lieranders.sweep import dense_curvature, dense_gram, dense_structure
 
-from conftest import fr
+from conftest import SO3, SOLV5, dense_metric, fr
 
 TOL = 1e-9  # of the largest term (at least 1), as in the benchmark's check
-
-SO3 = LieAlgebra.from_brackets(
-    3, ("e1", "e2", "e3"), {(0, 1): fr(0, 0, 1), (1, 2): fr(1, 0, 0), (2, 0): fr(0, 1, 0)}
-)
-# R acting by the derivation diag(1, 2, 3, 1/2) on heis3 + R
-SOLV5 = LieAlgebra.from_brackets(
-    5,
-    ("e0", "e1", "e2", "e3", "e4"),
-    {
-        (0, 1): fr(0, 1, 0, 0, 0),
-        (0, 2): fr(0, 0, 2, 0, 0),
-        (0, 3): fr(0, 0, 0, 3, 0),
-        (0, 4): fr(0, 0, 0, 0, "1/2"),
-        (1, 2): fr(0, 0, 0, 1, 0),
-    },
-)
-
-
-def dense_metric(n):
-    """Every entry nonzero; diagonally dominant, so positive definite."""
-    return MetricTensor(
-        gram=tuple(
-            tuple(Fraction(i + 2) if i == j else Fraction(1, i + j + 2) for j in range(n))
-            for i in range(n)
-        )
-    )
-
 
 def douglas_q(algebra, metric):
     """A Douglas Q mixing every direction of the Douglas subspace, g(Q,Q) < 1."""

@@ -1,4 +1,4 @@
-"""Randers metric construction, evaluation and the finite-difference tensors."""
+"""Randers metric construction, evaluation and the closed-form fundamental tensor."""
 
 import math
 from fractions import Fraction
@@ -13,10 +13,12 @@ from lieranders import exactlinalg as xl
 from lieranders.errors import NormTooLarge, ZeroDirection
 from lieranders.sampling import make_rng, sphere_directions
 
-from conftest import fr
+from conftest import dense_metric, fr
 
 X = fr(1, 0, 0, 0)
 ZERO_Q = fr(0, 0, 0, 0)
+REL_TOL = 1e-12  # of the largest term; the closed form has rounding error only
+DENSE = dense_metric(4)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +88,7 @@ def test_fundamental_tensor_riemannian_case(abelian):
     r = make_randers(a, m, ZERO_Q)
     got = fundamental_tensor(r, [0.4, -1.2, 0.3, 0.9])
     expected = np.array([[float(x) for x in row] for row in gram])
-    assert np.abs(got - expected).max() < 1e-6
+    assert np.abs(got - expected).max() <= REL_TOL * np.abs(expected).max()
 
 
 def test_fundamental_tensor_zero_direction(abelian):
@@ -100,7 +102,7 @@ def test_fundamental_tensor_positive_definite(abelian):
     a, m = abelian
     r = make_randers(a, m, fr("1/2", 0, 0, 0))
     g = fundamental_tensor(r, fr(0, 1, 0, 0))
-    assert np.abs(g - g.T).max() < 1e-9
+    assert (g == g.T).all()
     assert np.linalg.eigvalsh(g)[0] > 0
 
 
@@ -121,8 +123,7 @@ def test_g_V_riemannian_reduces_to_inner(abelian):
         w = rng.uniform(-2, 2, size=4)
         if np.linalg.norm(v) < 0.1:
             continue
-        # cancellation noise in the stencil scales with F(V)^2
-        tol = 1e-6 * max(1.0, float(v @ v))
+        tol = REL_TOL * max(1.0, float(np.linalg.norm(u) * np.linalg.norm(w)))
         assert g_V(r, v, u, w) == pytest.approx(float(u @ w), abs=tol)
 
 
@@ -135,7 +136,7 @@ def test_g_V_euler_identity(abelian):
         if np.linalg.norm(v) < 0.1:
             continue
         f2 = eval_F(r, v) ** 2
-        assert g_V(r, v, v, v) == pytest.approx(f2, rel=1e-6)
+        assert g_V(r, v, v, v) == pytest.approx(f2, rel=REL_TOL)
 
 
 def test_g_V_symmetry(abelian):
@@ -150,7 +151,7 @@ def test_g_V_symmetry(abelian):
             continue
         left = g_V(r, v, u, w)
         right = g_V(r, v, w, u)
-        assert left == pytest.approx(right, abs=1e-9 * max(1.0, abs(left)))
+        assert left == pytest.approx(right, abs=REL_TOL * max(1.0, abs(left)))
 
 
 def test_g_V_zero_pole_rejected(abelian):
@@ -158,3 +159,49 @@ def test_g_V_zero_pole_rejected(abelian):
     r = make_randers(a, m, fr("1/2", 0, 0, 0))
     with pytest.raises(ZeroDirection):
         g_V(r, [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0])
+
+
+def _half_hessian_of_f_squared(r, y, h=1e-4):
+    # central-difference oracle for (1/2) d^2 F^2 / dy_i dy_j; error ~ h^2 + eps/h^2
+    y = np.asarray(y, dtype=float)
+    eye = np.eye(len(y))
+
+    def f2(z):
+        return eval_F(r, z) ** 2
+
+    return np.array([
+        [
+            (f2(y + h * (a + b)) - f2(y + h * (a - b)) - f2(y - h * (a - b)) + f2(y - h * (a + b)))
+            / (8 * h * h)
+            for b in eye
+        ]
+        for a in eye
+    ])
+
+
+@pytest.mark.parametrize("metric_name", ["identity", "dense"])
+def test_fundamental_tensor_is_half_hessian_of_f_squared(metric_name, abelian):
+    a, identity = abelian
+    m = identity if metric_name == "identity" else DENSE
+    r = make_randers(a, m, fr("1/3", "-1/4", 0, "1/5"))
+    rng = make_rng(23)
+    for _ in range(5):
+        y = rng.uniform(-1, 1, size=4)
+        got = fundamental_tensor(r, y)
+        assert np.abs(got - _half_hessian_of_f_squared(r, y)).max() <= 1e-6 * np.abs(got).max()
+
+
+def test_fundamental_tensor_euler_row(abelian):
+    # g_y(y, w) = F(y) dF_y(w), with dF_y(w) = g(y, w)/alpha + g(Q, w)
+    a, _ = abelian
+    q = fr("1/3", "-1/4", 0, "1/5")
+    r = make_randers(a, DENSE, q)
+    gram = np.array(DENSE.gram, dtype=float)
+    b = gram @ np.array(q, dtype=float)
+    rng = make_rng(29)
+    for _ in range(10):
+        y = rng.uniform(-2, 2, size=4)
+        alpha = math.sqrt(y @ gram @ y)
+        want = eval_F(r, y) * (gram @ y / alpha + b)
+        got = np.asarray(y) @ fundamental_tensor(r, y)
+        assert np.abs(got - want).max() <= REL_TOL * max(1.0, np.abs(want).max())

@@ -5,14 +5,21 @@ The Koszul formula for left-invariant fields,
     2 g(nabla_u v, w) = g([u,v],w) - g([v,w],u) + g([w,u],v),
 
 serves as the independent oracle for the connection; the defining transpose
-identity does the same for ad*.
+identity does the same for ad*.  The library builds its tables on integer
+numerators; the ``oracle_*`` functions below build them one ``Fraction`` at a
+time through ad*, and the two must agree entry for entry.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieranders import (
+    ConnectionTable,
+    CurvatureTable,
+    LieAlgebra,
     MetricTensor,
     ad_star,
     catalog,
@@ -27,7 +34,7 @@ from lieranders.algebra import Subspace
 from lieranders.errors import DegeneratePlane
 from lieranders.sampling import make_rng, random_rational, random_rational_vector
 
-from conftest import fr
+from conftest import SO3, SOLV5, dense_metric, fr
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 
@@ -160,15 +167,32 @@ def test_curvature_abelian_zero(metric4):
     )
 
 
-@pytest.mark.parametrize("metric_name", ["identity", "dense"])
-@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
-def test_curvature_table_equals_full_comprehension(case_id, metric_name, metric4):
-    # the table computes i < j only; every entry must equal the direct formula
-    metric = metric4 if metric_name == "identity" else DENSE_GRAM
-    a = catalog(case_id)
-    conn = levi_civita(a, metric)
-    e = a.basis()
-    full = tuple(
+# -- Fraction oracles for the integer-numerator tables ------------------------
+
+
+def oracle_levi_civita(algebra, metric):
+    """gamma[i][j] = ([e_i, e_j] - ad*_{e_i} e_j - ad*_{e_j} e_i) / 2 in Fractions."""
+    n = algebra.dim
+    e = algebra.basis()
+    stars = [ad_star(algebra, metric, e[i]) for i in range(n)]
+    half = Fraction(1, 2)
+    return ConnectionTable(gamma=tuple(
+        tuple(
+            xl.vec_scale(half, xl.vec_sub(
+                xl.vec_sub(algebra.structure[i][j], xl.mat_vec(stars[i], e[j])),
+                xl.mat_vec(stars[j], e[i]),
+            ))
+            for j in range(n)
+        )
+        for i in range(n)
+    ))
+
+
+def oracle_curvature_tensor(algebra, conn):
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_[e_i,e_j] e_k."""
+    n = algebra.dim
+    e = algebra.basis()
+    return CurvatureTable(r=tuple(
         tuple(
             tuple(
                 xl.vec_sub(
@@ -176,15 +200,109 @@ def test_curvature_table_equals_full_comprehension(case_id, metric_name, metric4
                         conn.nabla(e[i], conn.gamma[j][k]),
                         conn.nabla(e[j], conn.gamma[i][k]),
                     ),
-                    conn.nabla(a.structure[i][j], e[k]),
+                    conn.nabla(algebra.structure[i][j], e[k]),
                 )
-                for k in range(4)
+                for k in range(n)
             )
-            for j in range(4)
+            for j in range(n)
         )
-        for i in range(4)
-    )
-    assert curvature_tensor(a, conn).r == full
+        for i in range(n)
+    ))
+
+
+def oracle_of(table, u, v, w):
+    """Trilinear extension of the table, summed in Fractions."""
+    n = table.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c = u[i] * v[j] * w[k]
+                for l, val in enumerate(table.r[i][j][k]):
+                    out[l] += c * val
+    return tuple(out)
+
+
+@pytest.mark.parametrize("metric_name", ["identity", "dense"])
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_curvature_table_equals_full_comprehension(case_id, metric_name, metric4):
+    # the table computes i < j only; every entry must equal the direct formula
+    metric = metric4 if metric_name == "identity" else DENSE_GRAM
+    a = catalog(case_id)
+    conn = levi_civita(a, metric)
+    assert curvature_tensor(a, conn).r == oracle_curvature_tensor(a, conn).r
+
+
+def all_fractions(table):
+    """Every leaf of a nested tuple table is a Fraction, not a bare int."""
+    if isinstance(table, tuple):
+        return all(all_fractions(x) for x in table)
+    return type(table) is Fraction
+
+
+def assert_tables_match_oracles(algebra, metric, vectors):
+    conn = levi_civita(algebra, metric)
+    assert conn.gamma == oracle_levi_civita(algebra, metric).gamma
+    assert all_fractions(conn.gamma)
+    table = curvature_tensor(algebra, conn)
+    assert table.r == oracle_curvature_tensor(algebra, conn).r
+    assert all_fractions(table.r)
+    for u, v, w in vectors:
+        got = table.of(u, v, w)
+        assert got == oracle_of(table, u, v, w)
+        assert all_fractions(got)
+
+
+ORACLE_SPACES = {
+    **{
+        f"case{cid}-{name}": (lambda cid=cid, m=m: (catalog(cid), m))
+        for cid in range(5)
+        for name, m in (("identity", identity_metric(4)), ("dense", DENSE_GRAM))
+    },
+    "so3-identity": lambda: (SO3, identity_metric(3)),
+    "so3-dense": lambda: (SO3, dense_metric(3)),
+    "solv5-identity": lambda: (SOLV5, identity_metric(5)),
+    "solv5-dense": lambda: (SOLV5, dense_metric(5)),
+}
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES)
+def test_integer_tables_equal_fraction_oracles(space):
+    algebra, metric = ORACLE_SPACES[space]()
+    rng = make_rng(53)
+    vectors = [
+        tuple(random_rational_vector(rng, algebra.dim) for _ in range(3)) for _ in range(5)
+    ]
+    e = algebra.basis()
+    vectors.append((e[0], e[-1], e[0]))  # denominator 1
+    vectors.append((tuple(range(1, algebra.dim + 1)), e[-1], e[0]))  # plain ints
+    assert_tables_match_oracles(algebra, metric, vectors)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def random_spaces(draw):
+    """Antisymmetric rational structure constants (Jacobi not required: the
+    table formulas are identities without it) with a metric P^T P + I."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    vector = st.tuples(*[SMALL_RATIONALS] * n)
+    brackets = {
+        (i, j): draw(vector) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    }
+    algebra = LieAlgebra.from_brackets(n, tuple(f"e{i}" for i in range(n)), brackets)
+    p = draw(st.tuples(*[vector] * n))
+    gram = xl.mat_add(xl.mat_mul(xl.transpose(p), p), xl.identity_matrix(n))
+    uvw = draw(st.tuples(vector, vector, vector))
+    return algebra, MetricTensor(gram=gram), uvw
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_spaces())
+def test_integer_tables_equal_fraction_oracles_random(space):
+    algebra, metric, uvw = space
+    assert_tables_match_oracles(algebra, metric, [uvw])
 
 
 def test_curvature_spot_values(metric4):
