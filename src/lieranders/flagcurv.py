@@ -1,42 +1,48 @@
 """Flag curvature of left-invariant Randers metrics of Douglas type.
 
-Three equivalent routes are implemented and cross-checked:
+The flag with pole V and plane span{U, V} has flag curvature
 
-* the general formula through the symmetric bilinear map U with
-  2 g(U(V,S), R) = g([R,V],S) + g([R,S],V),
-* its simplification through brackets and ad*_V,
-* per-family closed forms for the three non-Berwaldian catalog cases.
+    K^F = g(V,V)/F^2 K^g + (3 A(V)^2 - 2 F C(V)) / (4 F^4),
 
-In each route the expression reads
-
-    K^F(P,V) = (g(V,V)/F(V)^2) K^g(P) + correction(V, Q) / (4 F(V)^4),
-
-which makes every term homogeneous of degree zero in V, so the flag pole may
-be given at any scale.  Bracket and ad* intermediates are exact rationals;
-floats only enter through the square root inside F.
+with A(V) = g([Q,V],V) and C(V) = g([[Q,V],V],V) - g(V,[Q,ad*_V V]); it is
+homogeneous of degree zero in V.  :func:`compile_randers`, the one production
+route, compiles a structure once into integer tables over one denominator
+each: ``R2``/``G2`` on bivectors w = U^V with K^g = w^T R2 w / w^T G2 w
+(Milnor, *Curvatures of left invariant metrics on Lie groups*, Adv. Math. 21,
+1976), the Gram matrix, g(Q,.), ``A`` and ``C``.  Exact flags, sign samples
+and sweeps all read these coefficients; F is the only float step.  The
+Deng-Hou U-map route (:func:`flag_curvature_deng_hou`) is the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra
 from .classify import douglas_subspace, require_douglas
-from .errors import DegenerateFlag
+from .errors import DegenerateFlag, DimensionMismatch, LieRandersError
 from .randers import RandersStructure
 from .riemann import (
     CurvatureTable,
     MetricTensor,
     curvature_tensor,
     levi_civita,
+    lowered_structure,
     sectional_curvature,
 )
 from .sampling import make_rng, random_rational, random_rational_vector
+
+# K^F and K^g share their sign when both lie within SIGN_TOL of the largest
+# of 1, |K^F| and |K^g|; a sampled correction that large is a counterexample.
+SIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,136 @@ class FlagCurvatureResult:
         return iter((self.k_f, self.k_g, self.correction, self.f_value))
 
 
+class IntegerForm(NamedTuple):
+    """sum of num * x[i] * x[j] * ... over ``terms`` {(i, j, ...): num}, over ``d``."""
+
+    terms: dict
+    d: int
+
+    def at(self, x) -> int:
+        """Numerator (over ``d``) of the form at the integer point ``x``."""
+        total = 0
+        for idx, num in self.terms.items():
+            for i in idx:
+                num *= x[i]
+            total += num
+        return total
+
+    def dense(self, *shape: int) -> np.ndarray:
+        """Coefficient array; each entry is one correctly rounded ``num / d``."""
+        out = np.zeros(shape)
+        for idx, num in self.terms.items():
+            out[idx] = num / self.d
+        return out
+
+
+def _form(coeffs: dict, d: int) -> IntegerForm:
+    return IntegerForm({idx: x for idx, x in coeffs.items() if x}, d)
+
+
+@dataclass(frozen=True)
+class CompiledRanders:
+    """Exact integer forms of one Randers structure of Douglas type.
+
+    ``gram``, ``gq``, ``a`` and ``c`` give g(V,V), g(Q,V), A(V) and C(V) (not
+    symmetrised) on V; ``r2`` and ``g2`` act on w_(ij) = U_i V_j - U_j V_i,
+    i < j, in ``itertools.combinations`` order.
+    """
+
+    dim: int
+    gram: IntegerForm
+    gq: IntegerForm
+    r2: IntegerForm
+    g2: IntegerForm
+    a: IntegerForm
+    c: IntegerForm
+
+    def exact(self, flag: Flag) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+        """(g(V,V), g(Q,V), K^g, A(V), C(V)) of the flag, as exact rationals."""
+        if len(flag.v) != self.dim or len(flag.u) != self.dim:
+            raise DimensionMismatch("flag vectors must match the algebra dimension")
+        (v, dv), (u, du) = map(xl.common_denominator, (flag.v, flag.u))
+        # w = U^V over du*dv; K^g does not depend on that scale
+        w = [u[i] * v[j] - u[j] * v[i] for i, j in itertools.combinations(range(self.dim), 2)]
+        return (
+            Fraction(self.gram.at(v), self.gram.d * dv**2),
+            Fraction(self.gq.at(v), self.gq.d * dv),
+            Fraction(self.r2.at(w) * self.g2.d, self.g2.at(w) * self.r2.d),
+            Fraction(self.a.at(v), self.a.d * dv**2),
+            Fraction(self.c.at(v), self.c.d * dv**3),
+        )
+
+    def flag(self, flag: Flag) -> FlagCurvatureResult:
+        """Flag curvature of one flag; F is the only float step."""
+        gvv, beta, k_g, a, c = map(float, self.exact(flag))
+        f = math.sqrt(gvv) + beta
+        correction = (3.0 * a**2 - 2.0 * f * c) / (4.0 * f**4)
+        k_f = gvv / f**2 * k_g + correction
+        return FlagCurvatureResult(k_f=k_f, k_g=k_g, correction=correction, f_value=f)
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Float (R2, G2, A, C) for the sweep kernels, C as a d x d^2 array."""
+        n, p = self.dim, self.dim * (self.dim - 1) // 2
+        return (self.r2.dense(p, p), self.g2.dense(p, p), self.a.dense(n, n),
+                self.c.dense(n, n, n).reshape(n, n * n))
+
+
+def compile_randers(
+    r: RandersStructure, curvature: CurvatureTable | None = None
+) -> CompiledRanders:
+    """Compile a Douglas-type structure into its exact integer forms.
+
+    With c_ijk = g([e_i,e_j],e_k) and H = G^-1: A_ab = sum_i q_i c_iab;
+    C_abc = sum_m (AH)_am c_mbc - sum_k c_bka (HA)_kc, since
+    [Q, e_a] = sum_m (AH)_am e_m and g(ad*_V V, e_k) = g([V, e_k], V);
+    R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and G2_(ij)(kl) = g_ik g_jl - g_il g_jk.
+    Pass a precomputed ``curvature`` table to reuse it.  Raises NotDouglas
+    when Q is not g-orthogonal to [g, g].
+    """
+    require_douglas(r)
+    algebra, metric, n = r.algebra, r.metric, r.dim
+    rn = range(n)
+    if curvature is None:
+        curvature = curvature_tensor(algebra, levi_civita(algebra, metric))
+    g, dg = xl.common_denominator(x for row in metric.gram for x in row)
+    h, dh = xl.common_denominator(x for row in metric.inverse_gram for x in row)
+    q, dq = xl.common_denominator(r.q_field)
+    c, dc = lowered_structure(algebra, metric)
+    lowered = [(t // (n * n), t // n % n, t % n, x) for t, x in enumerate(c) if x]
+    quad = [[0] * n for _ in rn]
+    for i, a, b, x in lowered:
+        quad[a][b] += q[i] * x
+    ah = [[sum(quad[a][k] * h[k * n + m] for k in rn) for m in rn] for a in rn]
+    ha = [[sum(h[k * n + j] * quad[j][e] for j in rn) for e in rn] for k in rn]
+    cubic = defaultdict(int)
+    for m, b, e, x in lowered:
+        for a in rn:
+            cubic[a, b, e] += ah[a][m] * x
+    for b, k, a, x in lowered:
+        for e in rn:
+            cubic[a, b, e] -= x * ha[k][e]
+    pairs = list(itertools.combinations(rn, 2))
+    pos = {pair: t for t, pair in enumerate(pairs)}
+    d_r, entries = curvature._entries
+    r2 = defaultdict(int)
+    for i, j, k, l, x in entries:
+        for m in range(k + 1, n):
+            if i < j and g[l * n + m]:
+                r2[pos[i, j], pos[k, m]] -= x * g[l * n + m]
+    return CompiledRanders(
+        dim=n,
+        gram=_form({(a, b): g[a * n + b] for a in rn for b in rn}, dg),
+        gq=_form({(k,): sum(q[i] * g[i * n + k] for i in rn) for k in rn}, dq * dg),
+        r2=_form(r2, d_r * dg),
+        g2=_form({
+            (s, t): g[i * n + k] * g[j * n + l] - g[i * n + l] * g[j * n + k]
+            for s, (i, j) in enumerate(pairs) for t, (k, l) in enumerate(pairs)
+        }, dg * dg),
+        a=_form({(a, b): quad[a][b] for a in rn for b in rn}, dq * dc),
+        c=_form(cubic, dq * dc * dh * dc),
+    )
+
+
 def u_map(
     algebra: LieAlgebra, metric: MetricTensor, v: AlgebraVector, s: AlgebraVector
 ) -> AlgebraVector:
@@ -76,34 +212,18 @@ def u_map(
     return xl.vec_scale(half, xl.mat_vec(metric.inverse_gram, t))
 
 
-def _ad_star_on_self(
-    algebra: LieAlgebra, metric: MetricTensor, v: AlgebraVector
-) -> AlgebraVector:
-    # ad*_V V without building the matrix: g(ad*_V V, e_k) = g(V, [V, e_k])
-    t = tuple(metric.inner(v, algebra.bracket(v, e)) for e in algebra.basis())
-    if metric.is_identity:
-        return t
-    return xl.mat_vec(metric.inverse_gram, t)
-
-
-def _f_and_plane(r: RandersStructure, flag: Flag, curvature: CurvatureTable | None):
-    gvv = r.metric.inner(flag.v, flag.v)
-    k_g = sectional_curvature(r.algebra, r.metric, flag.u, flag.v, curvature=curvature)
-    f = math.sqrt(float(gvv)) + float(r.metric.inner(r.q_field, flag.v))
-    return gvv, k_g, f
-
-
 def flag_curvature_deng_hou(
     r: RandersStructure, flag: Flag, curvature: CurvatureTable | None = None
 ) -> FlagCurvatureResult:
-    """Flag curvature through the U-map route.
+    """Flag curvature through the U-map route, the oracle for the compiled one.
 
     correction = (3 g(U(V,V),Q)^2 - 4 F g(U(V,U(V,V)),Q)) / (4 F^4).
-    Raises NotDouglas when Q is not g-orthogonal to [g, g]; the formula does
-    not cover that case.
+    Raises NotDouglas when Q is not g-orthogonal to [g, g].
     """
     require_douglas(r)
-    gvv, k_g, f = _f_and_plane(r, flag, curvature)
+    gvv = r.metric.inner(flag.v, flag.v)
+    k_g = sectional_curvature(r.algebra, r.metric, flag.u, flag.v, curvature=curvature)
+    f = math.sqrt(float(gvv)) + float(r.metric.inner(r.q_field, flag.v))
     m = u_map(r.algebra, r.metric, flag.v, flag.v)
     t1 = r.metric.inner(m, r.q_field)
     t2 = r.metric.inner(u_map(r.algebra, r.metric, flag.v, m), r.q_field)
@@ -115,75 +235,18 @@ def flag_curvature_deng_hou(
 def flag_curvature_simplified(
     r: RandersStructure, flag: Flag, curvature: CurvatureTable | None = None
 ) -> FlagCurvatureResult:
-    """Flag curvature through brackets and ad*_V.
-
-    correction = (3 g([Q,V],V)^2 - 2F (g([[Q,V],V],V) - g(V,[Q,ad*_V V]))) / (4 F^4).
-    """
-    require_douglas(r)
-    gvv, k_g, f = _f_and_plane(r, flag, curvature)
-    v, q = flag.v, r.q_field
-    qv = r.algebra.bracket(q, v)
-    t1 = r.metric.inner(qv, v)
-    cubic1 = r.metric.inner(r.algebra.bracket(qv, v), v)
-    advv = _ad_star_on_self(r.algebra, r.metric, v)
-    cubic2 = r.metric.inner(v, r.algebra.bracket(q, advv))
-    correction = (
-        3.0 * float(t1) ** 2 - 2.0 * f * (float(cubic1) - float(cubic2))
-    ) / (4.0 * f**4)
-    k_f = float(gvv) / f**2 * float(k_g) + correction
-    return FlagCurvatureResult(k_f=k_f, k_g=float(k_g), correction=correction, f_value=f)
+    """Flag curvature of one flag: ``compile_randers(r, curvature).flag(flag)``."""
+    return compile_randers(r, curvature).flag(flag)
 
 
-def flag_curvature_case(
-    case_id: int,
-    p: float,
-    q: float,
-    a: float,
-    b: float,
-    c: float,
-    d: float,
-    k_g: float,
-) -> float:
-    """Closed-form flag curvature for the three non-Berwaldian catalog families.
-
-    Case 2 takes Q = pZ + qW; cases 3 and 4 take Q = qX (p is unused there).
-    V = aX + bY + cZ + dW and k_g is the sectional curvature of the flag
-    plane.
-    """
-    gvv = a * a + b * b + c * c + d * d
-    alpha = math.sqrt(gvv)
-    if case_id == 2:
-        if p * p + q * q >= 1.0:
-            raise ValueError("need p^2 + q^2 < 1 for a valid Randers metric")
-        f = alpha + (p * c + q * d)
-        s = a * a + b * b
-        numer = 3.0 * p * p * s * s + 4.0 * c * p * f * s
-    elif case_id == 3:
-        if abs(q) >= 1.0:
-            raise ValueError("need |q| < 1 for a valid Randers metric")
-        f = alpha + q * a
-        s = b * b + c * c + d * d
-        numer = 3.0 * q * q * s * s + 4.0 * a * q * f * s
-    elif case_id == 4:
-        if abs(q) >= 1.0:
-            raise ValueError("need |q| < 1 for a valid Randers metric")
-        f = alpha + q * a
-        numer = 0.75 * q * q * (2 * b * b + c * c + d * d) ** 2 + a * q * f * (
-            4 * b * b + c * c + d * d
-        )
-    else:
-        raise ValueError(f"no closed-form flag curvature for case {case_id!r}")
-    return gvv / (f * f) * k_g + numer / (4.0 * f**4)
-
-
-def signs_agree(k_f, k_g, tol: float):
+def signs_agree(k_f, k_g):
     """Whether K^F and K^g share their sign, elementwise on floats or arrays.
 
     They do when np.sign gives the same value, or when both lie within
-    ``tol * max(1, |k_f|, |k_g|)`` of zero.  NaN agrees with nothing.
+    ``SIGN_TOL * max(1, |k_f|, |k_g|)`` of zero.  NaN agrees with nothing.
     """
     scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
-    both_zero = (np.abs(k_f) <= tol * scale) & (np.abs(k_g) <= tol * scale)
+    both_zero = (np.abs(k_f) <= SIGN_TOL * scale) & (np.abs(k_g) <= SIGN_TOL * scale)
     return (np.sign(k_f) == np.sign(k_g)) | both_zero
 
 
@@ -207,26 +270,24 @@ class SignAnalysisReport:
         return not self.counterexamples
 
 
-def sign_analysis(
-    r: RandersStructure,
-    n_samples: int = 100,
-    seed: int = 0,
-    correction_tol: float = 1e-12,
-) -> SignAnalysisReport:
+def sign_analysis(r: RandersStructure, n_samples: int = 100, seed: int = 0) -> SignAnalysisReport:
     """Check sign agreement of K^F and K^g along the distinguished directions.
 
-    Flag poles are sampled inside the Douglas subspace (span{Z,W} for the
-    case-2 family, span{Q} for the one-dimensional families), where the
-    correction term is expected to vanish and the two curvatures must share
-    their sign.  Any sampled flag violating either condition is reported as a
-    counterexample.
+    Flag poles are sampled inside the Douglas subspace, where the correction
+    is expected to vanish and the two curvatures to share their sign; a flag
+    violating either (beyond ``SIGN_TOL``) is a counterexample.  Raises
+    LieRandersError when no flag can be drawn: dimension below 2, or
+    Douglas subspace {0}.
     """
-    require_douglas(r)
+    compiled = compile_randers(r)
     directions = douglas_subspace(r.algebra, r.metric)
-    curvature = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
+    if r.dim < 2 or not directions.basis:
+        raise LieRandersError(
+            f"sign analysis: no flag to draw in dimension {r.dim} with Douglas subspace "
+            f"{directions.describe(r.algebra.labels)}"
+        )
     rng = make_rng(seed, stream=2)
-    samples: list[SignSample] = []
-    counterexamples: list[SignSample] = []
+    samples, counterexamples = [], []
     while len(samples) < n_samples:
         v = xl.zero_vector(r.dim)
         for b in directions.basis:
@@ -234,14 +295,9 @@ def sign_analysis(
         u = random_rational_vector(rng, r.dim)
         if xl.vec_is_zero(v) or xl.rank([v, u]) != 2:
             continue
-        res = flag_curvature_simplified(r, Flag(v=v, u=u), curvature=curvature)
-        scale = max(1.0, abs(res.k_f), abs(res.k_g))
-        match = bool(signs_agree(res.k_f, res.k_g, correction_tol))
-        sample = SignSample(
-            v=v, u=u, k_f=res.k_f, k_g=res.k_g,
-            correction=res.correction, sign_match=match,
-        )
-        samples.append(sample)
-        if abs(res.correction) > correction_tol * scale or not match:
-            counterexamples.append(sample)
+        res = compiled.flag(Flag(v=v, u=u))
+        match = bool(signs_agree(res.k_f, res.k_g))
+        samples.append(SignSample(v, u, res.k_f, res.k_g, res.correction, match))
+        if abs(res.correction) > SIGN_TOL * max(1.0, abs(res.k_f), abs(res.k_g)) or not match:
+            counterexamples.append(samples[-1])
     return SignAnalysisReport(samples=samples, counterexamples=counterexamples)

@@ -78,10 +78,6 @@ def identity_metric(dim: int) -> MetricTensor:
     return MetricTensor(gram=xl.identity_matrix(dim))
 
 
-def inner(metric: MetricTensor, u: AlgebraVector, v: AlgebraVector) -> Fraction:
-    return metric.inner(u, v)
-
-
 def ad_star(algebra: LieAlgebra, metric: MetricTensor, v: AlgebraVector) -> Matrix:
     """Matrix A with g(A w, s) = g(w, [v, s]) for all w, s.
 
@@ -119,6 +115,19 @@ class ConnectionTable:
         return tuple(out)
 
 
+def lowered_structure(algebra: LieAlgebra, metric: MetricTensor) -> tuple[list[int], int]:
+    """c_ijk = g([e_i, e_j], e_k) as flat integer numerators (index (i*n + j)*n + k)
+    over one denominator."""
+    n = algebra.dim
+    rn = range(n)
+    c, d = xl.common_denominator(x for ci in algebra.structure for cij in ci for x in cij)
+    if metric.is_identity:
+        return c, d
+    g, dg = xl.common_denominator(x for row in metric.gram for x in row)
+    c = [sum(c[ij + m] * g[m * n + k] for m in rn) for ij in range(0, n**3, n) for k in rn]
+    return c, d * dg
+
+
 def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
     """Levi-Civita connection of a left-invariant metric, tabulated on the basis.
 
@@ -131,11 +140,7 @@ def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
     n = algebra.dim
     rn = range(n)
     rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
-    c, d = xl.common_denominator(x for ci in algebra.structure for cij in ci for x in cij)
-    if not metric.is_identity:
-        g, dg = xl.common_denominator(x for row in metric.gram for x in row)
-        c = [sum(c[ij + m] * g[m * n + k] for m in rn) for ij in rows for k in rn]
-        d *= dg
+    c, d = lowered_structure(algebra, metric)
     two = [
         c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
         for i in rn

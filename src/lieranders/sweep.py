@@ -1,9 +1,10 @@
 """Batch flag-curvature sweeps over seeded random flags.
 
-Exact tables (structure constants, Gram matrix, curvature tensor) are
-flattened once per sweep into float arrays and compiled into the bivector
-curvature operator and the quadratic and cubic correction forms of
-:mod:`lieranders.kernels`; per-sample work is then a few matrix products.
+Each sweep compiles its structure once with
+:func:`lieranders.flagcurv.compile_randers`, the route exact flags take too,
+and takes the float bivector curvature operator and correction forms from
+:meth:`~lieranders.flagcurv.CompiledRanders.dense`.  Per-sample work is then
+a few matrix products in :mod:`lieranders.kernels`.
 """
 
 from __future__ import annotations
@@ -13,21 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import LieAlgebra
-from .classify import require_douglas
-from .flagcurv import signs_agree
+from .errors import LieRandersError
+from .flagcurv import compile_randers, signs_agree
 from .randers import RandersStructure, dense_gram
-from .riemann import MetricTensor, curvature_tensor, levi_civita
-
-
-def dense_structure(algebra: LieAlgebra) -> np.ndarray:
-    return np.array(algebra.structure, dtype=float)
-
-
-def dense_curvature(algebra: LieAlgebra, metric: MetricTensor) -> np.ndarray:
-    """rm4[i,j,k,l] = g(R(e_i,e_j)e_k, e_l) as floats."""
-    table = curvature_tensor(algebra, levi_civita(algebra, metric))
-    return np.array(table.r, dtype=float) @ dense_gram(metric)
 
 
 @dataclass
@@ -44,24 +33,22 @@ class SweepResult:
         return len(self.k_g)
 
 
-def run_sweep(
-    r: RandersStructure, n_samples: int, seed: int, sign_tol: float = 1e-12
-) -> SweepResult:
+def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     """Evaluate K^g, K^F and the correction on seeded random flags.
 
     Flags are drawn from the counter-based Philox stream keyed by ``seed``,
     so the same seed and the same ``n_samples`` give the same rows.  Rows do
     depend on ``n_samples``: V and U are drawn as separate ``(want, dim)``
-    blocks, so a shorter sweep is not a prefix of a longer one.
+    blocks, so a shorter sweep is not a prefix of a longer one.  Raises
+    LieRandersError below dimension 2, where no flag plane exists, and
+    NotDouglas when Q is not g-orthogonal to [g, g].
     """
-    require_douglas(r)
     dim = r.dim
-    struct = dense_structure(r.algebra)
+    if dim < 2:
+        raise LieRandersError(f"sweep needs dimension >= 2 for a flag plane; got {dim}")
+    r2, g2, quad, cubic = compile_randers(r).dense()
     gram = dense_gram(r.metric)
-    rm4 = dense_curvature(r.algebra, r.metric)
     q = np.array(r.q_field, dtype=float)
-    r2, g2 = kernels.bivector_forms(rm4, gram)
-    quad, cubic = kernels.randers_forms(struct, gram, np.linalg.inv(gram), q)
 
     rng = np.random.Generator(np.random.Philox(key=[seed, 3]))
     V = np.empty((n_samples, dim))
@@ -87,5 +74,5 @@ def run_sweep(
     k_g = kernels.sectional_batch(r2, g2, U, V)
     correction = kernels.correction_batch(quad, cubic, V, f)
     k_f = gvv / f**2 * k_g + correction
-    sign_match = signs_agree(k_f, k_g, sign_tol)
+    sign_match = signs_agree(k_f, k_g)
     return SweepResult(v=V, k_g=k_g, k_f=k_f, correction=correction, sign_match=sign_match)

@@ -1,8 +1,10 @@
+import contextlib
+import signal
 from fractions import Fraction
 
 import pytest
 
-from lieranders import LieAlgebra, MetricTensor, catalog, identity_metric
+from lieranders import LieAlgebra, MetricTensor, catalog, douglas_subspace, identity_metric
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +47,29 @@ def dense_metric(n):
             for i in range(n)
         )
     )
+
+
+def douglas_q(algebra, metric):
+    """A Douglas Q mixing every direction of the Douglas subspace, g(Q,Q) < 1."""
+    basis = douglas_subspace(algebra, metric).basis
+    q = tuple(
+        sum(Fraction(k + 1) * b[i] for k, b in enumerate(basis)) for i in range(algebra.dim)
+    )
+    norm = metric.inner(q, q)
+    return tuple(Fraction(3, 4) * x / (1 + int(norm)) for x in q)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, instead of hanging, past ``seconds`` (Unix)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

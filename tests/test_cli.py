@@ -11,7 +11,7 @@ from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutat
 from lieranders import catalog, identity_metric
 from lieranders import exactlinalg as xl
 
-from conftest import fr
+from conftest import deadline, fr
 
 
 def run(argv, capsys):
@@ -236,6 +236,17 @@ def test_sweep_rejects_dimension_over_csv_limit(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert "dimension 27" in err and "26" in err
+
+
+def test_sweep_rejects_dimension_one(tmp_path, capsys):
+    path = write_doc(tmp_path, "one.json", {"dim": 1, "labels": ["X"], "brackets": []})
+    with deadline(10):
+        code, out, err = run(
+            ["sweep", "--file", path, "--Q", "0", "--samples", "2", "--seed", "1"], capsys
+        )
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert "dimension >= 2" in err and "got 1" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3", "x"])

@@ -1,6 +1,7 @@
-"""Flag curvature: U-map, the two general formulas, closed forms, signs."""
+"""Flag curvature: U-map, the compiled route, the oracle routes, signs."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from lieranders import (
     Flag,
+    LieAlgebra,
     catalog,
-    flag_curvature_case,
     flag_curvature_deng_hou,
     flag_curvature_simplified,
     identity_metric,
@@ -19,7 +20,7 @@ from lieranders import (
     u_map,
 )
 from lieranders import exactlinalg as xl
-from lieranders.errors import DegenerateFlag, NotDouglas
+from lieranders.errors import DegenerateFlag, LieRandersError, NotDouglas
 from lieranders.flagcurv import signs_agree
 from lieranders.riemann import MetricTensor, curvature_tensor, levi_civita
 from lieranders.sampling import (
@@ -30,7 +31,8 @@ from lieranders.sampling import (
 )
 from lieranders.classify import douglas_subspace
 
-from conftest import fr
+from conftest import SO3, deadline, fr
+from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 
@@ -128,8 +130,11 @@ def test_formulas_agree_on_random_flags(metric4):
             flag = Flag(v=v, u=u)
             r1 = flag_curvature_deng_hou(r, flag, curvature=table)
             r2 = flag_curvature_simplified(r, flag, curvature=table)
+            r3 = oracle_flag_curvature_simplified(r, flag, curvature=table)
             scale = max(1.0, abs(r1.k_f))
             assert abs(r1.k_f - r2.k_f) <= 1e-9 * scale
+            assert r2.k_g == r3.k_g
+            assert abs(r2.k_f - r3.k_f) <= 1e-14 * scale
             # closed form: case 2 uses Q = pZ + qW, cases 3-4 use Q = qX
             p, qq = (float(q[2]), float(q[3])) if cid == 2 else (0.0, float(q[0]))
             k3 = flag_curvature_case(
@@ -231,6 +236,20 @@ def test_sign_analysis_pole_on_q(case_id, metric4):
 
 
 @pytest.mark.parametrize(
+    "algebra, q, reason",
+    [
+        (SO3, fr(0, 0, 0), "dimension 3 with Douglas subspace {0}"),  # [g, g] = g
+        (LieAlgebra.from_brackets(1, ("X",), {}), fr("1/2"), "dimension 1 with"),
+    ],
+    ids=["so3", "dim1"],
+)
+def test_sign_analysis_without_flags_is_rejected(algebra, q, reason):
+    r = make_randers(algebra, identity_metric(algebra.dim), q)
+    with deadline(10), pytest.raises(LieRandersError, match=re.escape(reason)):
+        sign_analysis(r, n_samples=3, seed=1)
+
+
+@pytest.mark.parametrize(
     "k_f, k_g, agree",
     [
         (0.0, 1e-300, True),
@@ -248,8 +267,8 @@ def test_sign_analysis_pole_on_q(case_id, metric4):
     ],
 )
 def test_signs_agree_edge_values(k_f, k_g, agree):
-    assert bool(signs_agree(k_f, k_g, 1e-12)) is agree
-    assert bool(signs_agree(k_g, k_f, 1e-12)) is agree
+    assert bool(signs_agree(k_f, k_g)) is agree
+    assert bool(signs_agree(k_g, k_f)) is agree
     # the elementwise rule run_sweep applies to whole columns
-    column = signs_agree(np.array([k_f, 1.0]), np.array([k_g, 1.0]), 1e-12)
+    column = signs_agree(np.array([k_f, 1.0]), np.array([k_g, 1.0]))
     assert column.tolist() == [agree, True]

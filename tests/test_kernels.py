@@ -1,10 +1,10 @@
-"""Float kernels and the forms they are compiled from.
+"""Float kernels and the compiled forms they read.
 
-The compiled forms are checked exactly (the compilers run on ``Fraction``
-object arrays too) and against the per-family closed forms coefficient by
-coefficient.  The float kernels are checked against the exact
-``flag_curvature_simplified`` at the same flag, converted exactly with
-``Fraction(float)``, within 1e-9 of the largest term.
+The compiled forms are checked exactly against ``sectional_curvature`` and
+the bracket oracle, on the kernels run over ``Fraction`` object arrays, and
+against the per-family closed forms coefficient by coefficient.  The float
+kernels are checked against the exact bracket oracle at the same flag,
+converted exactly with ``Fraction(float)``, within 1e-9 of the largest term.
 """
 
 import itertools
@@ -17,30 +17,20 @@ import pytest
 from lieranders import (
     Flag,
     catalog,
-    douglas_subspace,
+    compile_randers,
     eval_F,
-    flag_curvature_case,
-    flag_curvature_simplified,
     identity_metric,
     make_randers,
     sectional_curvature,
 )
 from lieranders import kernels
-from lieranders.riemann import ad_star, curvature_tensor, levi_civita
-from lieranders.sweep import dense_curvature, dense_gram, dense_structure
+from lieranders.randers import dense_gram
+from lieranders.riemann import curvature_tensor, levi_civita
 
-from conftest import SO3, SOLV5, dense_metric, fr
+from conftest import SO3, SOLV5, dense_metric, douglas_q, fr
+from flag_oracles import bracket_terms, flag_curvature_case, oracle_flag_curvature_simplified
 
 TOL = 1e-9  # of the largest term (at least 1), as in the benchmark's check
-
-def douglas_q(algebra, metric):
-    """A Douglas Q mixing every direction of the Douglas subspace, g(Q,Q) < 1."""
-    basis = douglas_subspace(algebra, metric).basis
-    q = tuple(
-        sum(Fraction(k + 1) * b[i] for k, b in enumerate(basis)) for i in range(algebra.dim)
-    )
-    norm = metric.inner(q, q)
-    return tuple(Fraction(3, 4) * x / (1 + int(norm)) for x in q)
 
 
 def dense_douglas(algebra):
@@ -61,24 +51,27 @@ STRUCTURES = {
 def float_forms(r):
     gram = dense_gram(r.metric)
     q = np.array(r.q_field, dtype=float)
-    r2, g2 = kernels.bivector_forms(dense_curvature(r.algebra, r.metric), gram)
-    quad, cubic = kernels.randers_forms(dense_structure(r.algebra), gram, np.linalg.inv(gram), q)
-    return gram, q, r2, g2, quad, cubic
+    return (gram, q, *compile_randers(r).dense())
+
+
+def exact_forms(r):
+    """The compiled (R2, G2, A, C) as Fraction object arrays: exact coefficients."""
+    compiled = compile_randers(r)
+    n, p = r.dim, r.dim * (r.dim - 1) // 2
+    out = []
+    for form, shape in zip(
+        (compiled.r2, compiled.g2, compiled.a, compiled.c), [(p, p), (p, p), (n, n), (n, n, n)]
+    ):
+        coeffs = np.full(shape, Fraction(0), dtype=object)
+        for idx, num in form.terms.items():
+            coeffs[idx] = Fraction(num, form.d)
+        out.append(coeffs)
+    out[3] = out[3].reshape(n, n * n)
+    return out
 
 
 def obj(x):
     return np.array(x, dtype=object)
-
-
-def exact_forms(r):
-    """The compiled forms on Fraction object arrays: exact coefficients."""
-    gram = obj(r.metric.gram)
-    table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
-    r2, g2 = kernels.bivector_forms(obj(table.r) @ gram, gram)
-    quad, cubic = kernels.randers_forms(
-        obj(r.algebra.structure), gram, obj(r.metric.inverse_gram), obj(r.q_field)
-    )
-    return r2, g2, quad, cubic
 
 
 def exact_flag(row_v, row_u):
@@ -102,7 +95,7 @@ def setup(request):
     table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
     rows = range(0, len(V), 5)
     exact = {
-        row: flag_curvature_simplified(r, exact_flag(V[row], U[row]), curvature=table)
+        row: oracle_flag_curvature_simplified(r, exact_flag(V[row], U[row]), curvature=table)
         for row in rows
     }
     return {
@@ -137,21 +130,22 @@ def test_correction_batch_matches_scalar(setup):
 
 def test_compiled_forms_are_exact(setup):
     r, V, U, table = setup["r"], setup["V"], setup["U"], setup["table"]
+    compiled = compile_randers(r, curvature=table)
     r2, g2, quad, cubic = exact_forms(r)
     a, m = r.algebra, r.metric
     for row in range(0, len(V), 20):
         flag = exact_flag(V[row], U[row])
+        k_g = sectional_curvature(a, m, flag.u, flag.v, curvature=table)
+        t1, cubic1, cubic2 = bracket_terms(r, flag.v)
+        gvv, beta, *forms = compiled.exact(flag)
+        assert (gvv, beta) == (m.inner(flag.v, flag.v), m.inner(r.q_field, flag.v))
+        assert forms == [k_g, t1, cubic1 - cubic2]
+        # the dense layout the kernels read, on exact object arrays
         v, u = obj(flag.v)[None], obj(flag.u)[None]
-        assert kernels.sectional_batch(r2, g2, u, v)[0] == sectional_curvature(
-            a, m, flag.u, flag.v, curvature=table
-        )
-        assert ((v @ quad) * v).sum() == m.inner(a.bracket(r.q_field, flag.v), flag.v)
+        assert kernels.sectional_batch(r2, g2, u, v)[0] == k_g
+        assert ((v @ quad) * v).sum() == t1
         vv = (v[:, :, None] * v[:, None, :]).reshape(1, -1)
-        advv = tuple(obj(ad_star(a, m, flag.v)) @ v[0])
-        want = m.inner(a.bracket(a.bracket(r.q_field, flag.v), flag.v), flag.v) - m.inner(
-            flag.v, a.bracket(r.q_field, advv)
-        )
-        assert ((vv @ cubic.T) * v).sum() == want
+        assert ((vv @ cubic.T) * v).sum() == cubic1 - cubic2
 
 
 def as_poly(coeffs):
@@ -180,7 +174,7 @@ def coordinate(i):
 
 
 def closed_form(case_id):
-    """(p, q, F-free term, F-linear term) of flag_curvature_case's numerator."""
+    """(p, q, F-free term, F-linear term) of the closed form's numerator."""
     if case_id == 2:
         p, q = Fraction(3, 10), Fraction(1, 5)
         s = as_poly(diag(1, 1, 0, 0))  # a^2 + b^2

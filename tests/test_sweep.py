@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from lieranders import catalog, identity_metric, make_randers, run_sweep
-from lieranders.errors import NotDouglas
+from lieranders import LieAlgebra, catalog, identity_metric, make_randers, run_sweep
+from lieranders.errors import LieRandersError, NotDouglas
 
-from conftest import fr
+from conftest import deadline, fr
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +58,9 @@ def test_sweep_riemannian_reduction():
     np.testing.assert_allclose(res.k_f, res.k_g, rtol=1e-12)
     np.testing.assert_allclose(res.k_g, -1.0, rtol=1e-9)
     assert res.sign_match.all()
+
+
+def test_sweep_rejects_dimension_one():
+    r = make_randers(LieAlgebra.from_brackets(1, ("X",), {}), identity_metric(1), fr(0))
+    with deadline(10), pytest.raises(LieRandersError, match="dimension >= 2.*got 1"):
+        run_sweep(r, n_samples=2, seed=1)
