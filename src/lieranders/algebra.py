@@ -1,8 +1,10 @@
 """Lie algebras given by exact structure constants, and their basic invariants.
 
 A ``LieAlgebra`` stores c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k as
-Fractions.  The four-dimensional catalog used throughout (cases 1-4, plus the
-abelian case 0) is exposed through :func:`catalog`.
+Fractions.  It is frozen, so its derived algebra and the integer numerators
+of its structure constants are computed once, on first use.  The
+four-dimensional catalog used throughout (cases 1-4, plus the abelian case 0)
+is exposed through :func:`catalog`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .errors import DimensionMismatch
 from .exactlinalg import Matrix, Vector
 
 AlgebraVector = Vector
+
+_ZERO = Fraction(0)
 
 CATALOG_LABELS = ("X", "Y", "Z", "W")
 
@@ -130,25 +134,43 @@ class LieAlgebra:
         return tuple(self.basis_vector(i) for i in range(self.dim))
 
     @cached_property
-    def _structure_nonzeros(self) -> tuple[tuple[int, int, int, Fraction], ...]:
-        # sparse (i, j, k, c) view of the structure tensor; brackets are hot
-        return tuple(
-            (i, j, k, c)
+    def _structure_numerators(self) -> tuple[tuple[int, ...], int]:
+        # c_ijk as flat integer numerators (index (i*n + j)*n + k) over one
+        # denominator, shared by the bracket and the exact tables
+        nums, d = xl.common_denominator(x for ci in self.structure for cij in ci for x in cij)
+        return tuple(nums), d
+
+    @cached_property
+    def _structure_nonzeros(self) -> tuple[tuple[int, int, int, int], ...]:
+        # sparse (i, j, k, numerator) view of the structure tensor; brackets are hot
+        n = self.dim
+        nums, _ = self._structure_numerators
+        return tuple((t // (n * n), t // n % n, t % n, x) for t, x in enumerate(nums) if x)
+
+    @cached_property
+    def _derived(self) -> Subspace:
+        images = [
+            self.structure[i][j]
             for i in range(self.dim)
-            for j in range(self.dim)
-            for k, c in enumerate(self.structure[i][j])
-            if c
-        )
+            for j in range(i + 1, self.dim)
+        ]
+        return Subspace.span(images, self.dim)
 
     def bracket(self, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
-        """Bilinear extension of the structure constants; exact on exact input."""
+        """Bilinear extension of the structure constants; exact on exact input.
+
+        Summed in Python ints over the structure numerators and the
+        numerators of ``u`` and ``v``; one ``Fraction`` per coordinate.
+        """
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("bracket operands must match the algebra dimension")
-        out = [Fraction(0)] * self.dim
+        (un, du), (vn, dv) = map(xl.common_denominator, (u, v))
+        out = [0] * self.dim
         for i, j, k, c in self._structure_nonzeros:
-            if u[i] and v[j]:
-                out[k] += u[i] * v[j] * c
-        return tuple(out)
+            if un[i] and vn[j]:
+                out[k] += un[i] * vn[j] * c
+        d = self._structure_numerators[1] * du * dv
+        return tuple(Fraction(x, d) if x else _ZERO for x in out)
 
     def ad(self, v: AlgebraVector) -> Matrix:
         """Matrix of ad_v : s -> [v, s] on the basis."""
@@ -171,13 +193,11 @@ class LieAlgebra:
         return violations
 
     def derived_algebra(self) -> Subspace:
-        """[g, g]: span of all pairwise basis brackets, canonical form."""
-        images = [
-            self.structure[i][j]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        ]
-        return Subspace.span(images, self.dim)
+        """[g, g]: span of all pairwise basis brackets, canonical form.
+
+        Computed once per algebra; every call returns the same ``Subspace``.
+        """
+        return self._derived
 
     def describe_brackets(self) -> list[str]:
         """Nonzero basis brackets as human-readable equations."""

@@ -5,7 +5,8 @@ Two exact linear criteria drive everything:
 * Douglas type: Q is g-orthogonal to the derived algebra [g, g].
 * Berwald type: Q is parallel, nabla_{e_i} Q = 0 for every basis direction.
 
-Both are decided in rational arithmetic, so verdicts carry no tolerances.
+Both are decided exactly, as integer sums over the memoised numerators of
+the algebra and the metric, so verdicts carry no tolerances.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace, catalog, format_combination
 from .errors import NotDouglas
 from .randers import RandersStructure
-from .riemann import MetricTensor, identity_metric, levi_civita, orthogonal_complement
+from .riemann import (
+    MetricTensor,
+    _connection_numerators,
+    identity_metric,
+    levi_civita,
+    orthogonal_complement,
+)
 
 
 class RandersClass(Enum):
@@ -36,7 +43,11 @@ class Classification:
 def is_douglas(
     algebra: LieAlgebra, metric: MetricTensor, q: AlgebraVector
 ) -> tuple[bool, list[str]]:
-    """Exact orthogonality test of q against every derived-algebra basis vector."""
+    """Exact orthogonality test of q against every derived-algebra basis vector.
+
+    [g, g] is computed once per algebra (``LieAlgebra.derived_algebra``); each
+    g(Q, b) is one integer sum over the Gram numerators (``MetricTensor.inner``).
+    """
     evidence = []
     for b in algebra.derived_algebra().basis:
         val = metric.inner(q, b)
@@ -62,15 +73,29 @@ def douglas_subspace(algebra: LieAlgebra, metric: MetricTensor) -> Subspace:
 def is_berwald(
     algebra: LieAlgebra, metric: MetricTensor, q: AlgebraVector
 ) -> tuple[bool, list[str]]:
-    """Exact parallelism test: nabla_{e_i} q = 0 for all i."""
-    conn = levi_civita(algebra, metric)
+    """Exact parallelism test: nabla_{e_i} q = 0 for all i.
+
+    nabla_{e_i} q = sum_j q_j gamma_ij^k e_k is contracted in Python ints,
+    from q's numerators and the integer Koszul table that ``levi_civita``
+    builds its ``Fraction``s from; ``Fraction``s are built only for the
+    evidence vectors.
+    """
+    n = algebra.dim
+    gamma, d = _connection_numerators(algebra, metric)
+    qn, dq = xl.common_denominator(q)
+    d *= dq
     evidence = []
-    for i in range(algebra.dim):
-        deriv = conn.nabla(algebra.basis_vector(i), q)
-        if not xl.vec_is_zero(deriv):
+    for i in range(n):
+        deriv = [0] * n
+        for j, x in enumerate(qn):
+            if x:
+                row = (i * n + j) * n
+                for k in range(n):
+                    deriv[k] += x * gamma[row + k]
+        if any(deriv):
+            vec = tuple(Fraction(x, d) for x in deriv)
             evidence.append(
-                f"nabla_{algebra.labels[i]} Q = "
-                f"{format_combination(deriv, algebra.labels)}"
+                f"nabla_{algebra.labels[i]} Q = {format_combination(vec, algebra.labels)}"
             )
     return (not evidence, evidence)
 

@@ -137,7 +137,14 @@ def parse_definition(text: str) -> DefinitionFile:
 
 
 def load_definition(path) -> DefinitionFile:
-    return parse_definition(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a definition file; an unreadable file is a DefinitionError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DefinitionError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DefinitionError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_definition(text)
 
 
 def serialize_definition(defn: DefinitionFile) -> str:

@@ -56,8 +56,11 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
     Fractions.
     """
     values = list(values)
-    d = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
+    dens = [x.denominator for x in values]
+    d = math.lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (d // q) for x, q in zip(values, dens)], d
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:

@@ -159,8 +159,8 @@ def compile_randers(
     rn = range(n)
     if curvature is None:
         curvature = curvature_tensor(algebra, levi_civita(algebra, metric))
-    g, dg = xl.common_denominator(x for row in metric.gram for x in row)
-    h, dh = xl.common_denominator(x for row in metric.inverse_gram for x in row)
+    g, dg = metric._gram_numerators
+    h, dh = metric._inverse_gram_numerators
     q, dq = xl.common_denominator(r.q_field)
     c, dc = lowered_structure(algebra, metric)
     lowered = [(t // (n * n), t // n % n, t % n, x) for t, x in enumerate(c) if x]

@@ -12,16 +12,19 @@ g-transpose of ad_v, and the curvature operator is
 
     R(u,v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w.
 
-The connection table, the curvature table and its trilinear extension are
-summed in Python ints: each input table is written as integer numerators
-over its least common denominator (``exactlinalg.common_denominator``), and
-one ``Fraction`` is built per output entry.  Sectional curvature
+The inner product, the connection table, the curvature table and its
+trilinear extension are summed in Python ints: each input table is written
+as integer numerators over its least common denominator
+(``exactlinalg.common_denominator``), and one ``Fraction`` is built per
+output entry.  A ``MetricTensor`` computes the numerators of its Gram and
+inverse Gram matrices once.  Sectional curvature
 K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) is an exact rational for
 exact inputs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -62,12 +65,29 @@ class MetricTensor:
     def is_identity(self) -> bool:
         return self.gram == xl.identity_matrix(self.dim)
 
+    @cached_property
+    def _gram_numerators(self) -> tuple[tuple[int, ...], int]:
+        # G as flat integer numerators (index i*n + j) over one denominator
+        nums, d = xl.common_denominator(x for row in self.gram for x in row)
+        return tuple(nums), d
+
+    @cached_property
+    def _inverse_gram_numerators(self) -> tuple[tuple[int, ...], int]:
+        nums, d = xl.common_denominator(x for row in self.inverse_gram for x in row)
+        return tuple(nums), d
+
     def inner(self, u: AlgebraVector, v: AlgebraVector) -> Fraction:
+        """g(u, v) = u^T G v, summed in Python ints over the Gram numerators
+        and those of ``u`` and ``v``; one ``Fraction`` is built."""
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("inner product operands must match the metric")
+        (un, du), (vn, dv) = map(xl.common_denominator, (u, v))
         if self.is_identity:
-            return xl.dot(u, v)
-        return xl.dot(u, xl.mat_vec(self.gram, v))
+            return Fraction(sum(a * b for a, b in zip(un, vn)), du * dv)
+        g, dg = self._gram_numerators
+        n = self.dim
+        total = sum(a * g[i * n + j] * b for i, a in enumerate(un) if a for j, b in enumerate(vn))
+        return Fraction(total, du * dv * dg)
 
     def norm_squared(self, u: AlgebraVector) -> Fraction:
         return self.inner(u, u)
@@ -115,17 +135,37 @@ class ConnectionTable:
         return tuple(out)
 
 
-def lowered_structure(algebra: LieAlgebra, metric: MetricTensor) -> tuple[list[int], int]:
+def lowered_structure(algebra: LieAlgebra, metric: MetricTensor) -> tuple[Sequence[int], int]:
     """c_ijk = g([e_i, e_j], e_k) as flat integer numerators (index (i*n + j)*n + k)
     over one denominator."""
     n = algebra.dim
     rn = range(n)
-    c, d = xl.common_denominator(x for ci in algebra.structure for cij in ci for x in cij)
+    c, d = algebra._structure_numerators
     if metric.is_identity:
         return c, d
-    g, dg = xl.common_denominator(x for row in metric.gram for x in row)
+    g, dg = metric._gram_numerators
     c = [sum(c[ij + m] * g[m * n + k] for m in rn) for ij in range(0, n**3, n) for k in rn]
     return c, d * dg
+
+
+def _connection_numerators(algebra: LieAlgebra, metric: MetricTensor) -> tuple[list[int], int]:
+    """gamma_ij^k, the e_k coordinate of nabla_{e_i} e_j, as flat integer
+    numerators (index (i*n + j)*n + k) over one denominator."""
+    n = algebra.dim
+    rn = range(n)
+    rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
+    c, d = lowered_structure(algebra, metric)
+    two = [
+        c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
+        for i in rn
+        for j in rn
+        for k in rn
+    ]
+    if not metric.is_identity:
+        h, dh = metric._inverse_gram_numerators
+        two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
+        d *= dh
+    return two, 2 * d
 
 
 def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
@@ -138,23 +178,11 @@ def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
     only meaningful then.
     """
     n = algebra.dim
-    rn = range(n)
     rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
-    c, d = lowered_structure(algebra, metric)
-    two = [
-        c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
-        for i in rn
-        for j in rn
-        for k in rn
-    ]
-    if not metric.is_identity:
-        h, dh = xl.common_denominator(x for row in metric.inverse_gram for x in row)
-        two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
-        d *= dh
-    d *= 2
-    entries = [Fraction(x, d) if x else _ZERO for x in two]
+    nums, d = _connection_numerators(algebra, metric)
+    entries = [Fraction(x, d) if x else _ZERO for x in nums]
     gamma = tuple(
-        tuple(tuple(entries[ij : ij + n]) for ij in rows[i * n : (i + 1) * n]) for i in rn
+        tuple(tuple(entries[ij : ij + n]) for ij in rows[i * n : (i + 1) * n]) for i in range(n)
     )
     return ConnectionTable(gamma=gamma)
 
@@ -208,7 +236,7 @@ def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTab
     n = algebra.dim
     rn = range(n)
     gam, dg = xl.common_denominator(x for gi in conn.gamma for gij in gi for x in gij)
-    c, dc = xl.common_denominator(x for ci in algebra.structure for cij in ci for x in cij)
+    c, dc = algebra._structure_numerators
     # numerator rows: G[i][j] of gamma[i][j] over dg, C[i][j] of [e_i, e_j] over dc
     G = [[gam[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
     C = [[c[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]

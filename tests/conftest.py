@@ -49,6 +49,19 @@ def dense_metric(n):
     )
 
 
+# name -> () -> (algebra, metric): catalog cases 0-4, so(3) and SOLV5, each
+# under the identity and the dense test metric
+SPACES = {
+    f"{name}-{kind}": (lambda algebra=algebra, kind=kind: (
+        algebra, identity_metric(algebra.dim) if kind == "identity" else dense_metric(algebra.dim)
+    ))
+    for name, algebra in [
+        *((f"case{cid}", catalog(cid)) for cid in range(5)), ("so3", SO3), ("solv5", SOLV5)
+    ]
+    for kind in ("identity", "dense")
+}
+
+
 def douglas_q(algebra, metric):
     """A Douglas Q mixing every direction of the Douglas subspace, g(Q,Q) < 1."""
     basis = douglas_subspace(algebra, metric).basis

@@ -1,9 +1,10 @@
 """Independent flag-curvature routes, kept as oracles for the compiled one.
 
 ``bracket_terms`` and ``oracle_flag_curvature_simplified`` evaluate the
-Douglas correction through brackets and ad*_V V, one ``Fraction`` at a time,
-with ``sectional_curvature`` for K^g.  ``flag_curvature_case`` is the closed
-form of the three non-Berwaldian catalog families.
+Douglas correction through brackets and ad*_V V, one ``Fraction`` at a time
+(``oracle_bracket``, ``oracle_inner``), with ``sectional_curvature`` for K^g.
+``flag_curvature_case`` is the closed form of the three non-Berwaldian
+catalog families.
 """
 
 import math
@@ -13,10 +14,12 @@ from lieranders.classify import require_douglas
 from lieranders.flagcurv import FlagCurvatureResult
 from lieranders.riemann import sectional_curvature
 
+from exact_oracles import oracle_bracket, oracle_inner
+
 
 def ad_star_on_self(algebra, metric, v):
     # ad*_V V without building the matrix: g(ad*_V V, e_k) = g(V, [V, e_k])
-    t = tuple(metric.inner(v, algebra.bracket(v, e)) for e in algebra.basis())
+    t = tuple(oracle_inner(metric, v, oracle_bracket(algebra, v, e)) for e in algebra.basis())
     if metric.is_identity:
         return t
     return xl.mat_vec(metric.inverse_gram, t)
@@ -28,10 +31,10 @@ def bracket_terms(r, v):
     The first is A(V); the difference of the other two is C(V).
     """
     a, m, q = r.algebra, r.metric, r.q_field
-    qv = a.bracket(q, v)
-    cubic1 = m.inner(a.bracket(qv, v), v)
-    cubic2 = m.inner(v, a.bracket(q, ad_star_on_self(a, m, v)))
-    return m.inner(qv, v), cubic1, cubic2
+    qv = oracle_bracket(a, q, v)
+    cubic1 = oracle_inner(m, oracle_bracket(a, qv, v), v)
+    cubic2 = oracle_inner(m, v, oracle_bracket(a, q, ad_star_on_self(a, m, v)))
+    return oracle_inner(m, qv, v), cubic1, cubic2
 
 
 def oracle_flag_curvature_simplified(r, flag, curvature=None):
@@ -40,9 +43,9 @@ def oracle_flag_curvature_simplified(r, flag, curvature=None):
     correction = (3 g([Q,V],V)^2 - 2F (g([[Q,V],V],V) - g(V,[Q,ad*_V V]))) / (4 F^4).
     """
     require_douglas(r)
-    gvv = r.metric.inner(flag.v, flag.v)
+    gvv = oracle_inner(r.metric, flag.v, flag.v)
     k_g = sectional_curvature(r.algebra, r.metric, flag.u, flag.v, curvature=curvature)
-    f = math.sqrt(float(gvv)) + float(r.metric.inner(r.q_field, flag.v))
+    f = math.sqrt(float(gvv)) + float(oracle_inner(r.metric, r.q_field, flag.v))
     t1, cubic1, cubic2 = bracket_terms(r, flag.v)
     correction = (
         3.0 * float(t1) ** 2 - 2.0 * f * (float(cubic1) - float(cubic2))

@@ -351,6 +351,31 @@ def test_check_parse_error_exit(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--file", "{path}", "--Q", "0,0,1/2,0"],
+        ["flag", "--file", "{path}", "--Q", "0,0,1/2,0", "--V", "1,0,0,0", "--U", "0,1,0,0"],
+        ["sweep", "--file", "{path}", "--Q", "0,0,1/2,0", "--samples", "2", "--seed", "1"],
+        ["check", "{path}"],
+        ["hyper-verify", "{path}"],
+    ],
+    ids=["classify", "flag", "sweep", "check", "hyper-verify"],
+)
+@pytest.mark.parametrize("target", ["missing", "directory", "not-utf8"])
+def test_unreadable_definition_file_exits_3(tmp_path, capsys, argv, target):
+    path = tmp_path / "space.json"
+    if target == "directory":
+        path.mkdir()
+    elif target == "not-utf8":
+        path.write_bytes(b'\xff{"dim": 4}')
+    code, out, err = run([a.replace("{path}", str(path)) for a in argv], capsys)
+    assert code == cli.EXIT_DEFINITION
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
 def test_hyper_verify_pass_and_fail(tmp_path, capsys):
     triple = find_signed_permutation_triples(catalog(0), identity_metric(4))[0]
     good = DefinitionFile(

@@ -1,9 +1,10 @@
 """The compiled Randers forms against independent routes.
 
 ``compile_randers`` is the one production flag-curvature route.  Its exact
-values are checked with ``==`` against ``sectional_curvature`` and the
-bracket oracle, its flag curvature against the Deng-Hou U-map route, and its
-float tables against one correctly rounded ``num / d`` per coefficient.
+values are checked with ``==`` against ``sectional_curvature``, the
+``Fraction`` inner product ``oracle_inner`` and the bracket oracle, its flag
+curvature against the Deng-Hou U-map route, and its float tables against one
+correctly rounded ``num / d`` per coefficient.
 """
 
 from fractions import Fraction
@@ -29,19 +30,9 @@ from lieranders import exactlinalg as xl
 from lieranders.errors import NotDouglas
 from lieranders.sampling import make_rng, random_flag_pair
 
-from conftest import SO3, SOLV5, dense_metric, douglas_q, fr
+from conftest import SPACES, douglas_q, fr
+from exact_oracles import oracle_inner
 from flag_oracles import bracket_terms
-
-SPACES = {
-    f"{name}-{kind}": (lambda algebra=algebra, kind=kind: (
-        algebra, identity_metric(algebra.dim) if kind == "identity" else dense_metric(algebra.dim)
-    ))
-    for name, algebra in [
-        *((f"case{cid}", catalog(cid)) for cid in range(5)), ("so3", SO3), ("solv5", SOLV5)
-    ]
-    for kind in ("identity", "dense")
-}
-
 
 def structure(space):
     algebra, metric = SPACES[space]()
@@ -59,8 +50,8 @@ def assert_exact(r, compiled, flag):
     a, m = r.algebra, r.metric
     t1, cubic1, cubic2 = bracket_terms(r, flag.v)
     assert compiled.exact(flag) == (
-        m.inner(flag.v, flag.v),
-        m.inner(r.q_field, flag.v),
+        oracle_inner(m, flag.v, flag.v),
+        oracle_inner(m, r.q_field, flag.v),
         sectional_curvature(a, m, flag.u, flag.v),
         t1,
         cubic1 - cubic2,

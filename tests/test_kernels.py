@@ -1,10 +1,11 @@
 """Float kernels and the compiled forms they read.
 
-The compiled forms are checked exactly against ``sectional_curvature`` and
-the bracket oracle, on the kernels run over ``Fraction`` object arrays, and
-against the per-family closed forms coefficient by coefficient.  The float
-kernels are checked against the exact bracket oracle at the same flag,
-converted exactly with ``Fraction(float)``, within 1e-9 of the largest term.
+The compiled forms are checked exactly against ``sectional_curvature``,
+``oracle_inner`` and the bracket oracle, on the kernels run over ``Fraction``
+object arrays, and against the per-family closed forms coefficient by
+coefficient.  The float kernels are checked against the exact bracket oracle
+at the same flag, converted exactly with ``Fraction(float)``, within 1e-9 of
+the largest term.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from lieranders.randers import dense_gram
 from lieranders.riemann import curvature_tensor, levi_civita
 
 from conftest import SO3, SOLV5, dense_metric, douglas_q, fr
+from exact_oracles import oracle_inner
 from flag_oracles import bracket_terms, flag_curvature_case, oracle_flag_curvature_simplified
 
 TOL = 1e-9  # of the largest term (at least 1), as in the benchmark's check
@@ -138,7 +140,7 @@ def test_compiled_forms_are_exact(setup):
         k_g = sectional_curvature(a, m, flag.u, flag.v, curvature=table)
         t1, cubic1, cubic2 = bracket_terms(r, flag.v)
         gvv, beta, *forms = compiled.exact(flag)
-        assert (gvv, beta) == (m.inner(flag.v, flag.v), m.inner(r.q_field, flag.v))
+        assert (gvv, beta) == (oracle_inner(m, flag.v, flag.v), oracle_inner(m, r.q_field, flag.v))
         assert forms == [k_g, t1, cubic1 - cubic2]
         # the dense layout the kernels read, on exact object arrays
         v, u = obj(flag.v)[None], obj(flag.u)[None]

@@ -6,8 +6,9 @@ The Koszul formula for left-invariant fields,
 
 serves as the independent oracle for the connection; the defining transpose
 identity does the same for ad*.  The library builds its tables on integer
-numerators; the ``oracle_*`` functions below build them one ``Fraction`` at a
-time through ad*, and the two must agree entry for entry.
+numerators; the ``oracle_*`` functions (below, and ``oracle_levi_civita`` in
+``exact_oracles``) build them one ``Fraction`` at a time through ad*, and the
+two must agree entry for entry.
 """
 
 from fractions import Fraction
@@ -17,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieranders import (
-    ConnectionTable,
     CurvatureTable,
     LieAlgebra,
     MetricTensor,
@@ -35,6 +35,7 @@ from lieranders.errors import DegeneratePlane
 from lieranders.sampling import make_rng, random_rational, random_rational_vector
 
 from conftest import SO3, SOLV5, dense_metric, fr
+from exact_oracles import oracle_levi_civita
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 
@@ -168,24 +169,6 @@ def test_curvature_abelian_zero(metric4):
 
 
 # -- Fraction oracles for the integer-numerator tables ------------------------
-
-
-def oracle_levi_civita(algebra, metric):
-    """gamma[i][j] = ([e_i, e_j] - ad*_{e_i} e_j - ad*_{e_j} e_i) / 2 in Fractions."""
-    n = algebra.dim
-    e = algebra.basis()
-    stars = [ad_star(algebra, metric, e[i]) for i in range(n)]
-    half = Fraction(1, 2)
-    return ConnectionTable(gamma=tuple(
-        tuple(
-            xl.vec_scale(half, xl.vec_sub(
-                xl.vec_sub(algebra.structure[i][j], xl.mat_vec(stars[i], e[j])),
-                xl.mat_vec(stars[j], e[i]),
-            ))
-            for j in range(n)
-        )
-        for i in range(n)
-    ))
 
 
 def oracle_curvature_tensor(algebra, conn):
