@@ -5,7 +5,8 @@ Rational inputs are comma lists of "p/q" strings; floats are printed with 12
 significant digits (``%.12g``).  Reports carry no timestamps, so output is
 byte-identical for fixed inputs and seed.
 
-Exit codes: 0 success, 1 failed verification, 2 usage, 3 bad definition or
+Exit codes: 0 success, 1 failed verification, 2 usage (among them a
+``--samples`` below 1 or a ``--seed`` outside [0, 2**64)), 3 bad definition or
 argument parse, 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
 flag/plane, 7 other validation error (among them a ``--file`` algebra that
 fails the Jacobi identity).
@@ -39,7 +40,7 @@ from .flagcurv import Flag, flag_curvature_simplified
 from .hypercomplex import verify_hyper_hermitian, verify_hypercomplex
 from .randers import make_randers
 from .riemann import MetricTensor, identity_metric
-from .sweep import run_sweep
+from .sweep import _check_seed, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,6 +84,17 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer in [0, 2**64), the range ``run_sweep`` keys
+    its Philox stream with."""
+    try:
+        return _check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    except LieRandersError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _echo(args_list: list[str]) -> str:
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_space_args(p)
     p.add_argument("--Q", dest="q", required=True)
     p.add_argument("--samples", type=positive_int, default=1000, help="number of flags (>= 1)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True, help="integer in [0, 2**64)")
     p.add_argument("--csv", action="store_true", help="emit bare CSV only")
 
     p = sub.add_parser("check", help="validate a definition file")

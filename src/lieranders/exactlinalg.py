@@ -145,6 +145,21 @@ def rank(rows: Sequence[Vector]) -> int:
     return len(rref(rows)[0])
 
 
+def _independent_pair(v: Vector, u: Vector) -> bool:
+    """Whether v and u are linearly independent, decided exactly.
+
+    They are when some 2x2 minor v_i u_j - v_j u_i is nonzero, tested on the
+    integer numerators of each vector (scaling a vector does not change
+    which minors vanish).  False in dimension 1 and when either vector is
+    zero; no ``Fraction`` rref.
+    """
+    if len(v) != len(u):
+        raise DimensionMismatch(f"pair of lengths {len(v)} and {len(u)}")
+    (vn, _), (un, _) = common_denominator(v), common_denominator(u)
+    n = len(vn)
+    return any(vn[i] * un[j] != vn[j] * un[i] for i in range(n) for j in range(i + 1, n))
+
+
 def nullspace(m: Sequence[Vector]) -> Matrix:
     """Canonical (rref) basis of {x : m x = 0}."""
     if not m:

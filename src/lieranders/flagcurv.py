@@ -33,8 +33,7 @@ from .randers import RandersStructure
 from .riemann import (
     CurvatureTable,
     MetricTensor,
-    curvature_tensor,
-    levi_civita,
+    _curvature_entries,
     lowered_structure,
     sectional_curvature,
 )
@@ -53,7 +52,7 @@ class Flag:
     u: AlgebraVector
 
     def __post_init__(self):
-        if xl.rank([self.v, self.u]) != 2:
+        if not xl._independent_pair(self.v, self.u):
             raise DegenerateFlag("flag pole and completion are linearly dependent")
 
 
@@ -151,14 +150,15 @@ def compile_randers(
     C_abc = sum_m (AH)_am c_mbc - sum_k c_bka (HA)_kc, since
     [Q, e_a] = sum_m (AH)_am e_m and g(ad*_V V, e_k) = g([V, e_k], V);
     R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and G2_(ij)(kl) = g_ik g_jl - g_il g_jk.
-    Pass a precomputed ``curvature`` table to reuse it.  Raises NotDouglas
-    when Q is not g-orthogonal to [g, g].
+    Without a ``curvature`` table the curvature is read on integer
+    numerators from the connection numerators (``riemann._curvature_entries``)
+    and no ``Fraction`` table is built; a table passed in is read through
+    ``CurvatureTable._entries``.  Both give the same coefficients.  Raises
+    NotDouglas when Q is not g-orthogonal to [g, g].
     """
     require_douglas(r)
     algebra, metric, n = r.algebra, r.metric, r.dim
     rn = range(n)
-    if curvature is None:
-        curvature = curvature_tensor(algebra, levi_civita(algebra, metric))
     g, dg = metric._gram_numerators
     h, dh = metric._inverse_gram_numerators
     q, dq = xl.common_denominator(r.q_field)
@@ -178,7 +178,10 @@ def compile_randers(
             cubic[a, b, e] -= x * ha[k][e]
     pairs = list(itertools.combinations(rn, 2))
     pos = {pair: t for t, pair in enumerate(pairs)}
-    d_r, entries = curvature._entries
+    if curvature is None:
+        d_r, entries = _curvature_entries(algebra, metric)
+    else:
+        d_r, entries = curvature._entries
     r2 = defaultdict(int)
     for i, j, k, l, x in entries:
         for m in range(k + 1, n):
@@ -293,7 +296,7 @@ def sign_analysis(r: RandersStructure, n_samples: int = 100, seed: int = 0) -> S
         for b in directions.basis:
             v = xl.vec_add(v, xl.vec_scale(random_rational(rng), b))
         u = random_rational_vector(rng, r.dim)
-        if xl.vec_is_zero(v) or xl.rank([v, u]) != 2:
+        if not xl._independent_pair(v, u):
             continue
         res = compiled.flag(Flag(v=v, u=u))
         match = bool(signs_agree(res.k_f, res.k_g))

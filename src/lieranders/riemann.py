@@ -16,7 +16,12 @@ The inner product, the connection table, the curvature table and its
 trilinear extension are summed in Python ints: each input table is written
 as integer numerators over its least common denominator
 (``exactlinalg.common_denominator``), and one ``Fraction`` is built per
-output entry.  A ``MetricTensor`` computes the numerators of its Gram and
+output entry.  The curvature sum has one integer core,
+``_curvature_numerators``: ``curvature_tensor`` turns its output into the
+``Fraction`` table, and ``_curvature_entries`` reads it straight from the
+connection numerators into the sparse integer entries that
+``flagcurv.compile_randers`` compiles, building no ``Fraction`` table on the
+way.  A ``MetricTensor`` computes the numerators of its Gram and
 inverse Gram matrices once.  Sectional curvature
 K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) is an exact rational for
 exact inputs.
@@ -24,6 +29,7 @@ exact inputs.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,24 +231,24 @@ class CurvatureTable:
         return d, tuple((*ijkl, x) for ijkl, x in zip(index, nums))
 
 
-def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTable:
-    """R(u,v)w from the connection table, at the identity.
+def _curvature_numerators(
+    algebra: LieAlgebra, gam: Sequence[int], dg: int
+) -> tuple[dict[tuple[int, int], list[list[int]]], int]:
+    """R(e_i, e_j) e_k for i < j on integer numerators over one denominator.
 
-    With G_ij^k = gamma[i][j][k] and c_ij^k the structure constants,
-    R(e_i, e_j) e_k = sum_m (G_jk^m G_im^l - G_ik^m G_jm^l - c_ij^m G_mk^l) e_l,
-    summed on integer numerators.  Only i < j is computed;
-    R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0 fill in the rest.
+    ``gam`` holds the connection numerators G_ij^k (flat index
+    (i*n + j)*n + k) over ``dg``; with c_ij^k the structure constants,
+    R(e_i, e_j) e_k = sum_m (G_jk^m G_im^l - G_ik^m G_jm^l - c_ij^m G_mk^l) e_l.
+    Returns {(i, j): rows} with rows[k][l] the e_l numerator, and the
+    denominator.  R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0.
     """
     n = algebra.dim
     rn = range(n)
-    gam, dg = xl.common_denominator(x for gi in conn.gamma for gij in gi for x in gij)
     c, dc = algebra._structure_numerators
     # numerator rows: G[i][j] of gamma[i][j] over dg, C[i][j] of [e_i, e_j] over dc
     G = [[gam[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
     C = [[c[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
-    d = dg * dg * dc
-    zero = (xl.zero_vector(n),) * n
-    r = [[zero] * n for _ in rn]
+    out = {}
     for i in rn:
         for j in range(i + 1, n):
             rij = []
@@ -258,8 +264,45 @@ def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTab
                             for l in rn:
                                 acc[l] += a * row[l]
                 rij.append(acc)
-            r[i][j] = tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in rij)
-            r[j][i] = tuple(tuple(Fraction(-x, d) if x else _ZERO for x in row) for row in rij)
+            out[i, j] = rij
+    return out, dg * dg * dc
+
+
+def _curvature_entries(
+    algebra: LieAlgebra, metric: MetricTensor
+) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+    """The nonzero R_ijk^l with i < j, as (i, j, k, l, numerator) over the
+    least common denominator: ``CurvatureTable._entries`` restricted to
+    i < j, read from the integer connection numerators without building a
+    ``Fraction`` table."""
+    rows, d = _curvature_numerators(algebra, *_connection_numerators(algebra, metric))
+    entries = [
+        (i, j, k, l, x)
+        for (i, j), rij in rows.items()
+        for k, row in enumerate(rij)
+        for l, x in enumerate(row)
+        if x
+    ]
+    # dividing out gcd(d, numerators) leaves the least common denominator
+    g = math.gcd(d, *(e[4] for e in entries))
+    return d // g, tuple((i, j, k, l, x // g) for i, j, k, l, x in entries)
+
+
+def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTable:
+    """R(u,v)w from the connection table, at the identity.
+
+    The table is the ``Fraction`` form of :func:`_curvature_numerators` on
+    the numerators of ``conn``; only i < j is computed and
+    R(e_j, e_i) = -R(e_i, e_j), R(e_i, e_i) = 0 fill in the rest.
+    """
+    n = algebra.dim
+    gam, dg = xl.common_denominator(x for gi in conn.gamma for gij in gi for x in gij)
+    rows, d = _curvature_numerators(algebra, gam, dg)
+    zero = (xl.zero_vector(n),) * n
+    r = [[zero] * n for _ in range(n)]
+    for (i, j), rij in rows.items():
+        r[i][j] = tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in rij)
+        r[j][i] = tuple(tuple(Fraction(-x, d) if x else _ZERO for x in row) for row in rij)
     return CurvatureTable(r=tuple(tuple(row) for row in r))
 
 

@@ -49,7 +49,7 @@ def random_flag_pair(
     v = random_nonzero_vector(rng, dim)
     while True:
         u = random_rational_vector(rng, dim)
-        if xl.rank([v, u]) == 2:
+        if xl._independent_pair(v, u):
             return v, u
 
 

@@ -1,8 +1,8 @@
 """Fraction-at-a-time oracles for the integer-numerator exact invariants.
 
 The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
-Levi-Civita table and the Douglas and Berwald tests in Python ints over
-memoised numerators.  The functions here compute the same values one
+Levi-Civita table, the curvature entries and the Douglas and Berwald tests
+in Python ints over memoised numerators.  The functions here compute the same values one
 ``Fraction`` at a time, from the frozen ``structure`` and ``gram`` fields
 alone, and the two must agree with ``==``.
 """
@@ -12,7 +12,7 @@ from fractions import Fraction
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace, format_combination
 from lieranders.errors import DimensionMismatch
-from lieranders.riemann import ConnectionTable
+from lieranders.riemann import ConnectionTable, CurvatureTable
 
 
 def oracle_inner(metric, u, v):
@@ -94,3 +94,37 @@ def oracle_is_berwald(algebra, metric, q):
                 f"nabla_{algebra.labels[i]} Q = {format_combination(deriv, algebra.labels)}"
             )
     return (not evidence, evidence)
+
+
+def oracle_integer_curvature_tensor(algebra, conn):
+    """R(e_i, e_j) e_k = sum_m (G_jk^m G_im^l - G_ik^m G_jm^l - c_ij^m G_mk^l) e_l
+    from the ``Fraction`` connection table ``conn``, summed on the numerators
+    of its entries and of the structure constants (i < j; the rest by
+    antisymmetry)."""
+    n = algebra.dim
+    rn = range(n)
+    gam, dg = xl.common_denominator(x for gi in conn.gamma for gij in gi for x in gij)
+    c, dc = xl.common_denominator(x for si in algebra.structure for sij in si for x in sij)
+    G = [[gam[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
+    C = [[c[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
+    d = dg * dg * dc
+    zero = (xl.zero_vector(n),) * n
+    r = [[zero] * n for _ in rn]
+    for i in rn:
+        for j in range(i + 1, n):
+            rij = []
+            for k in rn:
+                acc = [0] * n
+                for m in rn:
+                    for a, row in (
+                        (dc * G[j][k][m], G[i][m]),
+                        (-dc * G[i][k][m], G[j][m]),
+                        (-dg * C[i][j][m], G[m][k]),
+                    ):
+                        if a:
+                            for l in rn:
+                                acc[l] += a * row[l]
+                rij.append(acc)
+            r[i][j] = tuple(tuple(Fraction(x, d) for x in row) for row in rij)
+            r[j][i] = tuple(tuple(Fraction(-x, d) for x in row) for row in rij)
+    return CurvatureTable(r=tuple(tuple(row) for row in r))

@@ -257,6 +257,23 @@ def test_sweep_samples_below_one_is_usage_error(capsys, samples):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x", str(2**64), str(2**70)])
+def test_sweep_seed_outside_range_is_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "2", "--seed", seed])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**63), str(2**64 - 1)])
+def test_sweep_seed_range_bounds(capsys, seed):
+    argv = ["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "2", "--seed", seed, "--csv"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_OK and err == ""
+    assert len(out.splitlines()) == 3
+
+
 @pytest.mark.parametrize("token", ["1/0", "x", "1/2/3"])
 def test_bad_rational_names_token(capsys, token):
     code, _, err = run(["classify", "--case", "2", "--Q", f"0,{token},0,0"], capsys)

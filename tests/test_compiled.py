@@ -28,6 +28,7 @@ from lieranders import (
 )
 from lieranders import exactlinalg as xl
 from lieranders.errors import NotDouglas
+from lieranders.riemann import curvature_tensor, levi_civita
 from lieranders.sampling import make_rng, random_flag_pair
 
 from conftest import SPACES, douglas_q, fr
@@ -74,6 +75,20 @@ def test_compiled_flag_matches_deng_hou(space):
         got, want = tuple(compiled.flag(flag)), tuple(flag_curvature_deng_hou(r, flag))
         big = max(1.0, *map(abs, got + want))
         assert all(abs(x - y) <= 1e-12 * big for x, y in zip(got, want)), (got, want)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_compile_without_table_equals_compile_with_table(space):
+    # without a table the curvature comes from the integer connection
+    # numerators; with one, from the Fraction table's entries
+    r = structure(space)
+    table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
+    bare, tabled = compile_randers(r), compile_randers(r, table)
+    assert bare == tabled
+    for flag in flags(r.dim, 29, count=6):
+        assert bare.exact(flag) == tabled.exact(flag)
+    for x, y in zip(bare.dense(), tabled.dense()):
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("space", SPACES)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lieranders import exactlinalg as xl
+from lieranders.errors import DimensionMismatch
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -101,3 +102,30 @@ def test_common_denominator_is_least(values):
     for p in range(2, d + 1):
         if d % p == 0:
             assert any((d // p) % v.denominator for v in values)
+
+
+def test_independent_pair_edge_cases():
+    assert not xl._independent_pair((Fraction(1, 2),), (Fraction(3),))  # dimension 1
+    assert not xl._independent_pair((0, 0, 0), (1, 2, 3))  # zero vector
+    assert not xl._independent_pair((1, 2, 3), (0, 0, 0))
+    assert not xl._independent_pair((), ())
+    assert not xl._independent_pair((1, Fraction(2, 3)), (Fraction(3, 2), 1))
+    assert xl._independent_pair((1, Fraction(2, 3)), (Fraction(3, 2), Fraction(1, 2)))
+    with pytest.raises(DimensionMismatch):
+        xl._independent_pair((1, 0), (0, 1, 0))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[RATIONALS] * n)] * 2)
+))
+def test_independent_pair_agrees_with_rank(pair):
+    v, u = pair
+    assert xl._independent_pair(v, u) == (xl.rank([v, u]) == 2)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.tuples(*[RATIONALS] * n), RATIONALS)
+))
+def test_independent_pair_rejects_multiples(case):
+    v, scale = case
+    assert not xl._independent_pair(v, tuple(scale * x for x in v))

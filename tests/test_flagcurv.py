@@ -39,8 +39,14 @@ X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 
 def test_flag_requires_independence():
     Flag(v=X, u=Y)
-    with pytest.raises(DegenerateFlag):
-        Flag(v=X, u=xl.vec_scale(Fraction(-2), X))
+    Flag(v=fr(1, "2/3", 0, 0), u=fr("3/2", "1/2", 0, 0))
+    for v, u in [
+        (X, xl.vec_scale(Fraction(-2), X)),
+        (xl.zero_vector(4), X),
+        (fr(1), fr(2)),  # dimension 1
+    ]:
+        with pytest.raises(DegenerateFlag):
+            Flag(v=v, u=u)
 
 
 def test_u_map_abelian_zero(metric4):

@@ -32,10 +32,11 @@ from lieranders import (
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace
 from lieranders.errors import DegeneratePlane
+from lieranders.riemann import _curvature_entries
 from lieranders.sampling import make_rng, random_rational, random_rational_vector
 
-from conftest import SO3, SOLV5, dense_metric, fr
-from exact_oracles import oracle_levi_civita
+from conftest import SO3, SOLV5, SPACES, dense_metric, fr
+from exact_oracles import oracle_integer_curvature_tensor, oracle_levi_civita
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 
@@ -266,10 +267,10 @@ SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def random_spaces(draw):
+def random_spaces(draw, max_dim=5):
     """Antisymmetric rational structure constants (Jacobi not required: the
     table formulas are identities without it) with a metric P^T P + I."""
-    n = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=max_dim))
     vector = st.tuples(*[SMALL_RATIONALS] * n)
     brackets = {
         (i, j): draw(vector) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
@@ -286,6 +287,28 @@ def random_spaces(draw):
 def test_integer_tables_equal_fraction_oracles_random(space):
     algebra, metric, uvw = space
     assert_tables_match_oracles(algebra, metric, [uvw])
+
+
+def assert_curvature_entries_match_oracle(algebra, metric):
+    # the integer entries (i < j), read without a Fraction table, against the
+    # Fraction oracle's; the Fraction table is built by the same integer core
+    conn = levi_civita(algebra, metric)
+    oracle = oracle_integer_curvature_tensor(algebra, conn)
+    d, entries = oracle._entries
+    assert _curvature_entries(algebra, metric) == (d, tuple(e for e in entries if e[0] < e[1]))
+    assert curvature_tensor(algebra, conn).r == oracle.r
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_curvature_entries_equal_fraction_oracle(space):
+    assert_curvature_entries_match_oracle(*SPACES[space]())
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_spaces(max_dim=6))
+def test_curvature_entries_equal_fraction_oracle_random(space):
+    algebra, metric, _ = space
+    assert_curvature_entries_match_oracle(algebra, metric)
 
 
 def test_curvature_spot_values(metric4):

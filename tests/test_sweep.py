@@ -1,12 +1,22 @@
-"""Sweep orchestration: determinism, internal consistency, preconditions."""
+"""Sweep orchestration: determinism, internal consistency, preconditions.
+
+The draw is checked against ``oracle_draw``, which takes each g(., .) of
+the rejection test as a three-operand einsum; ``run_sweep`` shares one Gram
+product between g(V,V) and g(U,V) and must keep exactly the same flags.
+"""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from lieranders import LieAlgebra, catalog, identity_metric, make_randers, run_sweep
+from lieranders import LieAlgebra, catalog, identity_metric, kernels, make_randers, run_sweep
 from lieranders.errors import LieRandersError, NotDouglas
+from lieranders.flagcurv import compile_randers
+from lieranders.randers import dense_gram
+from lieranders.sweep import _draw_flags
 
-from conftest import deadline, fr
+from conftest import deadline, dense_metric, douglas_q, fr
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +74,81 @@ def test_sweep_rejects_dimension_one():
     r = make_randers(LieAlgebra.from_brackets(1, ("X",), {}), identity_metric(1), fr(0))
     with deadline(10), pytest.raises(LieRandersError, match="dimension >= 2.*got 1"):
         run_sweep(r, n_samples=2, seed=1)
+
+
+def oracle_draw(gram, n, seed):
+    """(V, U, g(V,V)) of the draw, each g(., .) as einsum("ni,ij,nj->n")."""
+    dim = len(gram)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
+    vs, us, gvs, filled = [], [], [], 0
+    while filled < n:
+        v = rng.uniform(-1.0, 1.0, size=(n - filled, dim))
+        u = rng.uniform(-1.0, 1.0, size=(n - filled, dim))
+        gv = np.einsum("ni,ij,nj->n", v, gram, v)
+        gu = np.einsum("ni,ij,nj->n", u, gram, u)
+        guv = np.einsum("ni,ij,nj->n", v, gram, u)
+        good = (gv > 1e-6) & (gu * gv - guv**2 > 1e-8)
+        vs.append(v[good])
+        us.append(u[good])
+        gvs.append(gv[good])
+        filled += int(good.sum())
+    return np.concatenate(vs), np.concatenate(us), np.concatenate(gvs)
+
+
+DRAW_STRUCTURES = {
+    "identity": lambda: make_randers(catalog(2), identity_metric(4), fr(0, 0, "1/2", 0)),
+    "dense": lambda: make_randers(catalog(2), dense_metric(4), douglas_q(catalog(2), dense_metric(4))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 17, 5000, 100_000])
+@pytest.mark.parametrize("metric", DRAW_STRUCTURES)
+def test_draw_matches_einsum_oracle(metric, n):
+    r = DRAW_STRUCTURES[metric]()
+    gram = dense_gram(r.metric)
+    r2, g2, _, _ = compile_randers(r).dense()
+    for seed in (0, 7, 2024):
+        V, U, gvv = _draw_flags(gram, n, seed)
+        oracle_v, oracle_u, oracle_gvv = oracle_draw(gram, n, seed)
+        np.testing.assert_array_equal(V, oracle_v)
+        np.testing.assert_array_equal(U, oracle_u)
+        # the summation order differs, so g(V,V) may move by an ulp
+        np.testing.assert_allclose(gvv, oracle_gvv, rtol=1e-15, atol=0)
+        res = run_sweep(r, n, seed)
+        np.testing.assert_array_equal(res.v, oracle_v)
+        np.testing.assert_array_equal(res.k_g, kernels.sectional_batch(r2, g2, oracle_u, oracle_v))
+
+
+def test_sweep_zero_samples_gives_empty_columns(structure):
+    res = run_sweep(structure, n_samples=0, seed=1)
+    assert len(res) == 0
+    assert res.v.shape == (0, 4)
+    for col in (res.k_g, res.k_f, res.correction, res.sign_match):
+        assert col.shape == (0,)
+    assert res.sign_match.dtype == bool
+
+
+@pytest.mark.parametrize("n_samples", [-1, 1.5, 2.0, True, "8", None])
+def test_sweep_rejects_bad_sample_count(structure, n_samples):
+    with pytest.raises(LieRandersError, match="n_samples must be a non-negative integer"):
+        run_sweep(structure, n_samples=n_samples, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 1.0, True, 2**64, 2**70, np.float64(1), "1"])
+def test_sweep_rejects_bad_seed(structure, seed):
+    with pytest.raises(LieRandersError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        run_sweep(structure, n_samples=4, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_sweep_accepts_full_seed_range(structure, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_sweep(structure, n_samples=4, seed=seed)
+    assert len(res) == 4 and np.isfinite(res.k_f).all()
+
+
+def test_sweep_numpy_integer_sample_count(structure):
+    a = run_sweep(structure, n_samples=np.int64(9), seed=3)
+    b = run_sweep(structure, n_samples=9, seed=3)
+    np.testing.assert_array_equal(a.v, b.v)
