@@ -5,8 +5,10 @@ Two exact linear criteria drive everything:
 * Douglas type: Q is g-orthogonal to the derived algebra [g, g].
 * Berwald type: Q is parallel, nabla_{e_i} Q = 0 for every basis direction.
 
-Both are decided exactly, as integer sums over the memoised numerators of
-the algebra and the metric, so verdicts carry no tolerances.
+Both are decided exactly, as integer sums over the tables the metric keeps
+for the algebra (the lowered [g, g] basis and the Koszul numerators, built
+once per pair), so verdicts carry no tolerances and each test is one
+contraction with Q's numerators.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace, catalog, format_combination
-from .errors import NotDouglas
+from .errors import DimensionMismatch, NotDouglas
 from .randers import RandersStructure
 from .riemann import (
     MetricTensor,
@@ -45,15 +47,20 @@ def is_douglas(
 ) -> tuple[bool, list[str]]:
     """Exact orthogonality test of q against every derived-algebra basis vector.
 
-    [g, g] is computed once per algebra (``LieAlgebra.derived_algebra``); each
-    g(Q, b) is one integer sum over the Gram numerators (``MetricTensor.inner``).
+    The lowered basis G b of [g, g] is kept with the metric
+    (``MetricTensor._tables``), so each g(Q, b) is one integer dot with q's
+    numerators; ``Fraction``s are built only for the evidence.
     """
+    if len(q) != metric.dim or algebra.dim != metric.dim:
+        raise DimensionMismatch("inner product operands must match the metric")
+    rows, d = metric._tables(algebra).derived_lowered
+    qn, dq = xl.common_denominator(q)
     evidence = []
-    for b in algebra.derived_algebra().basis:
-        val = metric.inner(q, b)
-        if val != 0:
+    for b, row in zip(algebra.derived_algebra().basis, rows):
+        dot = sum(x * y for x, y in zip(qn, row))
+        if dot:
             evidence.append(
-                f"g(Q, {format_combination(b, algebra.labels)}) = {val}"
+                f"g(Q, {format_combination(b, algebra.labels)}) = {Fraction(dot, dq * d)}"
             )
     return (not evidence, evidence)
 
@@ -76,9 +83,9 @@ def is_berwald(
     """Exact parallelism test: nabla_{e_i} q = 0 for all i.
 
     nabla_{e_i} q = sum_j q_j gamma_ij^k e_k is contracted in Python ints,
-    from q's numerators and the integer Koszul table that ``levi_civita``
-    builds its ``Fraction``s from; ``Fraction``s are built only for the
-    evidence vectors.
+    from q's numerators and the integer Koszul table kept with the metric,
+    the one ``levi_civita`` builds its ``Fraction``s from; ``Fraction``s are
+    built only for the evidence vectors.
     """
     n = algebra.dim
     gamma, d = _connection_numerators(algebra, metric)

@@ -40,7 +40,8 @@ from .flagcurv import Flag, flag_curvature_simplified
 from .hypercomplex import verify_hyper_hermitian, verify_hypercomplex
 from .randers import make_randers
 from .riemann import MetricTensor, identity_metric
-from .sweep import _check_seed, run_sweep
+from .sampling import _check_seed
+from .sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

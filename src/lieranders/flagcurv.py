@@ -9,9 +9,12 @@ homogeneous of degree zero in V.  :func:`compile_randers`, the one production
 route, compiles a structure once into integer tables over one denominator
 each: ``R2``/``G2`` on bivectors w = U^V with K^g = w^T R2 w / w^T G2 w
 (Milnor, *Curvatures of left invariant metrics on Lie groups*, Adv. Math. 21,
-1976), the Gram matrix, g(Q,.), ``A`` and ``C``.  Exact flags, sign samples
-and sweeps all read these coefficients; F is the only float step.  The
-Deng-Hou U-map route (:func:`flag_curvature_deng_hou`) is the oracle.
+1976), the Gram matrix, g(Q,.), ``A`` and ``C``.  ``R2``, ``G2`` and the
+Gram form depend only on the algebra and the metric and are read from the
+tables the metric keeps; only the Q-dependent forms are built per compile.
+Exact flags, sign samples and sweeps all read these coefficients; F is the
+only float step.  The Deng-Hou U-map route (:func:`flag_curvature_deng_hou`)
+is the oracle.
 """
 
 from __future__ import annotations
@@ -30,13 +33,7 @@ from .algebra import AlgebraVector, LieAlgebra
 from .classify import douglas_subspace, require_douglas
 from .errors import DegenerateFlag, DimensionMismatch, LieRandersError
 from .randers import RandersStructure
-from .riemann import (
-    CurvatureTable,
-    MetricTensor,
-    _curvature_entries,
-    lowered_structure,
-    sectional_curvature,
-)
+from .riemann import CurvatureTable, MetricTensor, sectional_curvature
 from .sampling import make_rng, random_rational, random_rational_vector
 
 # K^F and K^g share their sign when both lie within SIGN_TOL of the largest
@@ -141,29 +138,28 @@ class CompiledRanders:
                 self.c.dense(n, n, n).reshape(n, n * n))
 
 
-def compile_randers(
-    r: RandersStructure, curvature: CurvatureTable | None = None
-) -> CompiledRanders:
+def compile_randers(r: RandersStructure) -> CompiledRanders:
     """Compile a Douglas-type structure into its exact integer forms.
 
     With c_ijk = g([e_i,e_j],e_k) and H = G^-1: A_ab = sum_i q_i c_iab;
     C_abc = sum_m (AH)_am c_mbc - sum_k c_bka (HA)_kc, since
     [Q, e_a] = sum_m (AH)_am e_m and g(ad*_V V, e_k) = g([V, e_k], V);
     R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and G2_(ij)(kl) = g_ik g_jl - g_il g_jk.
-    Without a ``curvature`` table the curvature is read on integer
-    numerators from the connection numerators (``riemann._curvature_entries``)
-    and no ``Fraction`` table is built; a table passed in is read through
-    ``CurvatureTable._entries``.  Both give the same coefficients.  Raises
-    NotDouglas when Q is not g-orthogonal to [g, g].
+    The Gram, ``G2`` and ``R2`` forms and the lowered structure constants
+    depend only on the algebra and the metric: they are built once per
+    pair, on integer numerators, and kept with the metric
+    (``MetricTensor._tables``).  Only g(Q,.), ``A`` and ``C`` are built per
+    call.  Raises NotDouglas when Q is not g-orthogonal to [g, g].
     """
     require_douglas(r)
-    algebra, metric, n = r.algebra, r.metric, r.dim
+    n = r.dim
     rn = range(n)
-    g, dg = metric._gram_numerators
-    h, dh = metric._inverse_gram_numerators
+    space = r.metric._tables(r.algebra)
+    g, dg = space.gram
+    h, dh = space.inverse_gram
+    _, dc = space.lowered
+    lowered = space.lowered_nonzeros
     q, dq = xl.common_denominator(r.q_field)
-    c, dc = lowered_structure(algebra, metric)
-    lowered = [(t // (n * n), t // n % n, t % n, x) for t, x in enumerate(c) if x]
     quad = [[0] * n for _ in rn]
     for i, a, b, x in lowered:
         quad[a][b] += q[i] * x
@@ -176,26 +172,13 @@ def compile_randers(
     for b, k, a, x in lowered:
         for e in rn:
             cubic[a, b, e] -= x * ha[k][e]
-    pairs = list(itertools.combinations(rn, 2))
-    pos = {pair: t for t, pair in enumerate(pairs)}
-    if curvature is None:
-        d_r, entries = _curvature_entries(algebra, metric)
-    else:
-        d_r, entries = curvature._entries
-    r2 = defaultdict(int)
-    for i, j, k, l, x in entries:
-        for m in range(k + 1, n):
-            if i < j and g[l * n + m]:
-                r2[pos[i, j], pos[k, m]] -= x * g[l * n + m]
+    gram, g2, r2 = (IntegerForm(dict(terms), d) for terms, d in space.forms)
     return CompiledRanders(
         dim=n,
-        gram=_form({(a, b): g[a * n + b] for a in rn for b in rn}, dg),
+        gram=gram,
         gq=_form({(k,): sum(q[i] * g[i * n + k] for i in rn) for k in rn}, dq * dg),
-        r2=_form(r2, d_r * dg),
-        g2=_form({
-            (s, t): g[i * n + k] * g[j * n + l] - g[i * n + l] * g[j * n + k]
-            for s, (i, j) in enumerate(pairs) for t, (k, l) in enumerate(pairs)
-        }, dg * dg),
+        r2=r2,
+        g2=g2,
         a=_form({(a, b): quad[a][b] for a in rn for b in rn}, dq * dc),
         c=_form(cubic, dq * dc * dh * dc),
     )
@@ -238,8 +221,14 @@ def flag_curvature_deng_hou(
 def flag_curvature_simplified(
     r: RandersStructure, flag: Flag, curvature: CurvatureTable | None = None
 ) -> FlagCurvatureResult:
-    """Flag curvature of one flag: ``compile_randers(r, curvature).flag(flag)``."""
-    return compile_randers(r, curvature).flag(flag)
+    """Flag curvature of one flag: ``compile_randers(r).flag(flag)``.
+
+    ``curvature`` is accepted for the signature it shares with
+    :func:`flag_curvature_deng_hou` but is not read: the compile takes the
+    curvature from the tables memoised with the metric, which equal any
+    table of the same space.
+    """
+    return compile_randers(r).flag(flag)
 
 
 def signs_agree(k_f, k_g):

@@ -16,20 +16,26 @@ The inner product, the connection table, the curvature table and its
 trilinear extension are summed in Python ints: each input table is written
 as integer numerators over its least common denominator
 (``exactlinalg.common_denominator``), and one ``Fraction`` is built per
-output entry.  The curvature sum has one integer core,
+output entry.  A ``MetricTensor`` computes the numerators of its Gram and
+inverse Gram matrices once, and keeps the Q-independent tables of each
+algebra it is used with (``MetricTensor._tables``): the lowered structure
+constants, the connection numerators, the curvature entries, the lowered
+[g, g] basis and the Gram and bivector forms that
+``flagcurv.compile_randers`` compiles.  Each is built once, on first use,
+and stored as tuples; the holder keeps no reference to the metric, so the
+tables are freed with it.  The curvature sum has one integer core,
 ``_curvature_numerators``: ``curvature_tensor`` turns its output into the
-``Fraction`` table, and ``_curvature_entries`` reads it straight from the
-connection numerators into the sparse integer entries that
-``flagcurv.compile_randers`` compiles, building no ``Fraction`` table on the
-way.  A ``MetricTensor`` computes the numerators of its Gram and
-inverse Gram matrices once.  Sectional curvature
-K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) is an exact rational for
-exact inputs.
+``Fraction`` table, and the memo reads it straight from the connection
+numerators into sparse integer entries, building no ``Fraction`` table on
+the way.  Sectional curvature K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) -
+g(u,v)^2) is an exact rational for exact inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,6 +87,22 @@ class MetricTensor:
     def _inverse_gram_numerators(self) -> tuple[tuple[int, ...], int]:
         nums, d = xl.common_denominator(x for row in self.inverse_gram for x in row)
         return tuple(nums), d
+
+    @cached_property
+    def _spaces(self) -> dict[int, _SpaceTables]:
+        # id(algebra) -> the exact tables of (algebra, self); see _tables
+        return {}
+
+    def _tables(self, algebra: LieAlgebra) -> _SpaceTables:
+        """The exact tables of (algebra, self), built once and kept with the metric.
+
+        Keyed by ``id(algebra)`` and confirmed by identity, so equal but
+        distinct algebras get tables of their own.
+        """
+        tables = self._spaces.get(id(algebra))
+        if tables is None or tables.algebra is not algebra:
+            tables = self._spaces[id(algebra)] = _SpaceTables(algebra, self)
+        return tables
 
     def inner(self, u: AlgebraVector, v: AlgebraVector) -> Fraction:
         """g(u, v) = u^T G v, summed in Python ints over the Gram numerators
@@ -141,37 +163,19 @@ class ConnectionTable:
         return tuple(out)
 
 
-def lowered_structure(algebra: LieAlgebra, metric: MetricTensor) -> tuple[Sequence[int], int]:
+def lowered_structure(algebra: LieAlgebra, metric: MetricTensor) -> tuple[tuple[int, ...], int]:
     """c_ijk = g([e_i, e_j], e_k) as flat integer numerators (index (i*n + j)*n + k)
-    over one denominator."""
-    n = algebra.dim
-    rn = range(n)
-    c, d = algebra._structure_numerators
-    if metric.is_identity:
-        return c, d
-    g, dg = metric._gram_numerators
-    c = [sum(c[ij + m] * g[m * n + k] for m in rn) for ij in range(0, n**3, n) for k in rn]
-    return c, d * dg
+    over one denominator; memoised per (algebra, metric) pair."""
+    return metric._tables(algebra).lowered
 
 
-def _connection_numerators(algebra: LieAlgebra, metric: MetricTensor) -> tuple[list[int], int]:
+def _connection_numerators(
+    algebra: LieAlgebra, metric: MetricTensor
+) -> tuple[tuple[int, ...], int]:
     """gamma_ij^k, the e_k coordinate of nabla_{e_i} e_j, as flat integer
-    numerators (index (i*n + j)*n + k) over one denominator."""
-    n = algebra.dim
-    rn = range(n)
-    rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
-    c, d = lowered_structure(algebra, metric)
-    two = [
-        c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
-        for i in rn
-        for j in rn
-        for k in rn
-    ]
-    if not metric.is_identity:
-        h, dh = metric._inverse_gram_numerators
-        two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
-        d *= dh
-    return two, 2 * d
+    numerators (index (i*n + j)*n + k) over one denominator; memoised per
+    (algebra, metric) pair."""
+    return metric._tables(algebra).connection
 
 
 def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
@@ -274,18 +278,121 @@ def _curvature_entries(
     """The nonzero R_ijk^l with i < j, as (i, j, k, l, numerator) over the
     least common denominator: ``CurvatureTable._entries`` restricted to
     i < j, read from the integer connection numerators without building a
-    ``Fraction`` table."""
-    rows, d = _curvature_numerators(algebra, *_connection_numerators(algebra, metric))
-    entries = [
-        (i, j, k, l, x)
-        for (i, j), rij in rows.items()
-        for k, row in enumerate(rij)
-        for l, x in enumerate(row)
-        if x
-    ]
-    # dividing out gcd(d, numerators) leaves the least common denominator
-    g = math.gcd(d, *(e[4] for e in entries))
-    return d // g, tuple((i, j, k, l, x // g) for i, j, k, l, x in entries)
+    ``Fraction`` table; memoised per (algebra, metric) pair."""
+    return metric._tables(algebra).curvature_entries
+
+
+class _SpaceTables:
+    """The exact tables of one (algebra, metric) pair that do not depend on Q.
+
+    Each is built on integer numerators the first time it is read and kept
+    as nested tuples.  ``MetricTensor._tables`` holds one per algebra; the
+    holder keeps the algebra and the metric's Gram numerators but not the
+    metric, so the tables are freed with their metric.
+    """
+
+    def __init__(self, algebra: LieAlgebra, metric: MetricTensor):
+        self.algebra = algebra
+        self.identity = metric.is_identity
+        self.gram = metric._gram_numerators
+        self.inverse_gram = metric._inverse_gram_numerators
+
+    @cached_property
+    def lowered(self) -> tuple[tuple[int, ...], int]:
+        # c_ijk = g([e_i, e_j], e_k), flat index (i*n + j)*n + k
+        n = self.algebra.dim
+        rn = range(n)
+        c, d = self.algebra._structure_numerators
+        if self.identity:
+            return c, d
+        g, dg = self.gram
+        c = tuple(sum(c[ij + m] * g[m * n + k] for m in rn) for ij in range(0, n**3, n) for k in rn)
+        return c, d * dg
+
+    @cached_property
+    def lowered_nonzeros(self) -> tuple[tuple[int, int, int, int], ...]:
+        # sparse (i, j, k, numerator) view of ``lowered``
+        n = self.algebra.dim
+        c, _ = self.lowered
+        return tuple((t // (n * n), t // n % n, t % n, x) for t, x in enumerate(c) if x)
+
+    @cached_property
+    def connection(self) -> tuple[tuple[int, ...], int]:
+        # Koszul in index form: 2 gamma_ijk = c_ijk - c_jki + c_kij, k raised by G^-1
+        n = self.algebra.dim
+        rn = range(n)
+        c, d = self.lowered
+        two = [
+            c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
+            for i in rn
+            for j in rn
+            for k in rn
+        ]
+        if not self.identity:
+            h, dh = self.inverse_gram
+            rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
+            two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
+            d *= dh
+        return tuple(two), 2 * d
+
+    @cached_property
+    def curvature_entries(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+        rows, d = _curvature_numerators(self.algebra, *self.connection)
+        entries = [
+            (i, j, k, l, x)
+            for (i, j), rij in rows.items()
+            for k, row in enumerate(rij)
+            for l, x in enumerate(row)
+            if x
+        ]
+        # dividing out gcd(d, numerators) leaves the least common denominator
+        g = math.gcd(d, *(e[4] for e in entries))
+        return d // g, tuple((i, j, k, l, x // g) for i, j, k, l, x in entries)
+
+    @cached_property
+    def derived_lowered(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        # G b for each basis vector b of [g, g], so that g(Q, b) = Q . (G b)
+        n = self.algebra.dim
+        rn = range(n)
+        basis = self.algebra.derived_algebra().basis
+        b, db = xl.common_denominator(x for v in basis for x in v)
+        g, dg = self.gram
+        rows = tuple(
+            tuple(sum(g[i * n + k] * b[s + k] for k in rn) for i in rn)
+            for s in range(0, len(b), n)
+        )
+        return rows, db * dg
+
+    @cached_property
+    def forms(self) -> tuple[tuple[tuple, int], tuple[tuple, int], tuple[tuple, int]]:
+        """The Gram form on V and the bivector forms ``G2``, ``R2`` on
+        w_(ij) = U_i V_j - U_j V_i, i < j: each as its nonzero
+        (index, numerator) terms over one denominator.
+
+        G2_(ij)(kl) = g_ik g_jl - g_il g_jk and R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l),
+        so that K^g = w^T R2 w / w^T G2 w.
+        """
+        n = self.algebra.dim
+        rn = range(n)
+        g, dg = self.gram
+        pairs = list(itertools.combinations(rn, 2))
+        pos = {pair: t for t, pair in enumerate(pairs)}
+        d_r, entries = self.curvature_entries
+        r2 = defaultdict(int)
+        for i, j, k, l, x in entries:
+            for m in range(k + 1, n):
+                if g[l * n + m]:
+                    r2[pos[i, j], pos[k, m]] -= x * g[l * n + m]
+        g2 = {
+            (s, t): g[i * n + k] * g[j * n + l] - g[i * n + l] * g[j * n + k]
+            for s, (i, j) in enumerate(pairs)
+            for t, (k, l) in enumerate(pairs)
+        }
+        gram = {(a, b): g[a * n + b] for a in rn for b in rn}
+        return tuple(
+            (tuple((idx, x) for idx, x in terms.items() if x), d)
+            for terms, d in ((gram, dg), (g2, dg * dg), (r2, d_r * dg))
+        )
 
 
 def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTable:

@@ -1,24 +1,46 @@
 """Deterministic sample generation for sweeps and property suites.
 
 Streams are keyed by (seed, stream) through the counter-based Philox engine,
-so samples are reproducible and independent of evaluation order.
+so samples are reproducible and independent of evaluation order.  The key is
+an explicit unsigned 64-bit array: numpy would cast a list holding a seed of
+2**63 or more through a float, so distinct seeds could share a stream.
 Rational samples keep numerators and denominators small to keep exact
 arithmetic fast.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, Subspace
+from .errors import LieRandersError
 from .riemann import MetricTensor
+
+# Philox takes the seed as one unsigned 64-bit key word.
+_SEED_BOUND = 2**64
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int, or LieRandersError unless it is an integer (not a
+    bool) in [0, 2**64)."""
+    if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
+        raise LieRandersError(f"seed must be an integer in [0, 2**64); got {seed!r}")
+    return int(seed)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    """The Philox stream keyed by (seed, stream); LieRandersError unless
+    ``seed`` is an integer in [0, 2**64)."""
+    key = np.array([_check_seed(seed), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def random_rational(

@@ -2,9 +2,9 @@
 
 Each sweep compiles its structure once with
 :func:`lieranders.flagcurv.compile_randers`, the route exact flags take too;
-without a curvature table the compile reads the curvature on integer
-numerators and builds no ``Fraction`` table.  The float bivector curvature
-operator and correction forms come from
+the compile reads the curvature and the bivector forms from the integer
+tables kept with the metric and builds no ``Fraction`` table.  The float
+bivector curvature operator and correction forms come from
 :meth:`~lieranders.flagcurv.CompiledRanders.dense`.  The rejection test of
 each candidate block takes one Gram product per block of V and one per
 block of U, and every g(., .) as a two-operand row dot.  Per-sample work is
@@ -13,7 +13,6 @@ then a few matrix products in :mod:`lieranders.kernels`.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,7 @@ from . import kernels
 from .errors import LieRandersError
 from .flagcurv import compile_randers, signs_agree
 from .randers import RandersStructure, dense_gram
-
-# Philox takes the seed as one unsigned 64-bit key word.
-_SEED_BOUND = 2**64
+from .sampling import _check_seed, _is_int, make_rng
 
 
 @dataclass
@@ -41,31 +38,18 @@ class SweepResult:
         return len(self.k_g)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_seed(seed) -> int:
-    """``seed`` as an int, or LieRandersError unless it is an integer (not a
-    bool) in [0, 2**64)."""
-    if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
-        raise LieRandersError(f"sweep seed must be an integer in [0, 2**64); got {seed!r}")
-    return int(seed)
-
-
 def _draw_flags(
     gram: np.ndarray, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(V, U, g(V, V)) of ``n_samples`` seeded flags, near-degenerate ones rejected.
 
-    Candidates come from the Philox stream keyed by ``[seed, 3]`` as (want,
+    Candidates come from ``make_rng(seed, stream=3)`` as (want,
     dim) blocks, V then U; a flag is kept when g(V,V) > 1e-6 and
     g(U,U) g(V,V) - g(U,V)^2 > 1e-8.  The product V G serves both g(V,V)
     and g(U,V).
     """
     dim = len(gram)
-    # an explicit uint64 key: a list holding a seed >= 2**63 would be cast
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
+    rng = make_rng(seed, stream=3)
     V = np.empty((n_samples, dim))
     U = np.empty((n_samples, dim))
     gvv = np.empty(n_samples)

@@ -1,12 +1,14 @@
 """Fraction-at-a-time oracles for the integer-numerator exact invariants.
 
 The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
-Levi-Civita table, the curvature entries and the Douglas and Berwald tests
-in Python ints over memoised numerators.  The functions here compute the same values one
+Levi-Civita table, the curvature entries, the lowered structure constants,
+the bivector forms and the Douglas and Berwald tests in Python ints over
+memoised numerators.  The functions here compute the same values one
 ``Fraction`` at a time, from the frozen ``structure`` and ``gram`` fields
 alone, and the two must agree with ``==``.
 """
 
+import itertools
 from fractions import Fraction
 
 from lieranders import exactlinalg as xl
@@ -36,6 +38,12 @@ def oracle_bracket(algebra, u, v):
                     if c:
                         out[k] += ui * vj * c
     return tuple(out)
+
+
+def oracle_lowered_structure(algebra, metric):
+    """c[i][j][k] = g([e_i, e_j], e_k) in Fractions."""
+    e, rn = algebra.basis(), range(algebra.dim)
+    return [[[oracle_inner(metric, algebra.structure[i][j], ek) for ek in e] for j in rn] for i in rn]
 
 
 def oracle_derived_algebra(algebra):
@@ -128,3 +136,24 @@ def oracle_integer_curvature_tensor(algebra, conn):
             r[i][j] = tuple(tuple(Fraction(x, d) for x in row) for row in rij)
             r[j][i] = tuple(tuple(Fraction(-x, d) for x in row) for row in rij)
     return CurvatureTable(r=tuple(tuple(row) for row in r))
+
+
+def oracle_bivector_forms(algebra, metric, curvature):
+    """{(a, b): g_ab}, G2 and R2 on bivectors (i < j, ``itertools.combinations``
+    order) in Fractions, zeros left out: G2_(ij)(kl) = g_ik g_jl - g_il g_jk
+    and R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l), read from the ``Fraction``
+    table ``curvature``."""
+    g, e = metric.gram, algebra.basis()
+    pairs = list(itertools.combinations(range(algebra.dim), 2))
+    gram = {(a, b): x for a, row in enumerate(g) for b, x in enumerate(row)}
+    g2 = {
+        (s, t): g[i][k] * g[j][l] - g[i][l] * g[j][k]
+        for s, (i, j) in enumerate(pairs)
+        for t, (k, l) in enumerate(pairs)
+    }
+    r2 = {
+        (s, t): -oracle_inner(metric, curvature.r[i][j][k], e[l])
+        for s, (i, j) in enumerate(pairs)
+        for t, (k, l) in enumerate(pairs)
+    }
+    return tuple({idx: x for idx, x in form.items() if x} for form in (gram, g2, r2))

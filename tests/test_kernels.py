@@ -132,7 +132,7 @@ def test_correction_batch_matches_scalar(setup):
 
 def test_compiled_forms_are_exact(setup):
     r, V, U, table = setup["r"], setup["V"], setup["U"], setup["table"]
-    compiled = compile_randers(r, curvature=table)
+    compiled = compile_randers(r)
     r2, g2, quad, cubic = exact_forms(r)
     a, m = r.algebra, r.metric
     for row in range(0, len(V), 20):
