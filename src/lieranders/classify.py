@@ -5,10 +5,10 @@ Two exact linear criteria drive everything:
 * Douglas type: Q is g-orthogonal to the derived algebra [g, g].
 * Berwald type: Q is parallel, nabla_{e_i} Q = 0 for every basis direction.
 
-Both are decided exactly, as integer sums over the tables the metric keeps
-for the algebra (the lowered [g, g] basis and the Koszul numerators, built
-once per pair), so verdicts carry no tolerances and each test is one
-contraction with Q's numerators.
+Both, and the subspaces they cut out, read only the tables the metric keeps
+for the algebra: the lowered [g, g] rows (one integer dot per row with Q,
+or their nullspace) and the Koszul numerators (one contraction, ``_nabla``,
+per vector), so verdicts and subspaces carry no tolerances.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace, catalog, format_combination
 from .errors import DimensionMismatch, NotDouglas
 from .randers import RandersStructure
-from .riemann import (
-    MetricTensor,
-    _connection_numerators,
-    identity_metric,
-    levi_civita,
-    orthogonal_complement,
-)
+from .riemann import MetricTensor, identity_metric
 
 
 class RandersClass(Enum):
@@ -51,9 +45,9 @@ def is_douglas(
     (``MetricTensor._tables``), so each g(Q, b) is one integer dot with q's
     numerators; ``Fraction``s are built only for the evidence.
     """
-    if len(q) != metric.dim or algebra.dim != metric.dim:
-        raise DimensionMismatch("inner product operands must match the metric")
     rows, d = metric._tables(algebra).derived_lowered
+    if len(q) != metric.dim:
+        raise DimensionMismatch("inner product operands must match the metric")
     qn, dq = xl.common_denominator(q)
     evidence = []
     for b, row in zip(algebra.derived_algebra().basis, rows):
@@ -73,8 +67,40 @@ def require_douglas(r: RandersStructure) -> None:
 
 
 def douglas_subspace(algebra: LieAlgebra, metric: MetricTensor) -> Subspace:
-    """Directions of Q giving a Douglas metric: the g-complement of [g, g]."""
-    return orthogonal_complement(metric, algebra.derived_algebra())
+    """Directions of Q giving a Douglas metric: the g-complement of [g, g].
+
+    The nullspace of the lowered [g, g] rows G b that ``is_douglas`` dots Q
+    with, in canonical form; one zero row stands for [g, g] = {0}, whose
+    complement is the whole space.
+    """
+    rows, _ = metric._tables(algebra).derived_lowered
+    # rref divides by its pivots, so the integer rows enter as Fractions
+    rows = tuple(tuple(map(Fraction, row)) for row in rows) or ((Fraction(0),) * algebra.dim,)
+    return Subspace(algebra.dim, xl.nullspace(rows))
+
+
+def _nabla(
+    algebra: LieAlgebra, metric: MetricTensor, vectors: tuple[AlgebraVector, ...]
+) -> tuple[list[list[list[int]]], int]:
+    """nabla_{e_i} v = sum_j v_j gamma_ij^k e_k for each v of ``vectors``, as
+    out[v][i][k] over one denominator: Python ints from the vectors'
+    numerators and the integer Koszul table kept with the metric."""
+    n, rn = algebra.dim, range(algebra.dim)
+    gamma, d = metric._tables(algebra).connection
+    if any(len(v) != n for v in vectors):
+        raise DimensionMismatch(f"vectors must have the algebra dimension {n}")
+    nums, dv = xl.common_denominator(x for v in vectors for x in v)
+    out = []
+    for s in range(0, len(nums), n):
+        v = [(j, x) for j, x in enumerate(nums[s : s + n]) if x]
+        derivs = [[0] * n for _ in rn]
+        for i, deriv in enumerate(derivs):
+            for j, x in v:
+                row = (i * n + j) * n
+                for k in rn:
+                    deriv[k] += x * gamma[row + k]
+        out.append(derivs)
+    return out, d * dv
 
 
 def is_berwald(
@@ -82,28 +108,16 @@ def is_berwald(
 ) -> tuple[bool, list[str]]:
     """Exact parallelism test: nabla_{e_i} q = 0 for all i.
 
-    nabla_{e_i} q = sum_j q_j gamma_ij^k e_k is contracted in Python ints,
-    from q's numerators and the integer Koszul table kept with the metric,
-    the one ``levi_civita`` builds its ``Fraction``s from; ``Fraction``s are
-    built only for the evidence vectors.
+    One ``_nabla`` contraction on q's numerators; ``Fraction``s are built
+    only for the evidence vectors.
     """
-    n = algebra.dim
-    gamma, d = _connection_numerators(algebra, metric)
-    qn, dq = xl.common_denominator(q)
-    d *= dq
-    evidence = []
-    for i in range(n):
-        deriv = [0] * n
-        for j, x in enumerate(qn):
-            if x:
-                row = (i * n + j) * n
-                for k in range(n):
-                    deriv[k] += x * gamma[row + k]
-        if any(deriv):
-            vec = tuple(Fraction(x, d) for x in deriv)
-            evidence.append(
-                f"nabla_{algebra.labels[i]} Q = {format_combination(vec, algebra.labels)}"
-            )
+    (derivs,), d = _nabla(algebra, metric, (q,))
+    evidence = [
+        f"nabla_{label} Q = "
+        f"{format_combination(tuple(Fraction(x, d) for x in deriv), algebra.labels)}"
+        for label, deriv in zip(algebra.labels, derivs)
+        if any(deriv)
+    ]
     return (not evidence, evidence)
 
 
@@ -127,25 +141,24 @@ def berwald_subset(
 ) -> Subspace:
     """Solution set of nabla Q = 0 restricted to a subspace, canonical form.
 
-    Solves the exact linear system in the coordinates of ``within``'s basis
-    and maps the nullspace back to algebra vectors.
+    ``_nabla`` of the basis of ``within`` gives the columns of the exact
+    system in that basis; its nullspace is mapped back to algebra vectors.
     """
+    n = algebra.dim
+    if within.ambient_dim != n:
+        raise DimensionMismatch(f"subspace of R^{within.ambient_dim}, algebra of dimension {n}")
     if not within.basis:
-        return Subspace.zero(algebra.dim)
-    conn = levi_civita(algebra, metric)
-    rows = []
-    for i in range(algebra.dim):
-        derivs = [conn.nabla(algebra.basis_vector(i), b) for b in within.basis]
-        for k in range(algebra.dim):
-            rows.append(tuple(d[k] for d in derivs))
-    coeff_basis = xl.nullspace(tuple(rows))
-    vectors = []
-    for coeffs in coeff_basis:
-        v = xl.zero_vector(algebra.dim)
-        for c, b in zip(coeffs, within.basis):
-            v = xl.vec_add(v, xl.vec_scale(c, b))
-        vectors.append(v)
-    return Subspace.span(vectors, algebra.dim)
+        return Subspace.zero(n)
+    derivs, _ = _nabla(algebra, metric, within.basis)
+    # rref divides by its pivots, so the integer rows enter as Fractions
+    rows = tuple(
+        tuple(Fraction(deriv[i][k]) for deriv in derivs) for i in range(n) for k in range(n)
+    )
+    vectors = [
+        tuple(sum(c * b[k] for c, b in zip(coeffs, within.basis)) for k in range(n))
+        for coeffs in xl.nullspace(rows)
+    ]
+    return Subspace.span(vectors, n)
 
 
 @dataclass

@@ -74,8 +74,8 @@ def parse_definition(text: str) -> DefinitionFile:
         raise DefinitionError("top level must be a JSON object")
 
     dim = raw.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise DefinitionError("dim: expected a positive integer")
+    if type(dim) is not int or dim < 1:  # JSON true/false are bools, not integers
+        raise DefinitionError(f"dim: expected a positive integer, got {dim!r}")
     labels = raw.get("labels", [f"e{i}" for i in range(dim)])
     if not isinstance(labels, list) or len(labels) != dim or not all(
         isinstance(s, str) for s in labels
@@ -92,8 +92,8 @@ def parse_definition(text: str) -> DefinitionFile:
             raise DefinitionError(f"{where}: expected an object")
         i, j = entry.get("i"), entry.get("j")
         for name, idx in (("i", i), ("j", j)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
-                raise DefinitionError(f"{where}.{name}: expected an index in 0..{dim - 1}")
+            if type(idx) is not int or not 0 <= idx < dim:
+                raise DefinitionError(f"{where}.{name}: {idx!r} is not an index in 0..{dim - 1}")
         coeffs = _vector(entry.get("coeffs"), dim, f"{where}.coeffs")
         key, val = ((i, j), coeffs) if i <= j else ((j, i), xl.vec_scale(-1, coeffs))
         if key in brackets and brackets[key] != val:

@@ -34,7 +34,7 @@ from .classify import douglas_subspace, require_douglas
 from .errors import DegenerateFlag, DimensionMismatch, LieRandersError
 from .randers import RandersStructure
 from .riemann import CurvatureTable, MetricTensor, sectional_curvature
-from .sampling import make_rng, random_rational, random_rational_vector
+from .sampling import _is_int, make_rng, random_rational, random_rational_vector
 
 # K^F and K^g share their sign when both lie within SIGN_TOL of the largest
 # of 1, |K^F| and |K^g|; a sampled correction that large is a counterexample.
@@ -198,17 +198,17 @@ def u_map(
     return xl.vec_scale(half, xl.mat_vec(metric.inverse_gram, t))
 
 
-def flag_curvature_deng_hou(
-    r: RandersStructure, flag: Flag, curvature: CurvatureTable | None = None
-) -> FlagCurvatureResult:
+def flag_curvature_deng_hou(r: RandersStructure, flag: Flag) -> FlagCurvatureResult:
     """Flag curvature through the U-map route, the oracle for the compiled one.
 
-    correction = (3 g(U(V,V),Q)^2 - 4 F g(U(V,U(V,V)),Q)) / (4 F^4).
+    correction = (3 g(U(V,V),Q)^2 - 4 F g(U(V,U(V,V)),Q)) / (4 F^4), with
+    K^g from ``sectional_curvature``, which reads the curvature entries the
+    metric keeps but not the bivector forms the compiled route evaluates.
     Raises NotDouglas when Q is not g-orthogonal to [g, g].
     """
     require_douglas(r)
     gvv = r.metric.inner(flag.v, flag.v)
-    k_g = sectional_curvature(r.algebra, r.metric, flag.u, flag.v, curvature=curvature)
+    k_g = sectional_curvature(r.algebra, r.metric, flag.u, flag.v)
     f = math.sqrt(float(gvv)) + float(r.metric.inner(r.q_field, flag.v))
     m = u_map(r.algebra, r.metric, flag.v, flag.v)
     t1 = r.metric.inner(m, r.q_field)
@@ -223,10 +223,11 @@ def flag_curvature_simplified(
 ) -> FlagCurvatureResult:
     """Flag curvature of one flag: ``compile_randers(r).flag(flag)``.
 
-    ``curvature`` is accepted for the signature it shares with
-    :func:`flag_curvature_deng_hou` but is not read: the compile takes the
-    curvature from the tables memoised with the metric, which equal any
-    table of the same space.
+    ``curvature`` is not read: the compile takes the curvature from the
+    tables memoised with the metric, which equal any table of the same
+    space.  The parameter stays because existing callers pass a prebuilt
+    table (the benchmark's ``flag_cached`` class among them), and removing
+    it would turn those calls into TypeErrors.
     """
     return compile_randers(r).flag(flag)
 
@@ -269,8 +270,10 @@ def sign_analysis(r: RandersStructure, n_samples: int = 100, seed: int = 0) -> S
     is expected to vanish and the two curvatures to share their sign; a flag
     violating either (beyond ``SIGN_TOL``) is a counterexample.  Raises
     LieRandersError when no flag can be drawn: dimension below 2, or
-    Douglas subspace {0}.
+    Douglas subspace {0}, or ``n_samples`` not an integer >= 1.
     """
+    if not _is_int(n_samples) or n_samples < 1:
+        raise LieRandersError(f"sign analysis: n_samples must be an integer >= 1: {n_samples!r}")
     compiled = compile_randers(r)
     directions = douglas_subspace(r.algebra, r.metric)
     if r.dim < 2 or not directions.basis:

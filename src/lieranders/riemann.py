@@ -23,12 +23,13 @@ constants, the connection numerators, the curvature entries, the lowered
 [g, g] basis and the Gram and bivector forms that
 ``flagcurv.compile_randers`` compiles.  Each is built once, on first use,
 and stored as tuples; the holder keeps no reference to the metric, so the
-tables are freed with it.  The curvature sum has one integer core,
-``_curvature_numerators``: ``curvature_tensor`` turns its output into the
-``Fraction`` table, and the memo reads it straight from the connection
-numerators into sparse integer entries, building no ``Fraction`` table on
-the way.  Sectional curvature K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) -
-g(u,v)^2) is an exact rational for exact inputs.
+tables are freed with it.  The memo is the one exact source of the
+connection and the curvature: ``levi_civita`` is the ``Fraction`` form of
+its connection numerators, and ``sectional_curvature`` K(u,v) = g(R(u,v)v, u)
+/ (g(u,u) g(v,v) - g(u,v)^2) sums its curvature entries.  The curvature sum
+has one integer core, ``_curvature_numerators``: ``curvature_tensor`` turns
+its output into a ``Fraction`` table, and the memo reads it straight into
+sparse integer entries.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import exactlinalg as xl
-from .algebra import AlgebraVector, LieAlgebra, Subspace
+from .algebra import AlgebraVector, LieAlgebra
 from .errors import DegeneratePlane, DimensionMismatch
 from .exactlinalg import Matrix
 
@@ -97,10 +98,13 @@ class MetricTensor:
         """The exact tables of (algebra, self), built once and kept with the metric.
 
         Keyed by ``id(algebra)`` and confirmed by identity, so equal but
-        distinct algebras get tables of their own.
+        distinct algebras get tables of their own.  Raises DimensionMismatch
+        when the algebra and the metric differ in dimension.
         """
         tables = self._spaces.get(id(algebra))
         if tables is None or tables.algebra is not algebra:
+            if algebra.dim != self.dim:
+                raise DimensionMismatch(f"algebra of dimension {algebra.dim}, metric of {self.dim}")
             tables = self._spaces[id(algebra)] = _SpaceTables(algebra, self)
         return tables
 
@@ -163,21 +167,6 @@ class ConnectionTable:
         return tuple(out)
 
 
-def lowered_structure(algebra: LieAlgebra, metric: MetricTensor) -> tuple[tuple[int, ...], int]:
-    """c_ijk = g([e_i, e_j], e_k) as flat integer numerators (index (i*n + j)*n + k)
-    over one denominator; memoised per (algebra, metric) pair."""
-    return metric._tables(algebra).lowered
-
-
-def _connection_numerators(
-    algebra: LieAlgebra, metric: MetricTensor
-) -> tuple[tuple[int, ...], int]:
-    """gamma_ij^k, the e_k coordinate of nabla_{e_i} e_j, as flat integer
-    numerators (index (i*n + j)*n + k) over one denominator; memoised per
-    (algebra, metric) pair."""
-    return metric._tables(algebra).connection
-
-
 def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
     """Levi-Civita connection of a left-invariant metric, tabulated on the basis.
 
@@ -189,7 +178,7 @@ def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
     """
     n = algebra.dim
     rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
-    nums, d = _connection_numerators(algebra, metric)
+    nums, d = metric._tables(algebra).connection
     entries = [Fraction(x, d) if x else _ZERO for x in nums]
     gamma = tuple(
         tuple(tuple(entries[ij : ij + n]) for ij in rows[i * n : (i + 1) * n]) for i in range(n)
@@ -270,16 +259,6 @@ def _curvature_numerators(
                 rij.append(acc)
             out[i, j] = rij
     return out, dg * dg * dc
-
-
-def _curvature_entries(
-    algebra: LieAlgebra, metric: MetricTensor
-) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
-    """The nonzero R_ijk^l with i < j, as (i, j, k, l, numerator) over the
-    least common denominator: ``CurvatureTable._entries`` restricted to
-    i < j, read from the integer connection numerators without building a
-    ``Fraction`` table; memoised per (algebra, metric) pair."""
-    return metric._tables(algebra).curvature_entries
 
 
 class _SpaceTables:
@@ -414,31 +393,21 @@ def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTab
 
 
 def sectional_curvature(
-    algebra: LieAlgebra,
-    metric: MetricTensor,
-    u: AlgebraVector,
-    v: AlgebraVector,
-    curvature: CurvatureTable | None = None,
+    algebra: LieAlgebra, metric: MetricTensor, u: AlgebraVector, v: AlgebraVector
 ) -> Fraction:
     """Exact sectional curvature of the plane span{u, v}.
 
-    Pass a precomputed ``curvature`` table when evaluating many planes of the
-    same space.
+    R(u, v)v = sum_{i<j} (u_i v_j - u_j v_i) v_k R_ijk^l e_l, summed in Python
+    ints over the curvature entries kept with the metric; the bivector forms
+    of ``flagcurv`` are not read, so this checks them independently.
     """
     denom = metric.inner(u, u) * metric.inner(v, v) - metric.inner(u, v) ** 2
     if denom == 0:
         raise DegeneratePlane("u and v are linearly dependent")
-    if curvature is None:
-        curvature = curvature_tensor(algebra, levi_civita(algebra, metric))
-    return metric.inner(curvature.of(u, v, v), u) / denom
-
-
-def orthogonal_complement(metric: MetricTensor, subspace: Subspace) -> Subspace:
-    """g-orthogonal complement, in canonical form."""
-    if not subspace.basis:
-        return Subspace.span(
-            [xl.basis_vector(subspace.ambient_dim, i) for i in range(subspace.ambient_dim)],
-            subspace.ambient_dim,
-        )
-    constraints = tuple(xl.mat_vec(metric.gram, b) for b in subspace.basis)
-    return Subspace(ambient_dim=subspace.ambient_dim, basis=xl.nullspace(constraints))
+    d, entries = metric._tables(algebra).curvature_entries
+    (un, du), (vn, dv) = map(xl.common_denominator, (u, v))
+    out = [0] * algebra.dim
+    for i, j, k, l, x in entries:
+        out[l] += (un[i] * vn[j] - un[j] * vn[i]) * vn[k] * x
+    d *= du * dv * dv
+    return metric.inner(tuple(Fraction(x, d) for x in out), u) / denom

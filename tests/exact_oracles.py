@@ -2,10 +2,10 @@
 
 The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
 Levi-Civita table, the curvature entries, the lowered structure constants,
-the bivector forms and the Douglas and Berwald tests in Python ints over
-memoised numerators.  The functions here compute the same values one
-``Fraction`` at a time, from the frozen ``structure`` and ``gram`` fields
-alone, and the two must agree with ``==``.
+the bivector forms, the Douglas and Berwald tests and subspaces and the
+sectional curvature in Python ints over memoised numerators.  The functions
+here compute the same values one ``Fraction`` at a time, from the frozen
+``structure`` and ``gram`` fields alone, and the two must agree with ``==``.
 """
 
 import itertools
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace, format_combination
-from lieranders.errors import DimensionMismatch
+from lieranders.errors import DegeneratePlane, DimensionMismatch
 from lieranders.riemann import ConnectionTable, CurvatureTable
 
 
@@ -102,6 +102,49 @@ def oracle_is_berwald(algebra, metric, q):
                 f"nabla_{algebra.labels[i]} Q = {format_combination(deriv, algebra.labels)}"
             )
     return (not evidence, evidence)
+
+
+def oracle_douglas_subspace(algebra, metric):
+    """The g-orthogonal complement of [g, g]: the nullspace of the Fraction
+    rows G b, b in the basis of ``oracle_derived_algebra``."""
+    derived, n = oracle_derived_algebra(algebra), algebra.dim
+    if not derived.basis:
+        return Subspace.span([xl.basis_vector(n, i) for i in range(n)], n)
+    constraints = tuple(xl.mat_vec(metric.gram, b) for b in derived.basis)
+    return Subspace(ambient_dim=n, basis=xl.nullspace(constraints))
+
+
+def oracle_berwald_subset(algebra, metric, within):
+    """Solutions of nabla Q = 0 inside ``within``, from the Fraction
+    connection table: one column nabla_{e_i} b per basis vector b."""
+    if not within.basis:
+        return Subspace.zero(algebra.dim)
+    conn = oracle_levi_civita(algebra, metric)
+    rows = []
+    for i in range(algebra.dim):
+        derivs = [conn.nabla(algebra.basis_vector(i), b) for b in within.basis]
+        for k in range(algebra.dim):
+            rows.append(tuple(d[k] for d in derivs))
+    vectors = []
+    for coeffs in xl.nullspace(tuple(rows)):
+        v = xl.zero_vector(algebra.dim)
+        for c, b in zip(coeffs, within.basis):
+            v = xl.vec_add(v, xl.vec_scale(c, b))
+        vectors.append(v)
+    return Subspace.span(vectors, algebra.dim)
+
+
+def oracle_sectional_curvature(algebra, metric, u, v, curvature=None):
+    """g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) through a ``Fraction``
+    curvature table: ``curvature`` when given, else the one built from
+    ``oracle_levi_civita`` by ``oracle_integer_curvature_tensor``."""
+    g = oracle_inner
+    denom = g(metric, u, u) * g(metric, v, v) - g(metric, u, v) ** 2
+    if denom == 0:
+        raise DegeneratePlane("u and v are linearly dependent")
+    if curvature is None:
+        curvature = oracle_integer_curvature_tensor(algebra, oracle_levi_civita(algebra, metric))
+    return g(metric, curvature.of(u, v, v), u) / denom
 
 
 def oracle_integer_curvature_tensor(algebra, conn):

@@ -2,9 +2,9 @@
 
 ``bracket_terms`` and ``oracle_flag_curvature_simplified`` evaluate the
 Douglas correction through brackets and ad*_V V, one ``Fraction`` at a time
-(``oracle_bracket``, ``oracle_inner``), with ``sectional_curvature`` for K^g.
-``flag_curvature_case`` is the closed form of the three non-Berwaldian
-catalog families.
+(``oracle_bracket``, ``oracle_inner``), with ``oracle_sectional_curvature``
+for K^g.  ``flag_curvature_case`` is the closed form of the three
+non-Berwaldian catalog families.
 """
 
 import math
@@ -12,9 +12,8 @@ import math
 from lieranders import exactlinalg as xl
 from lieranders.classify import require_douglas
 from lieranders.flagcurv import FlagCurvatureResult
-from lieranders.riemann import sectional_curvature
 
-from exact_oracles import oracle_bracket, oracle_inner
+from exact_oracles import oracle_bracket, oracle_inner, oracle_sectional_curvature
 
 
 def ad_star_on_self(algebra, metric, v):
@@ -44,7 +43,7 @@ def oracle_flag_curvature_simplified(r, flag, curvature=None):
     """
     require_douglas(r)
     gvv = oracle_inner(r.metric, flag.v, flag.v)
-    k_g = sectional_curvature(r.algebra, r.metric, flag.u, flag.v, curvature=curvature)
+    k_g = oracle_sectional_curvature(r.algebra, r.metric, flag.u, flag.v, curvature=curvature)
     f = math.sqrt(float(gvv)) + float(oracle_inner(r.metric, r.q_field, flag.v))
     t1, cubic1, cubic2 = bracket_terms(r, flag.v)
     correction = (

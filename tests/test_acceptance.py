@@ -129,7 +129,7 @@ def test_criterion_3_formula_equivalence():
             r = make_randers(alg, METRIC, qvec)
             v, u = random_flag_pair(rng, 4)
             flag = Flag(v=v, u=u)
-            r1 = flag_curvature_deng_hou(r, flag, curvature=table)
+            r1 = flag_curvature_deng_hou(r, flag)
             r2 = flag_curvature_simplified(r, flag, curvature=table)  # compiled
             r3 = oracle_flag_curvature_simplified(r, flag, curvature=table)
             p, qq = (float(qvec[2]), float(qvec[3])) if cid == 2 else (0.0, float(qvec[0]))
@@ -152,11 +152,10 @@ def test_criterion_4_riemannian_reduction_and_homogeneity():
     rng = make_rng(404)
     for cid in range(5):
         alg = catalog(cid)
-        table = curvature_tensor(alg, levi_civita(alg, METRIC))
         r = make_randers(alg, METRIC, zero_q)
         for _ in range(40):
             v, u = random_flag_pair(rng, 4)
-            res = flag_curvature_deng_hou(r, Flag(v=v, u=u), curvature=table)
+            res = flag_curvature_deng_hou(r, Flag(v=v, u=u))
             assert abs(res.k_f - res.k_g) <= 1e-12 * abs(res.k_g)
 
     # pole homogeneity with a genuinely non-Riemannian structure
@@ -179,7 +178,6 @@ def test_criterion_4_riemannian_reduction_and_homogeneity():
 def test_criterion_5_sectional_curvature_oracles():
     # case 3: constant -1 on 100 exact sampled planes
     alg = catalog(3)
-    table = curvature_tensor(alg, levi_civita(alg, METRIC))
     rng = make_rng(505)
     found = 0
     while found < 100:
@@ -187,27 +185,25 @@ def test_criterion_5_sectional_curvature_oracles():
         v = random_rational_vector(rng, 4)
         if xl.rank([u, v]) != 2:
             continue
-        assert sectional_curvature(alg, METRIC, u, v, curvature=table) == Fraction(-1)
+        assert sectional_curvature(alg, METRIC, u, v) == Fraction(-1)
         found += 1
 
     # case 1: K(Y,Z) = 1/4 and X-planes flat
     alg = catalog(1)
-    table = curvature_tensor(alg, levi_civita(alg, METRIC))
-    assert sectional_curvature(alg, METRIC, Y, Z, curvature=table) == Fraction(1, 4)
+    assert sectional_curvature(alg, METRIC, Y, Z) == Fraction(1, 4)
     for e in (Y, Z, W):
-        assert sectional_curvature(alg, METRIC, X, e, curvature=table) == 0
+        assert sectional_curvature(alg, METRIC, X, e) == 0
     for _ in range(25):
         v = random_rational_vector(rng, 4)
         if xl.rank([X, v]) != 2:
             continue
-        assert sectional_curvature(alg, METRIC, X, v, curvature=table) == 0
+        assert sectional_curvature(alg, METRIC, X, v) == 0
 
     # abelian: flat
     alg = catalog(0)
-    table = curvature_tensor(alg, levi_civita(alg, METRIC))
     for _ in range(20):
         u, v = random_flag_pair(rng, 4)
-        assert sectional_curvature(alg, METRIC, u, v, curvature=table) == 0
+        assert sectional_curvature(alg, METRIC, u, v) == 0
 
     # connection and curvature identities, exactly, on every catalog case
     for cid in range(5):

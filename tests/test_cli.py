@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,15 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+# the whole reports of ``theorem`` and ``catalog``, byte for byte; the CI
+# step "Installed console script" diffs the installed script against them
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def test_catalog_lists_all_cases(capsys):
     code, out, _ = run(["catalog"], capsys)
     assert code == 0
+    assert out.encode() == (GOLDEN / "catalog.txt").read_bytes()
     assert "case 0" in out and "case 4" in out
     assert "derived algebra: span{X, Y}" in out            # case 2
     assert "Douglas Q directions: span{X}" in out          # cases 1, 3, 4
@@ -32,6 +39,7 @@ def test_catalog_lists_all_cases(capsys):
 def test_theorem_passes(capsys):
     code, out, _ = run(["theorem"], capsys)
     assert code == 0
+    assert out.encode() == (GOLDEN / "theorem.txt").read_bytes()
     assert "theorem reproduction: PASS" in out
     assert out.count("ok") >= 4
     assert "span{Z, W}" in out and "span{W}" in out
@@ -358,6 +366,28 @@ def test_check_invalid_q_norm(tmp_path, capsys):
     code, out, _ = run(["check", str(path)], capsys)
     assert code == 1
     assert "Q: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"dim": True}, "dim: expected a positive integer, got True"),
+        (
+            {"dim": 2, "brackets": [{"i": False, "j": True, "coeffs": ["1", "0"]}]},
+            "brackets[0].i: False is not an index",
+        ),
+        (
+            {"dim": 2, "brackets": [{"i": 0, "j": True, "coeffs": ["1", "0"]}]},
+            "brackets[0].j: True is not an index",
+        ),
+    ],
+    ids=["dim", "i", "j"],
+)
+def test_check_rejects_json_booleans_as_integers(tmp_path, capsys, doc, field):
+    code, out, err = run(["check", write_doc(tmp_path, "bool.json", doc)], capsys)
+    assert code == cli.EXIT_DEFINITION
+    assert out == ""
+    assert err.startswith(f"error: {field}")
 
 
 def test_check_parse_error_exit(tmp_path, capsys):

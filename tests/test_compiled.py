@@ -29,7 +29,7 @@ from lieranders import (
 )
 from lieranders import exactlinalg as xl
 from lieranders.errors import NotDouglas
-from lieranders.riemann import _curvature_entries, curvature_tensor, levi_civita
+from lieranders.riemann import curvature_tensor, levi_civita
 from lieranders.sampling import make_rng, random_flag_pair
 
 from conftest import SPACES, douglas_q, fr
@@ -86,7 +86,9 @@ def test_compile_without_table_equals_compile_with_table(space):
     r = structure(space)
     table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
     d, entries = table._entries
-    assert _curvature_entries(r.algebra, r.metric) == (d, tuple(e for e in entries if e[0] < e[1]))
+    assert r.metric._tables(r.algebra).curvature_entries == (
+        d, tuple(e for e in entries if e[0] < e[1])
+    )
     compiled = compile_randers(r)
     for flag in flags(r.dim, 29, count=6):
         assert flag_curvature_simplified(r, flag, curvature=table) == compiled.flag(flag)

@@ -110,3 +110,21 @@ def test_error_locations():
         parse_definition('{"dim": 2, "brackets": [], "Q": [0.5, 1]}')
     with pytest.raises(DefinitionError, match="hypercomplex"):
         parse_definition('{"dim": 2, "brackets": [], "hypercomplex": []}')
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"dim": true}', r"dim: .* got True"),
+        ('{"dim": false}', r"dim: .* got False"),
+        ('{"dim": 2, "brackets": [{"i": false, "j": true, "coeffs": ["1", "0"]}]}',
+         r"brackets\[0\]\.i: False"),
+        ('{"dim": 3, "brackets": [{"i": 2, "j": true, "coeffs": ["1", "0", "0"]}]}',
+         r"brackets\[0\]\.j: True"),
+    ],
+    ids=["dim-true", "dim-false", "i-false", "j-true"],
+)
+def test_json_booleans_are_not_integers(text, field):
+    # bool is an int subclass in Python; a JSON true must not load as 1
+    with pytest.raises(DefinitionError, match=field):
+        parse_definition(text)

@@ -134,7 +134,7 @@ def test_formulas_agree_on_random_flags(metric4):
             r = make_randers(a, metric4, q)
             v, u = random_flag_pair(rng, 4)
             flag = Flag(v=v, u=u)
-            r1 = flag_curvature_deng_hou(r, flag, curvature=table)
+            r1 = flag_curvature_deng_hou(r, flag)
             r2 = flag_curvature_simplified(r, flag, curvature=table)
             r3 = oracle_flag_curvature_simplified(r, flag, curvature=table)
             scale = max(1.0, abs(r1.k_f))
@@ -239,6 +239,21 @@ def test_sign_analysis_pole_on_q(case_id, metric4):
     if case_id == 3:
         # constant negative curvature: both signs strictly negative
         assert all(s.k_f < 0 and s.k_g < 0 for s in report.samples)
+
+
+@pytest.mark.parametrize("n_samples", [-1, 0, 1.5, True, False, "3", None, Fraction(2)])
+def test_sign_analysis_rejects_bad_sample_count(n_samples, metric4):
+    r = make_randers(catalog(2), metric4, fr(0, 0, "1/2", 0))
+    message = f"n_samples must be an integer >= 1: {n_samples!r}"
+    with pytest.raises(LieRandersError, match=re.escape(message)):
+        sign_analysis(r, n_samples=n_samples, seed=11)
+
+
+def test_sign_analysis_single_sample(metric4):
+    r = make_randers(catalog(2), metric4, fr(0, 0, "1/2", 0))
+    report = sign_analysis(r, n_samples=1, seed=11)
+    assert len(report.samples) == 1
+    assert report.samples[0] == sign_analysis(r, n_samples=60, seed=11).samples[0]
 
 
 @pytest.mark.parametrize(

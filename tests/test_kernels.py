@@ -101,7 +101,7 @@ def setup(request):
         for row in rows
     }
     return {
-        "r": r, "table": table, "V": V, "U": U,
+        "r": r, "V": V, "U": U,
         "f": f, "k_g": k_g, "k_f": k_f, "correction": corr, "exact": exact,
     }
 
@@ -131,13 +131,13 @@ def test_correction_batch_matches_scalar(setup):
 
 
 def test_compiled_forms_are_exact(setup):
-    r, V, U, table = setup["r"], setup["V"], setup["U"], setup["table"]
+    r, V, U = setup["r"], setup["V"], setup["U"]
     compiled = compile_randers(r)
     r2, g2, quad, cubic = exact_forms(r)
     a, m = r.algebra, r.metric
     for row in range(0, len(V), 20):
         flag = exact_flag(V[row], U[row])
-        k_g = sectional_curvature(a, m, flag.u, flag.v, curvature=table)
+        k_g = sectional_curvature(a, m, flag.u, flag.v)
         t1, cubic1, cubic2 = bracket_terms(r, flag.v)
         gvv, beta, *forms = compiled.exact(flag)
         assert (gvv, beta) == (oracle_inner(m, flag.v, flag.v), oracle_inner(m, r.q_field, flag.v))

@@ -26,13 +26,10 @@ from lieranders import (
     curvature_tensor,
     identity_metric,
     levi_civita,
-    orthogonal_complement,
     sectional_curvature,
 )
 from lieranders import exactlinalg as xl
-from lieranders.algebra import Subspace
 from lieranders.errors import DegeneratePlane
-from lieranders.riemann import _curvature_entries
 from lieranders.sampling import make_rng, random_rational, random_rational_vector
 
 from conftest import SO3, SOLV5, SPACES, dense_metric, fr
@@ -295,7 +292,8 @@ def assert_curvature_entries_match_oracle(algebra, metric):
     conn = levi_civita(algebra, metric)
     oracle = oracle_integer_curvature_tensor(algebra, conn)
     d, entries = oracle._entries
-    assert _curvature_entries(algebra, metric) == (d, tuple(e for e in entries if e[0] < e[1]))
+    upper = tuple(e for e in entries if e[0] < e[1])
+    assert metric._tables(algebra).curvature_entries == (d, upper)
     assert curvature_tensor(algebra, conn).r == oracle.r
 
 
@@ -345,8 +343,7 @@ def test_curvature_identities(case_id, metric_name, metric4):
 
 def test_sectional_case3_constant(metric4):
     a = catalog(3)
-    table = curvature_tensor(a, levi_civita(a, metric4))
-    assert sectional_curvature(a, metric4, X, Y, curvature=table) == -1
+    assert sectional_curvature(a, metric4, X, Y) == -1
     rng = make_rng(31)
     found = 0
     while found < 100:
@@ -354,20 +351,19 @@ def test_sectional_case3_constant(metric4):
         v = random_rational_vector(rng, 4)
         if xl.rank([u, v]) != 2:
             continue
-        assert sectional_curvature(a, metric4, u, v, curvature=table) == Fraction(-1)
+        assert sectional_curvature(a, metric4, u, v) == Fraction(-1)
         found += 1
 
 
 def test_sectional_case1_values(metric4):
     a = catalog(1)
-    table = curvature_tensor(a, levi_civita(a, metric4))
-    assert sectional_curvature(a, metric4, Y, Z, curvature=table) == Fraction(1, 4)
+    assert sectional_curvature(a, metric4, Y, Z) == Fraction(1, 4)
     rng = make_rng(37)
     for _ in range(20):
         v = random_rational_vector(rng, 4)
         if xl.rank([X, v]) != 2:
             continue
-        assert sectional_curvature(a, metric4, X, v, curvature=table) == 0
+        assert sectional_curvature(a, metric4, X, v) == 0
 
 
 def test_sectional_abelian_zero(metric4):
@@ -382,7 +378,6 @@ def test_sectional_degenerate_plane(metric4):
 
 def test_sectional_plane_invariance(metric4):
     a = catalog(2)
-    table = curvature_tensor(a, levi_civita(a, metric4))
     rng = make_rng(41)
     for _ in range(10):
         u = random_rational_vector(rng, 4)
@@ -395,18 +390,6 @@ def test_sectional_plane_invariance(metric4):
             continue
         u2 = xl.vec_add(xl.vec_scale(alpha, u), xl.vec_scale(beta, v))
         v2 = xl.vec_add(xl.vec_scale(gamma, u), xl.vec_scale(delta, v))
-        assert sectional_curvature(a, metric4, u, v, curvature=table) == (
-            sectional_curvature(a, metric4, u2, v2, curvature=table)
+        assert sectional_curvature(a, metric4, u, v) == (
+            sectional_curvature(a, metric4, u2, v2)
         )
-
-
-def test_orthogonal_complement(metric4):
-    sub = Subspace.span([X, Y], 4)
-    comp = orthogonal_complement(metric4, sub)
-    assert comp == Subspace.span([Z, W], 4)
-    # complement of the zero subspace is everything
-    assert orthogonal_complement(metric4, Subspace.zero(4)).dim == 4
-    # with a generic metric the complement is g-orthogonal, not coordinatewise
-    comp_g = orthogonal_complement(GENERIC_GRAM, Subspace.span([X], 4))
-    for b in comp_g.basis:
-        assert GENERIC_GRAM.inner(X, b) == 0

@@ -19,14 +19,18 @@ from lieranders import (
     catalog,
     classify_randers,
     compile_randers,
+    douglas_subspace,
     flag_curvature_simplified,
     is_berwald,
+    is_douglas,
+    levi_civita,
     make_randers,
+    sectional_curvature,
 )
 from lieranders import exactlinalg as xl
 from lieranders import riemann
+from lieranders.classify import berwald_subset
 from lieranders.flagcurv import Flag
-from lieranders.riemann import _connection_numerators, _curvature_entries, lowered_structure
 
 from conftest import SPACES, dense_metric, douglas_q, fr
 from exact_oracles import (
@@ -89,11 +93,21 @@ def test_memoised_tables_equal_fraction_oracles(space):
 @pytest.mark.parametrize("space", SPACES)
 def test_readers_return_the_memo(space):
     algebra, metric = SPACES[space]()
+    # the exact readers take their tables from the one memo entry of the
+    # space and leave every memoised table in place
     tables = metric._tables(algebra)
-    assert metric._tables(algebra) is tables
-    assert lowered_structure(algebra, metric) is tables.lowered
-    assert _connection_numerators(algebra, metric) is tables.connection
-    assert _curvature_entries(algebra, metric) is tables.curvature_entries
+    before = read_all(tables)
+    n = algebra.dim
+    q, e0, e1 = douglas_q(algebra, metric), xl.basis_vector(n, 0), xl.basis_vector(n, n - 1)
+    douglas = douglas_subspace(algebra, metric)
+    berwald_subset(algebra, metric, douglas)
+    is_douglas(algebra, metric, q)
+    is_berwald(algebra, metric, q)
+    sectional_curvature(algebra, metric, e0, e1)
+    conn = levi_civita(algebra, metric)
+    assert metric._tables(algebra) is tables and list(metric._spaces) == [id(algebra)]
+    assert all(getattr(tables, name) is value for name, value in before.items())
+    assert [x for gi in conn.gamma for gij in gi for x in gij] == fractions(*tables.connection)
 
 
 @pytest.mark.parametrize("space", SPACES)
