@@ -54,7 +54,6 @@ from .riemann import (
     ConnectionTable,
     CurvatureTable,
     MetricTensor,
-    ad_star,
     curvature_tensor,
     identity_metric,
     levi_civita,
@@ -87,7 +86,6 @@ __all__ = [
     "Subspace",
     "SweepResult",
     "ZeroDirection",
-    "ad_star",
     "catalog",
     "classify_randers",
     "compile_randers",

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from . import exactlinalg as xl
 from .errors import DimensionMismatch
-from .exactlinalg import Matrix, Vector
+from .exactlinalg import Vector
 
 AlgebraVector = Vector
 
@@ -65,8 +65,10 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors, ambient_dim: int) -> "Subspace":
-        rows = [tuple(v) for v in vectors if not xl.vec_is_zero(tuple(v))]
-        reduced, _ = xl.rref(rows)
+        rows = [tuple(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
+            raise DimensionMismatch(f"spanning vectors must have length {ambient_dim}")
+        reduced, _ = xl.rref([v for v in rows if not xl.vec_is_zero(v)])
         return cls(ambient_dim=ambient_dim, basis=reduced)
 
     @classmethod
@@ -78,6 +80,10 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: AlgebraVector) -> bool:
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector of length {len(v)} in a subspace of R^{self.ambient_dim}"
+            )
         if xl.vec_is_zero(v):
             return True
         return xl.rank(list(self.basis) + [v]) == self.dim
@@ -171,11 +177,6 @@ class LieAlgebra:
                 out[k] += un[i] * vn[j] * c
         d = self._structure_numerators[1] * du * dv
         return tuple(Fraction(x, d) if x else _ZERO for x in out)
-
-    def ad(self, v: AlgebraVector) -> Matrix:
-        """Matrix of ad_v : s -> [v, s] on the basis."""
-        cols = [self.bracket(v, self.basis_vector(j)) for j in range(self.dim)]
-        return tuple(tuple(col[k] for col in cols) for k in range(self.dim))
 
     def jacobi_check(self) -> list[tuple[int, int, int, AlgebraVector]]:
         """All basis triples violating the Jacobi identity, with their defects.

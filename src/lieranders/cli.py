@@ -113,16 +113,17 @@ def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
     ]
 
 
-def _load_space(args) -> tuple[LieAlgebra, MetricTensor]:
-    """The space of ``--file``, which must satisfy Jacobi, else catalog ``--case``."""
+def _load_space(args) -> tuple[LieAlgebra, MetricTensor, str]:
+    """The space of ``--file``, which must satisfy Jacobi, else catalog
+    ``--case``, with its source label for the echo line."""
     if getattr(args, "file", None):
         defn = load_definition(args.file)
         violations = defn.algebra.jacobi_check()
         if violations:
             raise LieRandersError("\n".join(jacobi_lines(defn.algebra, violations)))
-        return defn.algebra, defn.metric
+        return defn.algebra, defn.metric, args.file
     algebra = catalog(args.case)
-    return algebra, identity_metric(algebra.dim)
+    return algebra, identity_metric(algebra.dim), f"case {args.case}"
 
 
 def cmd_catalog(args, out) -> int:
@@ -173,11 +174,10 @@ def cmd_theorem(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
-    algebra, metric = _load_space(args)
+    algebra, metric, source = _load_space(args)
     q = parse_rationals(args.q, algebra.dim, "--Q")
     structure = make_randers(algebra, metric, q)
     result = classify_randers(structure)
-    source = args.file if getattr(args, "file", None) else f"case {args.case}"
     print(_echo(["classify", source, "--Q", args.q]), file=out)
     print(f"class: {result.kind.value}", file=out)
     print(f"|Q|^2 = {structure.norm_q_squared}", file=out)
@@ -187,13 +187,12 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_flag(args, out) -> int:
-    algebra, metric = _load_space(args)
+    algebra, metric, source = _load_space(args)
     q = parse_rationals(args.q, algebra.dim, "--Q")
     v = parse_rationals(args.v, algebra.dim, "--V")
     u = parse_rationals(args.u, algebra.dim, "--U")
     structure = make_randers(algebra, metric, q)
     result = flag_curvature_simplified(structure, Flag(v=v, u=u))
-    source = args.file if getattr(args, "file", None) else f"case {args.case}"
     print(
         _echo(["flag", source, "--Q", args.q, "--V", args.v, "--U", args.u]),
         file=out,
@@ -228,7 +227,7 @@ def write_sweep_rows(result, out) -> None:
 
 
 def cmd_sweep(args, out) -> int:
-    algebra, metric = _load_space(args)
+    algebra, metric, source = _load_space(args)
     if algebra.dim > len(CSV_COORDS):
         raise LieRandersError(
             f"sweep: dimension {algebra.dim} exceeds the CSV limit of "
@@ -237,7 +236,6 @@ def cmd_sweep(args, out) -> int:
     q = parse_rationals(args.q, algebra.dim, "--Q")
     structure = make_randers(algebra, metric, q)
     result = run_sweep(structure, n_samples=args.samples, seed=args.seed)
-    source = args.file if getattr(args, "file", None) else f"case {args.case}"
     if not args.csv:
         print(_echo([
             "sweep", source, "--Q", args.q,

@@ -29,13 +29,6 @@ def vec(values: Iterable[Scalar]) -> Vector:
     return tuple(as_fraction(v) for v in values)
 
 
-def mat(rows: Iterable[Iterable[Scalar]]) -> Matrix:
-    m = tuple(vec(row) for row in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise DimensionMismatch("ragged matrix")
-    return m
-
-
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
@@ -53,10 +46,16 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
 
     Returns ``(nums, d)`` with ``values[i] == nums[i] / d`` for the least
     positive such ``d``; no values give ``([], 1)``.  Accepts ints and
-    Fractions.
+    Fractions; anything else (a float, a string) raises TypeError.
     """
     values = list(values)
-    dens = [x.denominator for x in values]
+    try:
+        dens = [x.denominator for x in values]
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise TypeError(
+            f"refusing to coerce {type(bad).__name__} {bad!r} to an exact rational"
+        ) from None
     d = math.lcm(*dens)
     if d == 1:
         return [x.numerator for x in values], 1
@@ -96,10 +95,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(ra, rb) for ra, rb in zip(a, b, strict=True))
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
@@ -175,18 +170,6 @@ def nullspace(m: Sequence[Vector]) -> Matrix:
             x[pcol] = -row[j]
         basis.append(tuple(x))
     return rref(basis)[0]
-
-
-def solve(a: Matrix, b: Vector) -> Vector:
-    """Solve a x = b for square invertible a."""
-    n = len(a)
-    if len(b) != n:
-        raise DimensionMismatch("solve: shape mismatch")
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    reduced, pivots = rref(tuple(tuple(r) for r in aug))
-    if len(pivots) != n or pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n] for row in reduced)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -30,9 +30,6 @@ class RandersStructure:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def is_riemannian(self) -> bool:
-        return self.norm_q_squared == 0
-
 
 def make_randers(
     algebra: LieAlgebra, metric: MetricTensor, q: AlgebraVector

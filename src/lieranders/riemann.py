@@ -12,24 +12,23 @@ g-transpose of ad_v, and the curvature operator is
 
     R(u,v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w.
 
-The inner product, the connection table, the curvature table and its
-trilinear extension are summed in Python ints: each input table is written
-as integer numerators over its least common denominator
-(``exactlinalg.common_denominator``), and one ``Fraction`` is built per
-output entry.  A ``MetricTensor`` computes the numerators of its Gram and
-inverse Gram matrices once, and keeps the Q-independent tables of each
-algebra it is used with (``MetricTensor._tables``): the lowered structure
-constants, the connection numerators, the curvature entries, the lowered
-[g, g] basis and the Gram and bivector forms that
-``flagcurv.compile_randers`` compiles.  Each is built once, on first use,
-and stored as tuples; the holder keeps no reference to the metric, so the
-tables are freed with it.  The memo is the one exact source of the
-connection and the curvature: ``levi_civita`` is the ``Fraction`` form of
-its connection numerators, and ``sectional_curvature`` K(u,v) = g(R(u,v)v, u)
-/ (g(u,u) g(v,v) - g(u,v)^2) sums its curvature entries.  The curvature sum
-has one integer core, ``_curvature_numerators``: ``curvature_tensor`` turns
-its output into a ``Fraction`` table, and the memo reads it straight into
-sparse integer entries.
+The inner product, the connection table and the curvature table are summed
+in Python ints: each input table is written as integer numerators over its
+least common denominator (``exactlinalg.common_denominator``), and one
+``Fraction`` is built per output entry.  A ``MetricTensor`` computes the
+numerators of its Gram and inverse Gram matrices once, and keeps the
+Q-independent tables of each algebra it is used with
+(``MetricTensor._tables``): the lowered structure constants, the connection
+numerators, the curvature entries, the lowered [g, g] basis and the Gram and
+bivector forms that ``flagcurv.compile_randers`` compiles.  Each is built
+once, on first use, and stored as tuples; the holder keeps no reference to
+the metric, so the tables are freed with it.  The memo is the one exact
+source of the connection and the curvature: ``levi_civita`` is the
+``Fraction`` form of its connection numerators, and ``sectional_curvature``
+K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) sums its curvature
+entries.  The curvature sum has one integer core, ``_curvature_numerators``:
+``curvature_tensor`` turns its output into a ``Fraction`` table, and the
+memo reads it straight into sparse integer entries.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ class MetricTensor:
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise DimensionMismatch("gram matrix must be square")
+        self._gram_numerators  # TypeError unless every entry is an int or a Fraction
         if self.gram != xl.transpose(self.gram):
             raise ValueError("gram matrix must be symmetric")
         # exact Sylvester criterion: no tolerance needed on rational input
@@ -121,50 +121,21 @@ class MetricTensor:
         total = sum(a * g[i * n + j] * b for i, a in enumerate(un) if a for j, b in enumerate(vn))
         return Fraction(total, du * dv * dg)
 
-    def norm_squared(self, u: AlgebraVector) -> Fraction:
-        return self.inner(u, u)
-
 
 def identity_metric(dim: int) -> MetricTensor:
     """Orthonormal-basis metric, the standing choice for the catalog."""
     return MetricTensor(gram=xl.identity_matrix(dim))
 
 
-def ad_star(algebra: LieAlgebra, metric: MetricTensor, v: AlgebraVector) -> Matrix:
-    """Matrix A with g(A w, s) = g(w, [v, s]) for all w, s.
-
-    Equals G^-1 (ad_v)^T G; reduces to the plain transpose on an orthonormal
-    basis.
-    """
-    ad_t = xl.transpose(algebra.ad(v))
-    if metric.is_identity:
-        return ad_t
-    return xl.mat_mul(metric.inverse_gram, xl.mat_mul(ad_t, metric.gram))
-
-
 @dataclass(frozen=True)
 class ConnectionTable:
-    """gamma[i][j] = nabla_{e_i} e_j, extended bilinearly by :meth:`nabla`."""
+    """gamma[i][j] = nabla_{e_i} e_j on the basis."""
 
     gamma: tuple[tuple[AlgebraVector, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.gamma)
-
-    def nabla(self, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if not u[i]:
-                continue
-            for j in range(self.dim):
-                if not v[j]:
-                    continue
-                coeff = u[i] * v[j]
-                for k, c in enumerate(self.gamma[i][j]):
-                    if c:
-                        out[k] += coeff * c
-        return tuple(out)
 
 
 def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
@@ -188,40 +159,13 @@ def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
 
 @dataclass(frozen=True)
 class CurvatureTable:
-    """r[i][j][k] = R(e_i, e_j) e_k, extended trilinearly."""
+    """r[i][j][k] = R(e_i, e_j) e_k on the basis."""
 
     r: tuple[tuple[tuple[AlgebraVector, ...], ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.r)
-
-    def of(self, u: AlgebraVector, v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
-        d, entries = self._entries
-        (un, du), (vn, dv), (wn, dw) = map(xl.common_denominator, (u, v, w))
-        out = [0] * self.dim
-        for i, j, k, l, val in entries:
-            c = un[i] * vn[j] * wn[k]
-            if c:
-                out[l] += c * val
-        d *= du * dv * dw
-        return tuple(Fraction(x, d) if x else _ZERO for x in out)
-
-    @cached_property
-    def _entries(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
-        # sparse nonzero list, numerators over one denominator; the catalog
-        # tables are mostly zeros
-        n = self.dim
-        index = [
-            (i, j, k, l)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            for l in range(n)
-            if self.r[i][j][k][l]
-        ]
-        nums, d = xl.common_denominator(self.r[i][j][k][l] for i, j, k, l in index)
-        return d, tuple((*ijkl, x) for ijkl, x in zip(index, nums))
 
 
 def _curvature_numerators(

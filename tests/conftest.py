@@ -2,9 +2,13 @@ import contextlib
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lieranders import LieAlgebra, MetricTensor, catalog, douglas_subspace, identity_metric
+from lieranders import exactlinalg as xl
+from lieranders.errors import DimensionMismatch
+from lieranders.sampling import make_rng, random_rational, random_rational_vector
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +24,66 @@ def algebras():
 def fr(*values):
     """Shorthand: exact vector from ints/strings."""
     return tuple(Fraction(v) for v in values)
+
+
+def mat(rows):
+    """Exact matrix from rows of ints/strings/Fractions; ragged rows are rejected."""
+    m = tuple(xl.vec(row) for row in rows)
+    if m and any(len(r) != len(m[0]) for r in m):
+        raise DimensionMismatch("ragged matrix")
+    return m
+
+
+def spd_metric(p):
+    """The metric with Gram matrix P^T P + I, positive definite for every P."""
+    gram = xl.mat_mul(xl.transpose(p), p)
+    return MetricTensor(
+        gram=tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(gram))
+    )
+
+
+def random_nonzero_vector(rng, dim):
+    while True:
+        v = random_rational_vector(rng, dim)
+        if not xl.vec_is_zero(v):
+            return v
+
+
+def random_flag_pair(rng, dim):
+    """Exact (V, U) with span{U, V} two-dimensional."""
+    v = random_nonzero_vector(rng, dim)
+    while True:
+        u = random_rational_vector(rng, dim)
+        if xl._independent_pair(v, u):
+            return v, u
+
+
+def random_q_in_subspace(rng, subspace, metric):
+    """Exact Q inside the subspace with g(Q,Q) < 1, scaled down when needed."""
+    if not subspace.basis:
+        return xl.zero_vector(subspace.ambient_dim)
+    q = xl.zero_vector(subspace.ambient_dim)
+    for b in subspace.basis:
+        q = xl.vec_add(q, xl.vec_scale(random_rational(rng, 6, 4), b))
+    norm_sq = metric.inner(q, q)
+    if norm_sq >= 1:
+        # s/(1+ceil(s))^2 < 1 for s > 0, so this scale always lands inside
+        ceil_s = -((-norm_sq.numerator) // norm_sq.denominator)
+        q = xl.vec_scale(Fraction(1, 1 + ceil_s), q)
+    return q
+
+
+def sphere_directions(n, dim, seed):
+    """n deterministic unit vectors (rows), Gaussian-then-normalize."""
+    rng = make_rng(seed, stream=1)
+    pts = rng.normal(size=(n, dim))
+    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    # resample rows that came out numerically degenerate
+    while (norms < 1e-12).any():
+        bad = norms[:, 0] < 1e-12
+        pts[bad] = rng.normal(size=(int(bad.sum()), dim))
+        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts / norms
 
 
 SO3 = LieAlgebra.from_brackets(

@@ -6,6 +6,8 @@ the bivector forms, the Douglas and Berwald tests and subspaces and the
 sectional curvature in Python ints over memoised numerators.  The functions
 here compute the same values one ``Fraction`` at a time, from the frozen
 ``structure`` and ``gram`` fields alone, and the two must agree with ``==``.
+``oracle_nabla`` and ``oracle_of`` extend a ``Fraction`` connection or
+curvature table to arbitrary vectors; the library keeps no such extension.
 """
 
 import itertools
@@ -81,6 +83,66 @@ def oracle_levi_civita(algebra, metric):
     ))
 
 
+def oracle_nabla(conn, u, v):
+    """nabla_u v = sum_ij u_i v_j gamma[i][j], the bilinear extension of the
+    ``Fraction`` connection table ``conn``, in Fractions."""
+    out = [Fraction(0)] * conn.dim
+    for i, j in itertools.product(range(conn.dim), repeat=2):
+        if u[i] and v[j]:
+            for k, c in enumerate(conn.gamma[i][j]):
+                out[k] += u[i] * v[j] * c
+    return tuple(out)
+
+
+def oracle_curvature_tensor(algebra, conn):
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_[e_i,e_j] e_k."""
+    n = algebra.dim
+    e = algebra.basis()
+    return CurvatureTable(r=tuple(
+        tuple(
+            tuple(
+                xl.vec_sub(
+                    xl.vec_sub(
+                        oracle_nabla(conn, e[i], conn.gamma[j][k]),
+                        oracle_nabla(conn, e[j], conn.gamma[i][k]),
+                    ),
+                    oracle_nabla(conn, algebra.structure[i][j], e[k]),
+                )
+                for k in range(n)
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    ))
+
+
+def oracle_of(table, u, v, w):
+    """R(u,v)w, the trilinear extension of the table, summed in Fractions."""
+    n = table.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c = u[i] * v[j] * w[k]
+                for l, val in enumerate(table.r[i][j][k]):
+                    out[l] += c * val
+    return tuple(out)
+
+
+def sparse_entries(table):
+    """(d, entries): the nonzero r[i][j][k][l] of a ``Fraction`` curvature
+    table as (i, j, k, l, numerator) in index order, over their least common
+    denominator d."""
+    n = table.dim
+    index = [
+        (i, j, k, l)
+        for i, j, k, l in itertools.product(range(n), repeat=4)
+        if table.r[i][j][k][l]
+    ]
+    nums, d = xl.common_denominator(table.r[i][j][k][l] for i, j, k, l in index)
+    return d, tuple((*ijkl, x) for ijkl, x in zip(index, nums))
+
+
 def oracle_is_douglas(algebra, metric, q):
     """Orthogonality of q to every basis vector of [g, g], in Fractions."""
     evidence = []
@@ -96,7 +158,7 @@ def oracle_is_berwald(algebra, metric, q):
     conn = oracle_levi_civita(algebra, metric)
     evidence = []
     for i in range(algebra.dim):
-        deriv = conn.nabla(algebra.basis_vector(i), q)
+        deriv = oracle_nabla(conn, algebra.basis_vector(i), q)
         if not xl.vec_is_zero(deriv):
             evidence.append(
                 f"nabla_{algebra.labels[i]} Q = {format_combination(deriv, algebra.labels)}"
@@ -122,7 +184,7 @@ def oracle_berwald_subset(algebra, metric, within):
     conn = oracle_levi_civita(algebra, metric)
     rows = []
     for i in range(algebra.dim):
-        derivs = [conn.nabla(algebra.basis_vector(i), b) for b in within.basis]
+        derivs = [oracle_nabla(conn, algebra.basis_vector(i), b) for b in within.basis]
         for k in range(algebra.dim):
             rows.append(tuple(d[k] for d in derivs))
     vectors = []
@@ -144,7 +206,7 @@ def oracle_sectional_curvature(algebra, metric, u, v, curvature=None):
         raise DegeneratePlane("u and v are linearly dependent")
     if curvature is None:
         curvature = oracle_integer_curvature_tensor(algebra, oracle_levi_civita(algebra, metric))
-    return g(metric, curvature.of(u, v, v), u) / denom
+    return g(metric, oracle_of(curvature, u, v, v), u) / denom
 
 
 def oracle_integer_curvature_tensor(algebra, conn):

@@ -35,17 +35,12 @@ from lieranders.hypercomplex import (
     verify_hypercomplex,
 )
 from lieranders.randers import fundamental_tensor
-from lieranders.riemann import ad_star, curvature_tensor, levi_civita
-from lieranders.sampling import (
-    make_rng,
-    random_flag_pair,
-    random_q_in_subspace,
-    random_rational_vector,
-    sphere_directions,
-)
+from lieranders.riemann import curvature_tensor, levi_civita
+from lieranders.sampling import make_rng, random_rational_vector
 from lieranders.classify import douglas_subspace
 
-from conftest import fr
+from conftest import fr, random_flag_pair, random_q_in_subspace, sphere_directions
+from exact_oracles import oracle_ad_star, oracle_of
 from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
 METRIC = identity_metric(4)
@@ -85,7 +80,7 @@ def test_criterion_2_intermediate_identities():
         s = a * a + b * b
         assert METRIC.inner(qv, v) == -p * s
         assert METRIC.inner(alg.bracket(qv, v), v) == s * (d * q - c * p)
-        advv = xl.mat_vec(ad_star(alg, METRIC, v), v)
+        advv = xl.mat_vec(oracle_ad_star(alg, METRIC, v), v)
         assert METRIC.inner(v, alg.bracket(qvec, advv)) == s * (d * q + c * p)
 
         # family (ii): algebra case 3, Q = qX
@@ -95,7 +90,7 @@ def test_criterion_2_intermediate_identities():
         s = b * b + c * c + d * d
         assert METRIC.inner(qv, v) == q * s
         assert METRIC.inner(alg.bracket(qv, v), v) == -a * q * s
-        advv = xl.mat_vec(ad_star(alg, METRIC, v), v)
+        advv = xl.mat_vec(oracle_ad_star(alg, METRIC, v), v)
         assert METRIC.inner(v, alg.bracket(qvec, advv)) == a * q * s
 
         # family (iii): algebra case 4, Q = qX
@@ -106,7 +101,7 @@ def test_criterion_2_intermediate_identities():
         assert METRIC.inner(alg.bracket(qv, v), v) == -a * q * (
             b * b + quarter * c * c + quarter * d * d
         )
-        advv = xl.mat_vec(ad_star(alg, METRIC, v), v)
+        advv = xl.mat_vec(oracle_ad_star(alg, METRIC, v), v)
         assert METRIC.inner(v, alg.bracket(qvec, advv)) == a * q * (
             b * b + quarter * c * c + quarter * d * d
         )
@@ -225,12 +220,15 @@ def test_criterion_5_sectional_curvature_oracles():
             v = random_rational_vector(rng, 4)
             w = random_rational_vector(rng, 4)
             s = random_rational_vector(rng, 4)
-            assert table.of(u, v, w) == xl.vec_scale(-1, table.of(v, u, w))
+            assert oracle_of(table, u, v, w) == xl.vec_scale(-1, oracle_of(table, v, u, w))
             bianchi = xl.vec_add(
-                xl.vec_add(table.of(u, v, w), table.of(v, w, u)), table.of(w, u, v)
+                xl.vec_add(oracle_of(table, u, v, w), oracle_of(table, v, w, u)),
+                oracle_of(table, w, u, v),
             )
             assert xl.vec_is_zero(bianchi)
-            assert METRIC.inner(table.of(u, v, w), s) == METRIC.inner(table.of(w, s, u), v)
+            assert METRIC.inner(oracle_of(table, u, v, w), s) == METRIC.inner(
+                oracle_of(table, w, s, u), v
+            )
     report(5, "sectional oracles and all connection/curvature identities exact")
 
 

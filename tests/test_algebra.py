@@ -166,3 +166,15 @@ def test_subspace_describe():
     s = Subspace.span([fr(1, 0, 0, 0), fr(0, 0, "1/2", "1/2")], 4)
     assert s.describe(("X", "Y", "Z", "W")) == "span{X, Z + W}"
     assert Subspace.zero(4).describe(("X", "Y", "Z", "W")) == "{0}"
+
+
+@pytest.mark.parametrize("v", [fr(1, 0, 0, 0, 1), fr(1, 0, 0)], ids=["long", "short"])
+def test_subspace_contains_rejects_other_lengths(v):
+    with pytest.raises(DimensionMismatch):
+        Subspace.span([X], 4).contains(v)
+
+
+@pytest.mark.parametrize("vectors", [[fr(1, 0)], [X, fr(1, 0, 0, 0, 1)]], ids=["short", "long"])
+def test_subspace_span_rejects_other_lengths(vectors):
+    with pytest.raises(DimensionMismatch):
+        Subspace.span(vectors, 4)

@@ -20,7 +20,7 @@ from lieranders.classify import berwald_subset, expected_theorem_reports
 from lieranders.riemann import MetricTensor
 from lieranders.sampling import make_rng, random_rational, random_rational_vector
 
-from conftest import fr
+from conftest import fr, mat
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 
@@ -52,7 +52,7 @@ def test_douglas_subspace_catalog(case_id, expected, metric4):
 
 def test_douglas_subspace_decomposition(metric4):
     generic = MetricTensor(
-        gram=xl.mat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]])
+        gram=mat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]])
     )
     for metric in (metric4, generic):
         for cid in range(5):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from lieranders import (
     Flag,
     LieAlgebra,
-    MetricTensor,
     catalog,
     compile_randers,
     douglas_subspace,
@@ -30,10 +29,10 @@ from lieranders import (
 from lieranders import exactlinalg as xl
 from lieranders.errors import NotDouglas
 from lieranders.riemann import curvature_tensor, levi_civita
-from lieranders.sampling import make_rng, random_flag_pair
+from lieranders.sampling import make_rng
 
-from conftest import SPACES, douglas_q, fr
-from exact_oracles import oracle_inner
+from conftest import SPACES, douglas_q, fr, random_flag_pair, spd_metric
+from exact_oracles import oracle_inner, sparse_entries
 from flag_oracles import bracket_terms
 
 def structure(space):
@@ -85,7 +84,7 @@ def test_compile_without_table_equals_compile_with_table(space):
     # and has the same entries
     r = structure(space)
     table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
-    d, entries = table._entries
+    d, entries = sparse_entries(table)
     assert r.metric._tables(r.algebra).curvature_entries == (
         d, tuple(e for e in entries if e[0] < e[1])
     )
@@ -143,7 +142,7 @@ def douglas_structures(draw):
     }
     algebra = LieAlgebra.from_brackets(n, tuple(f"e{i}" for i in range(n)), brackets)
     p = draw(st.tuples(*[vector] * n))
-    metric = MetricTensor(gram=xl.mat_add(xl.mat_mul(xl.transpose(p), p), xl.identity_matrix(n)))
+    metric = spd_metric(p)
     basis = douglas_subspace(algebra, metric).basis
     coeffs = draw(st.tuples(*[SMALL_RATIONALS] * len(basis)))
     q = xl.zero_vector(n)

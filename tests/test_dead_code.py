@@ -1,0 +1,75 @@
+"""No dead code in the library.
+
+Every module-level function or class of ``src/lieranders`` and every
+non-dunder method must be referred to outside its own definition, by code
+in ``src/lieranders`` or ``perfbench/``, or be in ``lieranders.__all__``.
+Tests do not count as callers, so a helper that only the tests use belongs
+in ``tests/``.  There is no allowlist.
+
+A reference is an identifier in the code (a name, an attribute, an import)
+or a string constant that is a dotted name, as in the tracer's targets
+(``"LieAlgebra.bracket"``); comments and docstrings do not count.  The
+match is by name alone, so it misses a dead name that another definition
+shares: a ``MetricTensor.norm_squared`` method would pass because
+``NormTooLarge`` has an attribute ``norm_squared``.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import lieranders
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "lieranders").glob("*.py"))
+CALLERS = sorted((ROOT / "perfbench").glob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def references(node):
+    """Count of each identifier the code under ``node`` refers to."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if DOTTED.fullmatch(sub.value):
+                names.update(sub.value.split("."))
+    return names
+
+
+def definitions(tree):
+    """(qualified name, bare name, node) of every module-level function and
+    class and every non-dunder method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def dead_names():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + CALLERS}
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    exported = set(lieranders.__all__)
+    return [
+        qualified
+        for path in SOURCES
+        for qualified, name, node in definitions(trees[path])
+        if name not in exported and total[name] == references(node)[name]
+    ]
+
+
+def test_every_library_definition_has_a_caller():
+    dead = dead_names()
+    assert not dead, "no caller outside tests/: " + ", ".join(dead)

@@ -27,7 +27,7 @@ from lieranders import (
 from lieranders import exactlinalg as xl
 from lieranders.sampling import make_rng, random_rational_vector
 
-from conftest import SO3, SOLV5, SPACES, dense_metric
+from conftest import SO3, SOLV5, SPACES, dense_metric, spd_metric
 from exact_oracles import (
     oracle_bracket,
     oracle_derived_algebra,
@@ -81,9 +81,7 @@ def random_cases(draw):
     algebra = LieAlgebra.from_brackets(n, tuple(f"e{i}" for i in range(n)), brackets)
     if draw(st.booleans()):
         p = draw(st.tuples(*[vector] * n))
-        metric = MetricTensor(
-            gram=xl.mat_add(xl.mat_mul(xl.transpose(p), p), xl.identity_matrix(n))
-        )
+        metric = spd_metric(p)
     else:
         metric = identity_metric(n)
     kind = draw(st.sampled_from(["zero", "douglas", "any"]))

@@ -21,7 +21,6 @@ from lieranders import (
     DimensionMismatch,
     Flag,
     LieAlgebra,
-    MetricTensor,
     catalog,
     classify_randers,
     douglas_subspace,
@@ -40,9 +39,9 @@ from lieranders import (
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace
 from lieranders.classify import berwald_subset, expected_theorem_reports
-from lieranders.sampling import make_rng, random_flag_pair
+from lieranders.sampling import make_rng
 
-from conftest import SPACES, dense_metric, douglas_q, fr
+from conftest import SPACES, dense_metric, douglas_q, fr, random_flag_pair, spd_metric
 from exact_oracles import (
     oracle_berwald_subset,
     oracle_douglas_subspace,
@@ -95,10 +94,9 @@ def random_spaces(draw):
     }
     algebra = LieAlgebra.from_brackets(n, tuple(f"e{i}" for i in range(n)), brackets)
     p = draw(st.tuples(*[vector] * n))
-    gram = xl.mat_add(xl.mat_mul(xl.transpose(p), p), xl.identity_matrix(n))
     u, v = draw(vector), draw(vector)
     assume(xl._independent_pair(u, v))
-    return algebra, MetricTensor(gram=gram), [(u, v)]
+    return algebra, spd_metric(p), [(u, v)]
 
 
 @settings(max_examples=40, deadline=None)

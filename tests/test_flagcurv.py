@@ -23,15 +23,10 @@ from lieranders import exactlinalg as xl
 from lieranders.errors import DegenerateFlag, LieRandersError, NotDouglas
 from lieranders.flagcurv import signs_agree
 from lieranders.riemann import MetricTensor, curvature_tensor, levi_civita
-from lieranders.sampling import (
-    make_rng,
-    random_flag_pair,
-    random_q_in_subspace,
-    random_rational_vector,
-)
+from lieranders.sampling import make_rng, random_rational_vector
 from lieranders.classify import douglas_subspace
 
-from conftest import SO3, deadline, fr
+from conftest import SO3, deadline, fr, mat, random_flag_pair, random_q_in_subspace
 from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
@@ -74,7 +69,7 @@ def test_u_map_symmetric_bilinear(metric4):
 def test_u_map_defining_identity_generic_metric():
     # oracle: 2 g(U(v,s), r) = g([r,v],s) + g([r,s],v) for every basis r
     metric = MetricTensor(
-        gram=xl.mat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]])
+        gram=mat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]])
     )
     rng = make_rng(53)
     for cid in (1, 2, 3, 4):

@@ -1,6 +1,7 @@
 """Randers metric construction, evaluation and the closed-form fundamental tensor."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lieranders import MetricTensor, catalog, eval_F, fundamental_tensor, g_V, make_randers
+from lieranders import (
+    Flag, MetricTensor, catalog, eval_F, fundamental_tensor, g_V, make_randers,
+)
 from lieranders import exactlinalg as xl
 from lieranders.errors import NormTooLarge, ZeroDirection
-from lieranders.sampling import make_rng, sphere_directions
+from lieranders.sampling import make_rng
 
-from conftest import dense_metric, fr
+from conftest import dense_metric, fr, mat, sphere_directions
 
 X = fr(1, 0, 0, 0)
 ZERO_Q = fr(0, 0, 0, 0)
@@ -44,12 +47,12 @@ def test_make_randers_boundary_rejected(abelian):
 def test_make_randers_zero_q_is_riemannian(abelian):
     a, m = abelian
     r = make_randers(a, m, ZERO_Q)
-    assert r.is_riemannian()
+    assert r.norm_q_squared == 0
 
 
 def test_make_randers_general_metric():
     a = catalog(0)
-    m = MetricTensor(gram=xl.mat([[4, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    m = MetricTensor(gram=mat([[4, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
     # coordinate norm 1/2 but g-norm 1: rejected
     with pytest.raises(NormTooLarge):
         make_randers(a, m, fr("1/2", 0, 0, 0))
@@ -83,7 +86,7 @@ def test_eval_F_positive_on_samples(abelian):
 
 def test_fundamental_tensor_riemannian_case(abelian):
     a, _ = abelian
-    gram = xl.mat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
+    gram = mat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
     m = MetricTensor(gram=gram)
     r = make_randers(a, m, ZERO_Q)
     got = fundamental_tensor(r, [0.4, -1.2, 0.3, 0.9])
@@ -205,3 +208,15 @@ def test_fundamental_tensor_euler_row(abelian):
         want = eval_F(r, y) * (gram @ y / alpha + b)
         got = np.asarray(y) @ fundamental_tensor(r, y)
         assert np.abs(got - want).max() <= REL_TOL * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "str"])
+def test_non_rational_input_rejected_where_it_enters(bad, abelian):
+    # a TypeError naming the value, not an AttributeError on first use
+    message = re.escape(f"refusing to coerce {type(bad).__name__} {bad!r} to an exact rational")
+    with pytest.raises(TypeError, match=message):
+        make_randers(catalog(2), abelian[1], (0, 0, bad, 0))
+    with pytest.raises(TypeError, match=message):
+        Flag(v=(bad, 0, 0, 0), u=(0, 1, 0, 0))
+    with pytest.raises(TypeError, match=message):
+        MetricTensor(gram=((2, 0), (0, bad)))

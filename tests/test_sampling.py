@@ -1,8 +1,9 @@
 """Seed checking and stream keys of ``sampling.make_rng``.
 
-Every seeded stream (``sign_analysis``, ``sphere_directions``, ``run_sweep``)
-is keyed through ``make_rng`` by the exact unsigned 64-bit pair
-(seed, stream); a seed outside the integers in [0, 2**64) is rejected.
+Every seeded stream of the library (``sign_analysis``, ``run_sweep``), and
+the tests' ``conftest.sphere_directions``, is keyed through ``make_rng`` by
+the exact unsigned 64-bit pair (seed, stream); a seed outside the integers
+in [0, 2**64) is rejected.
 """
 
 import warnings
@@ -13,9 +14,9 @@ import pytest
 from lieranders import catalog, identity_metric, make_randers
 from lieranders.errors import LieRandersError
 from lieranders.flagcurv import sign_analysis
-from lieranders.sampling import make_rng, sphere_directions
+from lieranders.sampling import make_rng
 
-from conftest import fr
+from conftest import fr, sphere_directions
 
 
 def draws(rng):
