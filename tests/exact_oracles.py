@@ -124,8 +124,10 @@ def oracle_of(table, u, v, w):
         for j in range(n):
             for k in range(n):
                 c = u[i] * v[j] * w[k]
-                for l, val in enumerate(table.r[i][j][k]):
-                    out[l] += c * val
+                if c:  # zero terms add nothing to the Fraction sums
+                    for l, val in enumerate(table.r[i][j][k]):
+                        if val:
+                            out[l] += c * val
     return tuple(out)
 
 

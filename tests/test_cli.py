@@ -21,8 +21,9 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-# the whole reports of ``theorem`` and ``catalog``, byte for byte; the CI
-# step "Installed console script" diffs the installed script against them
+# the whole reports of ``theorem``, ``catalog``, ``classify --case 2 --Q
+# 0,0,1/2,0`` and the README ``flag`` example, byte for byte; the CI step
+# "Installed console script" diffs the installed script against them
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -63,6 +64,7 @@ def test_theorem_detects_mismatch(monkeypatch, capsys):
 def test_classify_non_berwald_douglas(capsys):
     code, out, _ = run(["classify", "--case", "2", "--Q", "0,0,1/2,0"], capsys)
     assert code == 0
+    assert out.encode() == (GOLDEN / "classify.txt").read_bytes()
     assert "class: NonBerwaldDouglas" in out
     assert "|Q|^2 = 1/4" in out
 
@@ -86,6 +88,7 @@ def test_flag_spot_value(capsys):
         capsys,
     )
     assert code == 0
+    assert out.encode() == (GOLDEN / "flag.txt").read_bytes()
     assert "K_F         = -0.444444444444" in out
     assert "K_g         = -1" in out
 
