@@ -63,6 +63,12 @@ class Subspace:
     ambient_dim: int
     basis: tuple[AlgebraVector, ...]
 
+    def __post_init__(self):
+        if any(len(v) != self.ambient_dim for v in self.basis):
+            raise DimensionMismatch(f"basis vectors must have length {self.ambient_dim}")
+        if xl.rref(self.basis)[0] != self.basis:
+            raise ValueError("basis must be in rref; use Subspace.span for any spanning set")
+
     @classmethod
     def span(cls, vectors, ambient_dim: int) -> "Subspace":
         rows = [tuple(v) for v in vectors]
@@ -84,8 +90,6 @@ class Subspace:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in a subspace of R^{self.ambient_dim}"
             )
-        if xl.vec_is_zero(v):
-            return True
         return xl.rank(list(self.basis) + [v]) == self.dim
 
     def describe(self, labels) -> str:
@@ -110,6 +114,7 @@ class LieAlgebra:
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in self.structure
         ):
             raise DimensionMismatch("structure constants must be dim x dim x dim")
+        self._structure_numerators  # TypeError unless every constant is an int or a Fraction
         for i in range(n):
             for j in range(n):
                 if self.structure[i][j] != xl.vec_scale(-1, self.structure[j][i]):

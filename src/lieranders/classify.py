@@ -147,8 +147,6 @@ def berwald_subset(
     n = algebra.dim
     if within.ambient_dim != n:
         raise DimensionMismatch(f"subspace of R^{within.ambient_dim}, algebra of dimension {n}")
-    if not within.basis:
-        return Subspace.zero(n)
     derivs, _ = _nabla(algebra, metric, within.basis)
     # rref divides by its pivots, so the integer rows enter as Fractions
     rows = tuple(

@@ -116,7 +116,7 @@ def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
 def _load_space(args) -> tuple[LieAlgebra, MetricTensor, str]:
     """The space of ``--file``, which must satisfy Jacobi, else catalog
     ``--case``, with its source label for the echo line."""
-    if getattr(args, "file", None):
+    if args.file:
         defn = load_definition(args.file)
         violations = defn.algebra.jacobi_check()
         if violations:
@@ -320,10 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("theorem", help="reproduce the Douglas/Berwald classification")
 
-    def add_space_args(p, with_file=True):
+    def add_space_args(p):
         p.add_argument("--case", type=int, choices=range(5), help="catalog case id")
-        if with_file:
-            p.add_argument("--file", help="algebra definition file (overrides --case)")
+        p.add_argument("--file", help="algebra definition file (overrides --case)")
 
     p = sub.add_parser("classify", help="classify a Randers metric given by Q")
     add_space_args(p)
@@ -365,7 +364,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("classify", "flag", "sweep") and not getattr(args, "file", None):
+    if args.command in ("classify", "flag", "sweep") and not args.file:
         if args.case is None:
             parser.error(f"{args.command}: one of --case or --file is required")
     try:

@@ -181,30 +181,22 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    work = [list(row) for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            result = -result
-        result *= work[col][col]
-        inv = 1 / work[col][col]
-        for i in range(col + 1, n):
-            if work[i][col] != 0:
-                factor = work[i][col] * inv
-                work[i] = [x - factor * y for x, y in zip(work[i], work[col])]
-    return result
+def _positive_definite(a: Matrix) -> bool:
+    """Whether the symmetric matrix ``a`` is positive definite, decided exactly.
 
-
-def leading_principal_minors(a: Matrix) -> tuple[Fraction, ...]:
-    n = len(a)
-    return tuple(det(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(n))
+    One Gaussian elimination without row exchanges: the k-th leading
+    principal minor is the product of the first k pivots, so by Sylvester's
+    criterion ``a`` is positive definite exactly when every pivot is positive.
+    """
+    work = [[Fraction(x) for x in row] for row in a]
+    for col, top in enumerate(work):
+        if top[col] <= 0:
+            return False
+        for row in work[col + 1 :]:
+            if row[col]:
+                factor = row[col] / top[col]
+                row[col:] = [x - factor * y for x, y in zip(row[col:], top[col:])]
+    return True
 
 
 def format_scalar(x: Fraction) -> str:

@@ -192,10 +192,7 @@ def u_map(
         metric.inner(algebra.bracket(e, v), s) + metric.inner(algebra.bracket(e, s), v)
         for e in algebra.basis()
     )
-    half = Fraction(1, 2)
-    if metric.is_identity:
-        return xl.vec_scale(half, t)
-    return xl.vec_scale(half, xl.mat_vec(metric.inverse_gram, t))
+    return xl.vec_scale(Fraction(1, 2), xl.mat_vec(metric.inverse_gram, t))
 
 
 def flag_curvature_deng_hou(r: RandersStructure, flag: Flag) -> FlagCurvatureResult:

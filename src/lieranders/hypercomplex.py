@@ -4,7 +4,8 @@ For left-invariant almost-complex structures the Nijenhuis tensor collapses to
 structure-constant algebra, so every check here is exact.  The module only
 verifies candidate structures; it ships no catalog triples as ground truth.
 Candidates can be produced by :func:`find_signed_permutation_triples`, a
-brute-force search over signed permutation matrices.
+search over signed permutation matrices that decides the integrability of
+each of them once.
 """
 
 from __future__ import annotations
@@ -175,19 +176,25 @@ def signed_permutation_complex_candidates(dim: int) -> list[Matrix]:
 def find_signed_permutation_triples(
     algebra: LieAlgebra, metric: MetricTensor | None = None
 ) -> list[ComplexStructureTriple]:
-    """Brute-force hypercomplex triples among signed permutations.
+    """Hypercomplex triples among signed permutations.
 
     Returns every (J1, J2, J1 J2) passing all hypercomplex axioms on the given
     algebra and, when a metric is supplied, the hyper-Hermitian condition too.
+    Each candidate's integrability is decided once; an anticommuting pair of
+    integrable candidates then gives a triple when J3 = J1 J2, itself a
+    candidate since J3^2 = -I, is integrable as well.
     """
-    candidates = signed_permutation_complex_candidates(algebra.dim)
+    integrable = [
+        j
+        for j in signed_permutation_complex_candidates(algebra.dim)
+        if verify_complex_structure(algebra, j).integrable
+    ]
     found = []
-    for j1, j2 in itertools.permutations(candidates, 2):
-        if xl.mat_mul(j1, j2) != xl.mat_scale(-1, xl.mat_mul(j2, j1)):
+    for j1, j2 in itertools.permutations(integrable, 2):
+        j3 = xl.mat_mul(j1, j2)
+        if j3 != xl.mat_scale(-1, xl.mat_mul(j2, j1)) or j3 not in integrable:
             continue
-        triple = ComplexStructureTriple(j1=j1, j2=j2, j3=xl.mat_mul(j1, j2))
-        if not verify_hypercomplex(algebra, triple).ok:
-            continue
+        triple = ComplexStructureTriple(j1=j1, j2=j2, j3=j3)
         if metric is not None and not verify_hyper_hermitian(metric, triple).ok:
             continue
         found.append(triple)

@@ -63,7 +63,7 @@ class MetricTensor:
         if self.gram != xl.transpose(self.gram):
             raise ValueError("gram matrix must be symmetric")
         # exact Sylvester criterion: no tolerance needed on rational input
-        if any(m <= 0 for m in xl.leading_principal_minors(self.gram)):
+        if not xl._positive_definite(self.gram):
             raise ValueError("gram matrix must be positive definite")
 
     @property
@@ -73,10 +73,6 @@ class MetricTensor:
     @cached_property
     def inverse_gram(self) -> Matrix:
         return xl.inverse(self.gram)
-
-    @cached_property
-    def is_identity(self) -> bool:
-        return self.gram == xl.identity_matrix(self.dim)
 
     @cached_property
     def _gram_numerators(self) -> tuple[tuple[int, ...], int]:
@@ -114,8 +110,6 @@ class MetricTensor:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("inner product operands must match the metric")
         (un, du), (vn, dv) = map(xl.common_denominator, (u, v))
-        if self.is_identity:
-            return Fraction(sum(a * b for a, b in zip(un, vn)), du * dv)
         g, dg = self._gram_numerators
         n = self.dim
         total = sum(a * g[i * n + j] * b for i, a in enumerate(un) if a for j, b in enumerate(vn))
@@ -216,7 +210,6 @@ class _SpaceTables:
 
     def __init__(self, algebra: LieAlgebra, metric: MetricTensor):
         self.algebra = algebra
-        self.identity = metric.is_identity
         self.gram = metric._gram_numerators
         self.inverse_gram = metric._inverse_gram_numerators
 
@@ -226,8 +219,6 @@ class _SpaceTables:
         n = self.algebra.dim
         rn = range(n)
         c, d = self.algebra._structure_numerators
-        if self.identity:
-            return c, d
         g, dg = self.gram
         c = tuple(sum(c[ij + m] * g[m * n + k] for m in rn) for ij in range(0, n**3, n) for k in rn)
         return c, d * dg
@@ -251,12 +242,10 @@ class _SpaceTables:
             for j in rn
             for k in rn
         ]
-        if not self.identity:
-            h, dh = self.inverse_gram
-            rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
-            two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
-            d *= dh
-        return tuple(two), 2 * d
+        h, dh = self.inverse_gram
+        rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
+        two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
+        return tuple(two), 2 * d * dh
 
     @cached_property
     def curvature_entries(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:

@@ -16,6 +16,12 @@ from fractions import Fraction
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace, format_combination
 from lieranders.errors import DegeneratePlane, DimensionMismatch
+from lieranders.hypercomplex import (
+    ComplexStructureTriple,
+    signed_permutation_complex_candidates,
+    verify_hyper_hermitian,
+    verify_hypercomplex,
+)
 from lieranders.riemann import ConnectionTable, CurvatureTable
 
 
@@ -23,8 +29,6 @@ def oracle_inner(metric, u, v):
     """g(u, v) = u . (G v) in Fractions."""
     if len(u) != metric.dim or len(v) != metric.dim:
         raise DimensionMismatch("inner product operands must match the metric")
-    if metric.is_identity:
-        return xl.dot(u, v)
     return xl.dot(u, xl.mat_vec(metric.gram, v))
 
 
@@ -60,8 +64,6 @@ def oracle_ad_star(algebra, metric, v):
     """G^-1 (ad_v)^T G in Fractions, with ad_v from ``oracle_bracket``."""
     cols = [oracle_bracket(algebra, v, e) for e in algebra.basis()]
     ad_t = tuple(tuple(col) for col in cols)  # row j of (ad_v)^T is [v, e_j]
-    if metric.is_identity:
-        return ad_t
     return xl.mat_mul(metric.inverse_gram, xl.mat_mul(ad_t, metric.gram))
 
 
@@ -264,3 +266,22 @@ def oracle_bivector_forms(algebra, metric, curvature):
         for t, (k, l) in enumerate(pairs)
     }
     return tuple({idx: x for idx, x in form.items() if x} for form in (gram, g2, r2))
+
+
+def oracle_find_signed_permutation_triples(algebra, metric=None):
+    """Brute-force hypercomplex triples: every ordered pair of signed
+    permutation candidates whose (J1, J2, J1 J2) passes ``verify_hypercomplex``
+    (and ``verify_hyper_hermitian`` when a metric is given), each pair
+    checked from scratch."""
+    candidates = signed_permutation_complex_candidates(algebra.dim)
+    found = []
+    for j1, j2 in itertools.permutations(candidates, 2):
+        if xl.mat_mul(j1, j2) != xl.mat_scale(-1, xl.mat_mul(j2, j1)):
+            continue
+        triple = ComplexStructureTriple(j1=j1, j2=j2, j3=xl.mat_mul(j1, j2))
+        if not verify_hypercomplex(algebra, triple).ok:
+            continue
+        if metric is not None and not verify_hyper_hermitian(metric, triple).ok:
+            continue
+        found.append(triple)
+    return found

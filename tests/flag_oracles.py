@@ -19,8 +19,6 @@ from exact_oracles import oracle_bracket, oracle_inner, oracle_sectional_curvatu
 def ad_star_on_self(algebra, metric, v):
     # ad*_V V without building the matrix: g(ad*_V V, e_k) = g(V, [V, e_k])
     t = tuple(oracle_inner(metric, v, oracle_bracket(algebra, v, e)) for e in algebra.basis())
-    if metric.is_identity:
-        return t
     return xl.mat_vec(metric.inverse_gram, t)
 
 

@@ -117,6 +117,11 @@ def test_antisymmetry_enforced_at_construction():
         ))
 
 
+def test_float_structure_constants_rejected_at_construction():
+    with pytest.raises(TypeError, match="1.5"):
+        LieAlgebra(dim=2, labels=("a", "b"), structure=(((0, 0), (1.5, 0)), ((-1.5, 0), (0, 0))))
+
+
 def test_self_bracket_rejected():
     with pytest.raises(ValueError):
         LieAlgebra.from_brackets(2, ("a", "b"), {(0, 0): fr(1, 0)})
@@ -160,6 +165,18 @@ def test_subspace_contains():
     assert s.contains(fr(2, -3, 0, 0))
     assert not s.contains(Z)
     assert s.contains(fr(0, 0, 0, 0))
+    assert Subspace.zero(4).contains(fr(0, 0, 0, 0))
+    assert not Subspace.zero(4).contains(X)
+
+
+def test_subspace_direct_construction_checks_basis():
+    with pytest.raises(DimensionMismatch):
+        Subspace(ambient_dim=4, basis=((1, 0),))
+    with pytest.raises(ValueError, match="rref"):
+        Subspace(2, ((2, 0),))  # spans what span([(1, 0)]) does, but not canonical
+    with pytest.raises(ValueError, match="rref"):
+        Subspace(2, ((0, 1), (1, 0)))  # rows out of pivot order
+    assert Subspace(2, ((1, 0),)) == Subspace.span([(1, 0)], 2)
 
 
 def test_subspace_describe():

@@ -50,12 +50,42 @@ def test_inverse():
     assert xl.mat_mul(a, xl.inverse(a)) == xl.identity_matrix(2)
 
 
-def test_det_and_minors():
-    a = mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
-    assert xl.det(a) == 4
-    assert xl.leading_principal_minors(a) == (Fraction(2), Fraction(3), Fraction(4))
-    swapped = mat([[1, 2, 1], [2, 1, 0], [0, 1, 2]])
-    assert xl.det(swapped) == -4
+def laplace_det(a):
+    """Determinant by cofactor expansion along the first row, in Fractions."""
+    if not a:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * x * laplace_det(tuple(row[:j] + row[j + 1 :] for row in a[1:]))
+        for j, x in enumerate(a[0])
+        if x
+    )
+
+
+def test_positive_definite_pivots():
+    assert xl._positive_definite(mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))  # minors 2, 3, 4
+    assert xl._positive_definite(((2, 1), (1, 1)))  # int entries divide exactly
+    assert not xl._positive_definite(mat([[1, 2], [2, 1]]))  # minors 1, -3
+    assert not xl._positive_definite(mat([[0, 0], [0, 1]]))  # first minor 0
+    assert not xl._positive_definite(mat([[1, 1], [1, 1]]))  # singular
+    assert not xl._positive_definite(mat([[-1, 0], [0, -1]]))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(RATIONALS, min_size=n * n, max_size=n * n),
+        st.integers(0, 20),
+    )
+))
+def test_positive_definite_agrees_with_leading_minors(case):
+    # Sylvester's criterion from cofactor determinants, no elimination
+    n, entries, shift = case
+    a = tuple(
+        tuple(entries[min(i, j) * n + max(i, j)] + (shift if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+    minors = [laplace_det(tuple(row[:k] for row in a[:k])) for k in range(1, n + 1)]
+    assert xl._positive_definite(a) == all(m > 0 for m in minors)
 
 
 @given(st.lists(st.lists(RATIONALS, min_size=3, max_size=3), min_size=1, max_size=4))
