@@ -26,10 +26,11 @@ from lieranders.riemann import ConnectionTable, CurvatureTable
 
 
 def oracle_inner(metric, u, v):
-    """g(u, v) = u . (G v) in Fractions."""
+    """g(u, v) = sum_ij u_i g_ij v_j in Fractions, zero factors skipped."""
     if len(u) != metric.dim or len(v) != metric.dim:
         raise DimensionMismatch("inner product operands must match the metric")
-    return xl.dot(u, xl.mat_vec(metric.gram, v))
+    terms = (a * g * b for a, row in zip(u, metric.gram) if a for g, b in zip(row, v) if g and b)
+    return sum(terms, Fraction(0))
 
 
 def oracle_bracket(algebra, u, v):
@@ -122,11 +123,15 @@ def oracle_of(table, u, v, w):
     """R(u,v)w, the trilinear extension of the table, summed in Fractions."""
     n = table.dim
     out = [Fraction(0)] * n
+    # zero factors add nothing to the Fraction sums, so they are skipped
     for i in range(n):
         for j in range(n):
+            uv = u[i] * v[j]
+            if not uv:
+                continue
             for k in range(n):
-                c = u[i] * v[j] * w[k]
-                if c:  # zero terms add nothing to the Fraction sums
+                c = uv * w[k]
+                if c:
                     for l, val in enumerate(table.r[i][j][k]):
                         if val:
                             out[l] += c * val
