@@ -66,7 +66,12 @@ class Subspace:
     def __post_init__(self):
         if any(len(v) != self.ambient_dim for v in self.basis):
             raise DimensionMismatch(f"basis vectors must have length {self.ambient_dim}")
-        if xl.rref(self.basis)[0] != self.basis:
+        # in rref, checked without arithmetic: rows lead with 1s, alone in their
+        # columns and in increasing columns (so no row is zero)
+        leads = [next((j for j, x in enumerate(v) if x), None) for v in self.basis]
+        if None in leads or leads != sorted(set(leads)) or any(
+            v[j] != 1 or sum(1 for w in self.basis if w[j]) != 1 for v, j in zip(self.basis, leads)
+        ):
             raise ValueError("basis must be in rref; use Subspace.span for any spanning set")
 
     @classmethod
@@ -74,8 +79,7 @@ class Subspace:
         rows = [tuple(v) for v in vectors]
         if any(len(v) != ambient_dim for v in rows):
             raise DimensionMismatch(f"spanning vectors must have length {ambient_dim}")
-        reduced, _ = xl.rref([v for v in rows if not xl.vec_is_zero(v)])
-        return cls(ambient_dim=ambient_dim, basis=reduced)
+        return cls(ambient_dim=ambient_dim, basis=xl.rref(rows)[0])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

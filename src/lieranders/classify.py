@@ -70,13 +70,10 @@ def douglas_subspace(algebra: LieAlgebra, metric: MetricTensor) -> Subspace:
     """Directions of Q giving a Douglas metric: the g-complement of [g, g].
 
     The nullspace of the lowered [g, g] rows G b that ``is_douglas`` dots Q
-    with, in canonical form; one zero row stands for [g, g] = {0}, whose
-    complement is the whole space.
+    with, in canonical form; [g, g] = {0} gives the whole space.
     """
     rows, _ = metric._tables(algebra).derived_lowered
-    # rref divides by its pivots, so the integer rows enter as Fractions
-    rows = tuple(tuple(map(Fraction, row)) for row in rows) or ((Fraction(0),) * algebra.dim,)
-    return Subspace(algebra.dim, xl.nullspace(rows))
+    return Subspace(algebra.dim, xl.nullspace(rows, algebra.dim))
 
 
 def _nabla(
@@ -148,13 +145,10 @@ def berwald_subset(
     if within.ambient_dim != n:
         raise DimensionMismatch(f"subspace of R^{within.ambient_dim}, algebra of dimension {n}")
     derivs, _ = _nabla(algebra, metric, within.basis)
-    # rref divides by its pivots, so the integer rows enter as Fractions
-    rows = tuple(
-        tuple(Fraction(deriv[i][k]) for deriv in derivs) for i in range(n) for k in range(n)
-    )
+    rows = [[deriv[i][k] for deriv in derivs] for i in range(n) for k in range(n)]
     vectors = [
         tuple(sum(c * b[k] for c, b in zip(coeffs, within.basis)) for k in range(n))
-        for coeffs in xl.nullspace(rows)
+        for coeffs in xl.nullspace(rows, within.dim)
     ]
     return Subspace.span(vectors, n)
 
@@ -185,10 +179,7 @@ def expected_theorem_reports() -> list[CaseReport]:
     case 2: Douglas = span{Z,W}, Berwald = span{W} (the p = 0 line);
     cases 3, 4: Douglas = span{X}, Berwald = {0}.
     """
-    one = Fraction(1)
-    x = (one, Fraction(0), Fraction(0), Fraction(0))
-    z = (Fraction(0), Fraction(0), one, Fraction(0))
-    w = (Fraction(0), Fraction(0), Fraction(0), one)
+    x, z, w = (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     return [
         CaseReport(1, Subspace.span([x], 4), Subspace.span([x], 4)),
         CaseReport(2, Subspace.span([z, w], 4), Subspace.span([w], 4)),

@@ -1,8 +1,10 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything here works on tuples of ``fractions.Fraction``, so results are
-exact whenever inputs are.  Matrices are tuples of row tuples.  Sizes are
-tiny (typically 4x4), so plain Gauss-Jordan elimination is all we need.
+Matrices are tuples of row tuples.  The eliminations take ints and
+``fractions.Fraction``s and compute in Fractions, so results are exact; a
+float or a string raises TypeError.  Sizes are tiny (typically 4x4), so
+Gauss-Jordan elimination is all we need, and one elimination
+(``spd_inverse``) both decides positive definiteness and gives the inverse.
 """
 
 from __future__ import annotations
@@ -18,11 +20,22 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
+def _refuse(x) -> TypeError:
+    return TypeError(f"refusing to coerce {type(x).__name__} {x!r} to an exact rational")
+
+
 def as_fraction(x: Scalar) -> Fraction:
     """Coerce to Fraction, rejecting floats to protect exactness."""
     if isinstance(x, float):
-        raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
+        raise _refuse(x)
     return Fraction(x)
+
+
+def _fraction(x: int | Fraction) -> Fraction:
+    """A Fraction as it is, an int as a Fraction; anything else raises TypeError."""
+    if isinstance(x, (int, Fraction)):
+        return x if isinstance(x, Fraction) else Fraction(x)
+    raise _refuse(x)
 
 
 def vec(values: Iterable[Scalar]) -> Vector:
@@ -53,9 +66,7 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
         dens = [x.denominator for x in values]
     except AttributeError:
         bad = next(x for x in values if not hasattr(x, "denominator"))
-        raise TypeError(
-            f"refusing to coerce {type(bad).__name__} {bad!r} to an exact rational"
-        ) from None
+        raise _refuse(bad) from None
     d = math.lcm(*dens)
     if d == 1:
         return [x.numerator for x in values], 1
@@ -105,13 +116,13 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form; returns (rows, pivot columns).
+def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form, in Fractions; returns (rows, pivot columns).
 
     Zero rows are dropped, pivots are 1, and rows come out sorted by pivot
     column, so the result is a canonical representative of the row space.
     """
-    work = [list(r) for r in rows]
+    work = [[_fraction(x) for x in r] for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
@@ -123,11 +134,11 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
+        work[r] = [x * inv if x else x for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][col] != 0:
                 factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - factor * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -155,11 +166,10 @@ def _independent_pair(v: Vector, u: Vector) -> bool:
     return any(vn[i] * un[j] != vn[j] * un[i] for i in range(n) for j in range(i + 1, n))
 
 
-def nullspace(m: Sequence[Vector]) -> Matrix:
-    """Canonical (rref) basis of {x : m x = 0}."""
-    if not m:
-        return ()
-    ncols = len(m[0])
+def nullspace(m: Sequence[Sequence[int | Fraction]], ncols: int) -> Matrix:
+    """Canonical (rref) basis of {x in Q^ncols : m x = 0}; no rows give Q^ncols."""
+    if any(len(row) != ncols for row in m):
+        raise DimensionMismatch(f"rows of a system in {ncols} unknowns must have length {ncols}")
     reduced, pivots = rref(m)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
@@ -172,37 +182,28 @@ def nullspace(m: Sequence[Vector]) -> Matrix:
     return rref(basis)[0]
 
 
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + list(basis_vector(n, i)) for i, row in enumerate(a)]
-    reduced, pivots = rref(tuple(tuple(r) for r in aug))
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+def spd_inverse(a: Sequence[Sequence[int | Fraction]]) -> Matrix | None:
+    """Inverse of a positive-definite matrix, or None when ``a`` is not one.
 
-
-def _positive_definite(a: Matrix) -> bool:
-    """Whether the symmetric matrix ``a`` is positive definite, decided exactly.
-
-    One Gaussian elimination without row exchanges: the k-th leading
-    principal minor is the product of the first k pivots, so by Sylvester's
-    criterion ``a`` is positive definite exactly when every pivot is positive.
+    One Gauss-Jordan elimination of [a | I] without row exchanges.  The k-th
+    leading principal minor is the product of the first k pivots, so by
+    Sylvester's criterion a symmetric ``a`` is positive definite exactly
+    when every pivot is positive; symmetry is the caller's to check.
     """
-    work = [[Fraction(x) for x in row] for row in a]
+    n = len(a)
+    work = [[_fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
     for col, top in enumerate(work):
-        if top[col] <= 0:
-            return False
-        for row in work[col + 1 :]:
-            if row[col]:
-                factor = row[col] / top[col]
-                row[col:] = [x - factor * y for x, y in zip(row[col:], top[col:])]
-    return True
-
-
-def format_scalar(x: Fraction) -> str:
-    """Rational as 'p/q', or plain integer when the denominator is 1."""
-    return str(x)
+        pivot = top[col]
+        if pivot <= 0:
+            return None
+        top[:] = [x / pivot if x else x for x in top]
+        for row in work:
+            if row is not top and row[col]:
+                factor = row[col]
+                row[:] = [x - factor * y if y else x for x, y in zip(row, top)]
+    return tuple(tuple(row[n:]) for row in work)
 
 
 def format_vector(v: Vector) -> str:
-    return "(" + ", ".join(format_scalar(x) for x in v) + ")"
+    return "(" + ", ".join(map(str, v)) + ")"

@@ -63,7 +63,7 @@ class MetricTensor:
         if self.gram != xl.transpose(self.gram):
             raise ValueError("gram matrix must be symmetric")
         # exact Sylvester criterion: no tolerance needed on rational input
-        if not xl._positive_definite(self.gram):
+        if self.inverse_gram is None:
             raise ValueError("gram matrix must be positive definite")
 
     @property
@@ -72,7 +72,8 @@ class MetricTensor:
 
     @cached_property
     def inverse_gram(self) -> Matrix:
-        return xl.inverse(self.gram)
+        # None unless the Gram matrix is positive definite (see __post_init__)
+        return xl.spd_inverse(self.gram)
 
     @cached_property
     def _gram_numerators(self) -> tuple[tuple[int, ...], int]:

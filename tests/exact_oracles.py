@@ -182,7 +182,7 @@ def oracle_douglas_subspace(algebra, metric):
     if not derived.basis:
         return Subspace.span([xl.basis_vector(n, i) for i in range(n)], n)
     constraints = tuple(xl.mat_vec(metric.gram, b) for b in derived.basis)
-    return Subspace(ambient_dim=n, basis=xl.nullspace(constraints))
+    return Subspace(ambient_dim=n, basis=xl.nullspace(constraints, n))
 
 
 def oracle_berwald_subset(algebra, metric, within):
@@ -197,7 +197,7 @@ def oracle_berwald_subset(algebra, metric, within):
         for k in range(algebra.dim):
             rows.append(tuple(d[k] for d in derivs))
     vectors = []
-    for coeffs in xl.nullspace(tuple(rows)):
+    for coeffs in xl.nullspace(tuple(rows), within.dim):
         v = xl.zero_vector(algebra.dim)
         for c, b in zip(coeffs, within.basis):
             v = xl.vec_add(v, xl.vec_scale(c, b))

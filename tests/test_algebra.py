@@ -1,5 +1,6 @@
 """Structure constants, brackets, Jacobi and the derived algebra."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,46 @@ def test_subspace_direct_construction_checks_basis():
     with pytest.raises(ValueError, match="rref"):
         Subspace(2, ((0, 1), (1, 0)))  # rows out of pivot order
     assert Subspace(2, ((1, 0),)) == Subspace.span([(1, 0)], 2)
+
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, 1, -1, 2, Fraction(1, 2)])
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(ENTRIES, min_size=n, max_size=n).map(tuple), max_size=4
+    ).map(lambda rows: (n, rows))),
+    st.booleans(),
+    st.none() | st.tuples(st.integers(0, 15), ENTRIES),
+)
+def test_subspace_check_agrees_with_rref(case, reduce, tweak):
+    # raw rows, their rref, or their rref with one entry changed; the
+    # structural check accepts exactly the bases that are their own rref
+    n, rows = case
+    basis = [list(v) for v in (xl.rref(rows)[0] if reduce else rows)]
+    if tweak and basis:
+        k, value = tweak
+        basis[k // n % len(basis)][k % n] = value
+    basis = tuple(map(tuple, basis))
+    canonical = xl.rref(basis)[0] == basis
+    try:
+        Subspace(n, basis)
+    except ValueError as exc:
+        assert "rref" in str(exc) and not canonical
+    else:
+        assert canonical
+
+
+def test_subspace_span_of_int_rows_is_exact():
+    basis = Subspace.span([(3, 1)], 2).basis
+    assert basis == ((1, Fraction(1, 3)),)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_subspace_contains_sums_of_int_rows():
+    # (a, b + c, d) is the sum of the two spanning rows
+    for a, b, c, d in itertools.product(range(1, 8), repeat=4):
+        assert Subspace.span([(a, b, 0), (0, c, d)], 3).contains((a, b + c, d))
 
 
 def test_subspace_describe():

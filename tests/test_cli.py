@@ -22,9 +22,12 @@ def run(argv, capsys):
 
 
 # the whole reports of ``theorem``, ``catalog``, ``classify --case 2 --Q
-# 0,0,1/2,0`` and the README ``flag`` example, byte for byte; the CI step
-# "Installed console script" diffs the installed script against them
+# 0,0,1/2,0``, the README ``flag`` example and ``check``/``classify``/``flag``
+# on the dense case-2 file, byte for byte; the CI step "Installed console
+# script" diffs the installed script against them
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DENSE = "tests/golden/dense_case2.json"
+DENSE_Q = "1/16,0,-1/8,-1/4"
 
 
 def test_catalog_lists_all_cases(capsys):
@@ -91,6 +94,27 @@ def test_flag_spot_value(capsys):
     assert out.encode() == (GOLDEN / "flag.txt").read_bytes()
     assert "K_F         = -0.444444444444" in out
     assert "K_g         = -1" in out
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["check", DENSE], "dense_check.txt"),
+        (["classify", "--file", DENSE, "--Q", DENSE_Q], "dense_classify.txt"),
+        (
+            ["flag", "--file", DENSE, "--Q", DENSE_Q, "--V", "1,0,1,0", "--U", "0,1,0,1"],
+            "dense_flag.txt",
+        ),
+    ],
+    ids=["check", "classify", "flag"],
+)
+def test_dense_file_golden(monkeypatch, capsys, argv, golden):
+    # a --file space whose metric has a dense inverse; the echo line prints
+    # the path as given, so the command runs from the repository root
+    monkeypatch.chdir(GOLDEN.parents[1])
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_flag_not_douglas_exit_code(capsys):

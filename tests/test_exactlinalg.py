@@ -32,9 +32,23 @@ def test_rref_idempotent():
     assert once == twice
 
 
+def test_rref_of_int_rows_is_exact():
+    # 1 / pivot is a float on int rows unless rref converts them first
+    reduced, pivots = xl.rref(((3, 1), (0, 0)))
+    assert reduced == ((1, Fraction(1, 3)),) and pivots == (0,)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "str"])
+def test_rref_rejects_non_rational_entries(bad):
+    message = f"refusing to coerce {type(bad).__name__} {bad!r} to an exact rational"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        xl.rref(((1, 2), (3, bad)))
+
+
 def test_nullspace_orthogonal_to_rows():
     m = mat([[1, 2, 3, 4], [0, 1, 1, 0]])
-    basis = xl.nullspace(m)
+    basis = xl.nullspace(m, 4)
     assert len(basis) == 2
     for v in basis:
         for row in m:
@@ -42,12 +56,17 @@ def test_nullspace_orthogonal_to_rows():
 
 
 def test_nullspace_of_invertible_is_empty():
-    assert xl.nullspace(xl.identity_matrix(3)) == ()
+    assert xl.nullspace(xl.identity_matrix(3), 3) == ()
 
 
-def test_inverse():
-    a = mat([[2, 1], [1, 3]])
-    assert xl.mat_mul(a, xl.inverse(a)) == xl.identity_matrix(2)
+def test_nullspace_of_no_rows_is_everything():
+    assert xl.nullspace((), 3) == xl.identity_matrix(3)
+    assert xl.nullspace((), 0) == ()
+
+
+def test_nullspace_rejects_rows_of_another_length():
+    with pytest.raises(DimensionMismatch):
+        xl.nullspace(((1, 2),), 3)
 
 
 def laplace_det(a):
@@ -62,12 +81,19 @@ def laplace_det(a):
 
 
 def test_positive_definite_pivots():
-    assert xl._positive_definite(mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))  # minors 2, 3, 4
-    assert xl._positive_definite(((2, 1), (1, 1)))  # int entries divide exactly
-    assert not xl._positive_definite(mat([[1, 2], [2, 1]]))  # minors 1, -3
-    assert not xl._positive_definite(mat([[0, 0], [0, 1]]))  # first minor 0
-    assert not xl._positive_definite(mat([[1, 1], [1, 1]]))  # singular
-    assert not xl._positive_definite(mat([[-1, 0], [0, -1]]))
+    for a in (
+        mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),  # minors 2, 3, 4
+        mat([[2, 1], [1, 3]]),
+        ((2, 1), (1, 1)),  # int entries divide exactly
+    ):
+        inv = xl.spd_inverse(a)
+        assert xl.mat_mul(a, inv) == xl.identity_matrix(len(a))
+        assert all(type(x) is Fraction for row in inv for x in row)
+    assert xl.spd_inverse(mat([[1, 2], [2, 1]])) is None  # minors 1, -3
+    assert xl.spd_inverse(mat([[0, 0], [0, 1]])) is None  # first minor 0
+    assert xl.spd_inverse(mat([[1, 1], [1, 1]])) is None  # singular
+    assert xl.spd_inverse(mat([[-1, 0], [0, -1]])) is None
+    assert xl.spd_inverse(()) == ()
 
 
 @given(st.integers(1, 5).flatmap(
@@ -85,7 +111,10 @@ def test_positive_definite_agrees_with_leading_minors(case):
         for i in range(n)
     )
     minors = [laplace_det(tuple(row[:k] for row in a[:k])) for k in range(1, n + 1)]
-    assert xl._positive_definite(a) == all(m > 0 for m in minors)
+    inv = xl.spd_inverse(a)
+    assert (inv is None) == any(m <= 0 for m in minors)
+    if inv is not None:
+        assert xl.mat_mul(a, inv) == xl.identity_matrix(n)
 
 
 @given(st.lists(st.lists(RATIONALS, min_size=3, max_size=3), min_size=1, max_size=4))
@@ -96,9 +125,25 @@ def test_rref_rows_span_input(rows):
     assert xl.rank(list(m) + list(reduced)) == xl.rank(m) == len(reduced)
 
 
-def test_format_scalar():
-    assert xl.format_scalar(Fraction(1, 2)) == "1/2"
-    assert xl.format_scalar(Fraction(-3)) == "-3"
+INT_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4)
+)
+
+
+@given(INT_MATRICES)
+def test_int_rows_match_their_fraction_copies(rows):
+    # ints enter the eliminations as they are: every result equals the one on
+    # the Fraction copy, so no float ever enters
+    n = len(rows[0]) if rows else 3
+    copy = [[Fraction(x) for x in row] for row in rows]
+    assert xl.rref(rows) == xl.rref(copy)
+    assert xl.nullspace(rows, n) == xl.nullspace(copy, n)
+    # a square block, rarely positive definite, and the Gram matrix P^T P + I
+    k = min(len(rows), n)
+    p = [row[:k] for row in rows[:k]]
+    gram = [[sum(r[i] * r[j] for r in p) + (i == j) for j in range(k)] for i in range(k)]
+    for a in (p, gram):
+        assert xl.spd_inverse(a) == xl.spd_inverse([[Fraction(x) for x in row] for row in a])
 
 
 def test_common_denominator_empty():

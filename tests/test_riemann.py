@@ -20,10 +20,13 @@ from hypothesis import strategies as st
 from lieranders import (
     LieAlgebra,
     MetricTensor,
+    RandersClass,
     catalog,
+    classify_randers,
     curvature_tensor,
     identity_metric,
     levi_civita,
+    make_randers,
     sectional_curvature,
 )
 from lieranders import exactlinalg as xl
@@ -70,6 +73,15 @@ def test_metric_validation():
     with pytest.raises(ValueError):
         MetricTensor(gram=mat([[1, 2], [2, 1]]))  # indefinite
     MetricTensor(gram=mat([[2, 1], [1, 1]]))  # fine
+
+
+def test_int_gram_metric_is_exact():
+    gram = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    metric = MetricTensor(gram=gram)
+    assert metric.inverse_gram == mat([[1, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert all(type(x) is Fraction for row in metric.inverse_gram for x in row)
+    r = make_randers(catalog(2), metric, fr(0, 0, "1/2", 0))
+    assert classify_randers(r).kind is RandersClass.NON_BERWALD_DOUGLAS
 
 
 def test_ad_star_abelian_is_zero(metric4):
