@@ -38,7 +38,7 @@ from .flagcurv import (
     compile_randers,
     flag_curvature_deng_hou,
     flag_curvature_simplified,
-    sign_analysis,
+    sign_certificate,
     u_map,
 )
 from .hypercomplex import (
@@ -110,7 +110,7 @@ __all__ = [
     "save_definition",
     "sectional_curvature",
     "serialize_definition",
-    "sign_analysis",
+    "sign_certificate",
     "u_map",
     "verify_complex_structure",
     "verify_hyper_hermitian",

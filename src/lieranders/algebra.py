@@ -66,6 +66,9 @@ class Subspace:
     def __post_init__(self):
         if any(len(v) != self.ambient_dim for v in self.basis):
             raise DimensionMismatch(f"basis vectors must have length {self.ambient_dim}")
+        bad = [x for v in self.basis for x in v if not isinstance(x, (int, Fraction))]
+        if bad:
+            raise xl._refuse(bad[0])
         # in rref, checked without arithmetic: rows lead with 1s, alone in their
         # columns and in increasing columns (so no row is zero)
         leads = [next((j for j, x in enumerate(v) if x), None) for v in self.basis]

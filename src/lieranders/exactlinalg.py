@@ -121,11 +121,14 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, .
 
     Zero rows are dropped, pivots are 1, and rows come out sorted by pivot
     column, so the result is a canonical representative of the row space.
+    Rows of different lengths raise DimensionMismatch.
     """
     work = [[_fraction(x) for x in r] for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
+    if any(len(r) != ncols for r in work):
+        raise DimensionMismatch(f"rows must share one length; got {sorted({len(r) for r in work})}")
     pivots: list[int] = []
     r = 0
     for col in range(ncols):

@@ -12,9 +12,10 @@ each: ``R2``/``G2`` on bivectors w = U^V with K^g = w^T R2 w / w^T G2 w
 1976), the Gram matrix, g(Q,.), ``A`` and ``C``.  ``R2``, ``G2`` and the
 Gram form depend only on the algebra and the metric and are read from the
 tables the metric keeps; only the Q-dependent forms are built per compile.
-Exact flags, sign samples and sweeps all read these coefficients; F is the
-only float step.  The Deng-Hou U-map route (:func:`flag_curvature_deng_hou`)
-is the oracle.
+Exact flags, the sign certificate and sweeps all read these coefficients; F
+is the only float step.  :func:`sign_certificate` restricts ``A`` and ``C``
+to the Douglas subspace exactly.  The Deng-Hou U-map route
+(:func:`flag_curvature_deng_hou`) is the oracle.
 """
 
 from __future__ import annotations
@@ -29,16 +30,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exactlinalg as xl
-from .algebra import AlgebraVector, LieAlgebra
+from .algebra import AlgebraVector, LieAlgebra, Subspace
 from .classify import douglas_subspace, require_douglas
 from .errors import DegenerateFlag, DimensionMismatch, LieRandersError
 from .randers import RandersStructure
 from .riemann import CurvatureTable, MetricTensor, sectional_curvature
-from .sampling import _is_int, make_rng, random_rational, random_rational_vector
-
-# K^F and K^g share their sign when both lie within SIGN_TOL of the largest
-# of 1, |K^F| and |K^g|; a sampled correction that large is a counterexample.
-SIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -229,67 +225,53 @@ def flag_curvature_simplified(
     return compile_randers(r).flag(flag)
 
 
-def signs_agree(k_f, k_g):
-    """Whether K^F and K^g share their sign, elementwise on floats or arrays.
+@dataclass(frozen=True)
+class SignCertificate:
+    """The correction forms A and C restricted to the Douglas subspace D.
 
-    They do when np.sign gives the same value, or when both lie within
-    ``SIGN_TOL * max(1, |k_f|, |k_g|)`` of zero.  NaN agrees with nothing.
+    ``a`` and ``c`` map each monomial of t, a sorted tuple of indices s, to
+    its nonzero coefficient at V = sum_s t_s b_s, b_s the integer numerators
+    of D's basis rows.  ``ok`` means both are empty: the correction vanishes
+    on every pole in D, so there K^F = g(V,V)/F^2 K^g with F > 0.
     """
-    scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
-    both_zero = (np.abs(k_f) <= SIGN_TOL * scale) & (np.abs(k_g) <= SIGN_TOL * scale)
-    return (np.sign(k_f) == np.sign(k_g)) | both_zero
 
-
-@dataclass
-class SignSample:
-    v: AlgebraVector
-    u: AlgebraVector
-    k_f: float
-    k_g: float
-    correction: float
-    sign_match: bool
-
-
-@dataclass
-class SignAnalysisReport:
-    samples: list[SignSample]
-    counterexamples: list[SignSample]
+    douglas: Subspace
+    a: dict
+    c: dict
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return not self.a and not self.c
 
 
-def sign_analysis(r: RandersStructure, n_samples: int = 100, seed: int = 0) -> SignAnalysisReport:
-    """Check sign agreement of K^F and K^g along the distinguished directions.
+def _restrict(form: IntegerForm, rows: list[list[int]]) -> dict:
+    """Nonzero coefficients of ``form`` at x = sum_s t_s rows[s], by monomial of t."""
+    out = defaultdict(int)
+    for idx, num in form.terms.items():
+        for ss in itertools.product(range(len(rows)), repeat=len(idx)):
+            term = num
+            for i, s in zip(idx, ss):
+                term *= rows[s][i]
+            out[tuple(sorted(ss))] += term
+    return {key: Fraction(x, form.d) for key, x in out.items() if x}
 
-    Flag poles are sampled inside the Douglas subspace, where the correction
-    is expected to vanish and the two curvatures to share their sign; a flag
-    violating either (beyond ``SIGN_TOL``) is a counterexample.  Raises
-    LieRandersError when no flag can be drawn: dimension below 2, or
-    Douglas subspace {0}, or ``n_samples`` not an integer >= 1.
+
+def sign_certificate(r: RandersStructure) -> SignCertificate:
+    """Exact certificate that K^F and K^g share their sign on poles in D.
+
+    For V in D = [g, g]^perp, [Q,V], [[Q,V],V] and [Q, ad*_V V] lie in
+    [g, g], so A(V) and both terms of C(V) pair V with a vector of [g, g]
+    and vanish.  The certificate checks this on the compiled forms,
+    restricted to D exactly.  Raises NotDouglas when Q is not g-orthogonal
+    to [g, g], and LieRandersError when no flag has its pole in D:
+    dimension below 2, or D = {0}.
     """
-    if not _is_int(n_samples) or n_samples < 1:
-        raise LieRandersError(f"sign analysis: n_samples must be an integer >= 1: {n_samples!r}")
     compiled = compile_randers(r)
-    directions = douglas_subspace(r.algebra, r.metric)
-    if r.dim < 2 or not directions.basis:
+    douglas = douglas_subspace(r.algebra, r.metric)
+    if r.dim < 2 or not douglas.basis:
         raise LieRandersError(
-            f"sign analysis: no flag to draw in dimension {r.dim} with Douglas subspace "
-            f"{directions.describe(r.algebra.labels)}"
+            f"sign certificate: no flag pole in dimension {r.dim} with Douglas subspace "
+            f"{douglas.describe(r.algebra.labels)}"
         )
-    rng = make_rng(seed, stream=2)
-    samples, counterexamples = [], []
-    while len(samples) < n_samples:
-        v = xl.zero_vector(r.dim)
-        for b in directions.basis:
-            v = xl.vec_add(v, xl.vec_scale(random_rational(rng), b))
-        u = random_rational_vector(rng, r.dim)
-        if not xl._independent_pair(v, u):
-            continue
-        res = compiled.flag(Flag(v=v, u=u))
-        match = bool(signs_agree(res.k_f, res.k_g))
-        samples.append(SignSample(v, u, res.k_f, res.k_g, res.correction, match))
-        if abs(res.correction) > SIGN_TOL * max(1.0, abs(res.k_f), abs(res.k_g)) or not match:
-            counterexamples.append(samples[-1])
-    return SignAnalysisReport(samples=samples, counterexamples=counterexamples)
+    rows = [xl.common_denominator(b)[0] for b in douglas.basis]
+    return SignCertificate(douglas, _restrict(compiled.a, rows), _restrict(compiled.c, rows))

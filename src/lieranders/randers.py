@@ -8,7 +8,7 @@ square root being the only irrational ingredient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +17,28 @@ from .algebra import AlgebraVector, LieAlgebra
 from .errors import DimensionMismatch, NormTooLarge, ZeroDirection
 from .riemann import MetricTensor
 
+
 @dataclass(frozen=True)
 class RandersStructure:
-    """(algebra, metric, Q) with g(Q,Q) < 1 guaranteed at construction."""
+    """(algebra, metric, Q) with g(Q,Q) < 1, checked exactly at construction.
+
+    ``norm_q_squared`` is g(Q,Q), computed once here.  Raises
+    DimensionMismatch unless algebra, metric and Q share one dimension, and
+    NormTooLarge when g(Q,Q) >= 1.
+    """
 
     algebra: LieAlgebra
     metric: MetricTensor
     q_field: AlgebraVector
-    norm_q_squared: Fraction
+    norm_q_squared: Fraction = field(init=False)
+
+    def __post_init__(self):
+        if len(self.q_field) != self.algebra.dim or self.metric.dim != self.algebra.dim:
+            raise DimensionMismatch("algebra, metric and Q must share one dimension")
+        norm_sq = self.metric.inner(self.q_field, self.q_field)
+        if norm_sq >= 1:
+            raise NormTooLarge(norm_sq)
+        object.__setattr__(self, "norm_q_squared", norm_sq)
 
     @property
     def dim(self) -> int:
@@ -35,14 +49,7 @@ def make_randers(
     algebra: LieAlgebra, metric: MetricTensor, q: AlgebraVector
 ) -> RandersStructure:
     """Build a Randers structure, rejecting q with g(q,q) >= 1 exactly."""
-    if len(q) != algebra.dim or metric.dim != algebra.dim:
-        raise DimensionMismatch("algebra, metric and Q must share one dimension")
-    norm_sq = metric.inner(q, q)
-    if norm_sq >= 1:
-        raise NormTooLarge(norm_sq)
-    return RandersStructure(
-        algebra=algebra, metric=metric, q_field=q, norm_q_squared=norm_sq
-    )
+    return RandersStructure(algebra=algebra, metric=metric, q_field=q)
 
 
 def dense_gram(metric: MetricTensor) -> np.ndarray:

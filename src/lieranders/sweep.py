@@ -1,4 +1,10 @@
-"""Batch flag-curvature sweeps over seeded random flags.
+"""Batch flag-curvature sweeps over seeded random flags, and the library's
+seeded streams.
+
+Streams are keyed by (seed, stream) through the counter-based Philox engine,
+so samples are reproducible and independent of evaluation order.  The key is
+an explicit unsigned 64-bit array: numpy would cast a list holding a seed of
+2**63 or more through a float, so distinct seeds could share a stream.
 
 Each sweep compiles its structure once with
 :func:`lieranders.flagcurv.compile_randers`, the route exact flags take too;
@@ -13,15 +19,52 @@ then a few matrix products in :mod:`lieranders.kernels`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import LieRandersError
-from .flagcurv import compile_randers, signs_agree
+from .flagcurv import compile_randers
 from .randers import RandersStructure, dense_gram
-from .sampling import _check_seed, _is_int, make_rng
+
+# Philox takes the seed as one unsigned 64-bit key word.
+_SEED_BOUND = 2**64
+
+# K^F and K^g share their sign when both lie within SIGN_TOL of the largest
+# of 1, |K^F| and |K^g|.
+SIGN_TOL = 1e-12
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int, or LieRandersError unless it is an integer (not a
+    bool) in [0, 2**64)."""
+    if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
+        raise LieRandersError(f"seed must be an integer in [0, 2**64); got {seed!r}")
+    return int(seed)
+
+
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by (seed, stream); LieRandersError unless
+    ``seed`` is an integer in [0, 2**64)."""
+    key = np.array([_check_seed(seed), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def signs_agree(k_f, k_g):
+    """Whether K^F and K^g share their sign, elementwise on floats or arrays.
+
+    They do when np.sign gives the same value, or when both lie within
+    ``SIGN_TOL * max(1, |k_f|, |k_g|)`` of zero.  NaN agrees with nothing.
+    """
+    scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
+    both_zero = (np.abs(k_f) <= SIGN_TOL * scale) & (np.abs(k_g) <= SIGN_TOL * scale)
+    return (np.sign(k_f) == np.sign(k_g)) | both_zero
 
 
 @dataclass

@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lieranders import LieAlgebra, MetricTensor, catalog, douglas_subspace, identity_metric
+from lieranders import Flag, LieAlgebra, MetricTensor, catalog, douglas_subspace, identity_metric
 from lieranders import exactlinalg as xl
 from lieranders.errors import DimensionMismatch
-from lieranders.sampling import make_rng, random_rational, random_rational_vector
+from lieranders.sweep import make_rng
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +42,17 @@ def spd_metric(p):
     )
 
 
+def random_rational(rng, max_abs_num=9, max_den=4):
+    """A small exact rational num/den drawn from ``rng``, so exact arithmetic stays fast."""
+    num = int(rng.integers(-max_abs_num, max_abs_num + 1))
+    den = int(rng.integers(1, max_den + 1))
+    return Fraction(num, den)
+
+
+def random_rational_vector(rng, dim, max_abs_num=9, max_den=4):
+    return tuple(random_rational(rng, max_abs_num, max_den) for _ in range(dim))
+
+
 def random_nonzero_vector(rng, dim):
     while True:
         v = random_rational_vector(rng, dim)
@@ -71,6 +82,22 @@ def random_q_in_subspace(rng, subspace, metric):
         ceil_s = -((-norm_sq.numerator) // norm_sq.denominator)
         q = xl.vec_scale(Fraction(1, 1 + ceil_s), q)
     return q
+
+
+def douglas_pole_flags(r, n, seed):
+    """n exact flags with the pole drawn in the Douglas subspace and U
+    anywhere, from ``make_rng(seed, stream=2)``; dependent pairs are redrawn."""
+    rng = make_rng(seed, stream=2)
+    basis = douglas_subspace(r.algebra, r.metric).basis
+    flags = []
+    while len(flags) < n:
+        v = xl.zero_vector(r.dim)
+        for b in basis:
+            v = xl.vec_add(v, xl.vec_scale(random_rational(rng), b))
+        u = random_rational_vector(rng, r.dim)
+        if xl._independent_pair(v, u):
+            flags.append(Flag(v=v, u=u))
+    return flags
 
 
 def sphere_directions(n, dim, seed):

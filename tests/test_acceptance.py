@@ -17,12 +17,13 @@ from lieranders import (
     RandersClass,
     catalog,
     classify_randers,
+    compile_randers,
     flag_curvature_deng_hou,
     flag_curvature_simplified,
     identity_metric,
     make_randers,
     sectional_curvature,
-    sign_analysis,
+    sign_certificate,
 )
 from lieranders import cli
 from lieranders import exactlinalg as xl
@@ -36,10 +37,17 @@ from lieranders.hypercomplex import (
 )
 from lieranders.randers import fundamental_tensor
 from lieranders.riemann import curvature_tensor, levi_civita
-from lieranders.sampling import make_rng, random_rational_vector
+from lieranders.sweep import make_rng, signs_agree
 from lieranders.classify import douglas_subspace
 
-from conftest import fr, random_flag_pair, random_q_in_subspace, sphere_directions
+from conftest import (
+    douglas_pole_flags,
+    fr,
+    random_flag_pair,
+    random_q_in_subspace,
+    random_rational_vector,
+    sphere_directions,
+)
 from exact_oracles import oracle_ad_star, oracle_of
 from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
@@ -238,15 +246,25 @@ def test_criterion_6_sign_corollary():
         (3, fr("1/2", 0, 0, 0)),
         (4, fr("1/2", 0, 0, 0)),
     ]
+    douglas = {rep.case_id: rep.douglas for rep in expected_theorem_reports()}
     for cid, qvec in configs:
         r = make_randers(catalog(cid), METRIC, qvec)
-        rep = sign_analysis(r, n_samples=100, seed=606)
-        assert rep.ok, f"case {cid}: {len(rep.counterexamples)} counterexamples"
-        assert len(rep.samples) == 100
-        for s in rep.samples:
-            assert abs(s.correction) <= 1e-12 * max(1.0, abs(s.k_f), abs(s.k_g))
-            assert s.sign_match
-    report(6, "correction vanishes and signs agree on 100 corollary flags per family")
+        cert = sign_certificate(r)
+        assert cert.ok, f"case {cid}: A|_D = {cert.a}, C|_D = {cert.c}"
+        assert cert.douglas == douglas[cid]
+        compiled = compile_randers(r)
+        flags = douglas_pole_flags(r, 100, seed=606)
+        assert len(flags) == 100
+        for flag in flags:
+            assert compiled.exact(flag)[3:] == (0, 0)
+            res = compiled.flag(flag)
+            assert res.correction == 0.0
+            assert signs_agree(res.k_f, res.k_g)
+    report(
+        6,
+        "A and C vanish on the Douglas subspace exactly; signs agree on 100 "
+        "corollary flags per family",
+    )
 
 
 def test_criterion_7_finsler_validity():

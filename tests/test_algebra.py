@@ -1,6 +1,7 @@
 """Structure constants, brackets, Jacobi and the derived algebra."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,14 @@ def test_subspace_direct_construction_checks_basis():
     with pytest.raises(ValueError, match="rref"):
         Subspace(2, ((0, 1), (1, 0)))  # rows out of pivot order
     assert Subspace(2, ((1, 0),)) == Subspace.span([(1, 0)], 2)
+
+
+def test_subspace_direct_construction_refuses_non_rationals():
+    # refused by type, before any arithmetic, as LieAlgebra and MetricTensor do
+    with pytest.raises(TypeError, match=re.escape("refusing to coerce float 1.0 to an exact")):
+        Subspace(2, ((1.0, 0.5),))
+    with pytest.raises(TypeError, match=re.escape("refusing to coerce str '1/2'")):
+        Subspace(2, ((1, "1/2"),))
 
 
 ENTRIES = st.sampled_from([0, 0, 0, 1, 1, -1, 2, Fraction(1, 2)])

@@ -18,9 +18,9 @@ from lieranders import (
 from lieranders import exactlinalg as xl
 from lieranders.classify import berwald_subset, expected_theorem_reports
 from lieranders.riemann import MetricTensor
-from lieranders.sampling import make_rng, random_rational, random_rational_vector
+from lieranders.sweep import make_rng
 
-from conftest import fr, mat
+from conftest import fr, mat, random_rational, random_rational_vector
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
 

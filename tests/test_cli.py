@@ -27,6 +27,7 @@ def run(argv, capsys):
 # script" diffs the installed script against them
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DENSE = "tests/golden/dense_case2.json"
+HYPER = "tests/golden/case2_hyper.json"
 DENSE_Q = "1/16,0,-1/8,-1/4"
 
 
@@ -105,12 +106,16 @@ def test_flag_spot_value(capsys):
             ["flag", "--file", DENSE, "--Q", DENSE_Q, "--V", "1,0,1,0", "--U", "0,1,0,1"],
             "dense_flag.txt",
         ),
+        (["check", HYPER], "hyper_check.txt"),
+        (["hyper-verify", HYPER], "hyper_verify.txt"),
     ],
-    ids=["check", "classify", "flag"],
+    ids=["check", "classify", "flag", "hyper-check", "hyper-verify"],
 )
 def test_dense_file_golden(monkeypatch, capsys, argv, golden):
-    # a --file space whose metric has a dense inverse; the echo line prints
-    # the path as given, so the command runs from the repository root
+    # a --file space whose metric has a dense inverse, and case 2 with Q and
+    # a hypercomplex triple (the Q: and hypercomplex: lines of check); the
+    # echo line prints the path as given, so the command runs from the
+    # repository root
     monkeypatch.chdir(GOLDEN.parents[1])
     code, out, _ = run(argv, capsys)
     assert code == 0

@@ -4,9 +4,12 @@
 values are checked with ``==`` against ``sectional_curvature``, the
 ``Fraction`` inner product ``oracle_inner`` and the bracket oracle, its flag
 curvature against the Deng-Hou U-map route, and its float tables against one
-correctly rounded ``num / d`` per coefficient.
+correctly rounded ``num / d`` per coefficient.  Its ``A`` and ``C`` restricted
+to the Douglas subspace, the sign certificate, vanish on every test space and
+on random structures.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,11 +28,12 @@ from lieranders import (
     identity_metric,
     make_randers,
     sectional_curvature,
+    sign_certificate,
 )
 from lieranders import exactlinalg as xl
-from lieranders.errors import NotDouglas
+from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.riemann import curvature_tensor, levi_civita
-from lieranders.sampling import make_rng
+from lieranders.sweep import make_rng
 
 from conftest import SPACES, douglas_q, fr, random_flag_pair, spd_metric
 from exact_oracles import oracle_inner, sparse_entries
@@ -109,6 +113,18 @@ def test_dense_tables_are_rounded_numerators(space):
         np.testing.assert_array_equal(table, want.reshape(table.shape))
 
 
+@pytest.mark.parametrize("space", SPACES)
+def test_sign_certificate_on_every_test_space(space):
+    r = structure(space)
+    douglas = douglas_subspace(r.algebra, r.metric)
+    if not douglas.basis:  # so(3): [g, g] = g
+        with pytest.raises(LieRandersError, match=re.escape("Douglas subspace {0}")):
+            sign_certificate(r)
+        return
+    cert = sign_certificate(r)
+    assert cert.ok and cert.douglas == douglas
+
+
 def test_compiled_tables_case2_spot_values():
     # Q = Z/2 on case 2: A(V) = -(a^2 + b^2)/2, G2 the identity on bivectors
     r = make_randers(catalog(2), identity_metric(4), fr(0, 0, "1/2", 0))
@@ -153,6 +169,14 @@ def douglas_structures(draw):
     v, u = draw(vector), draw(vector)
     assume(xl.rank([v, u]) == 2)
     return make_randers(algebra, metric, q), Flag(v=v, u=u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(douglas_structures())
+def test_sign_certificate_holds_on_random_structures(case):
+    r, _ = case
+    cert = sign_certificate(r)
+    assert cert.ok, (cert.a, cert.c)
 
 
 @settings(max_examples=60, deadline=None)

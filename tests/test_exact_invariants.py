@@ -25,9 +25,9 @@ from lieranders import (
     is_douglas,
 )
 from lieranders import exactlinalg as xl
-from lieranders.sampling import make_rng, random_rational_vector
+from lieranders.sweep import make_rng
 
-from conftest import SO3, SOLV5, SPACES, dense_metric, spd_metric
+from conftest import SO3, SOLV5, SPACES, dense_metric, random_rational_vector, spd_metric
 from exact_oracles import (
     oracle_bracket,
     oracle_derived_algebra,

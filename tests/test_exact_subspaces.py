@@ -34,12 +34,12 @@ from lieranders import (
     reproduce_theorem,
     run_sweep,
     sectional_curvature,
-    sign_analysis,
+    sign_certificate,
 )
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace
 from lieranders.classify import berwald_subset, expected_theorem_reports
-from lieranders.sampling import make_rng
+from lieranders.sweep import make_rng
 
 from conftest import SPACES, dense_metric, douglas_q, fr, random_flag_pair, spd_metric
 from exact_oracles import (
@@ -125,7 +125,7 @@ def test_exact_routes_build_no_fraction_tables(monkeypatch):
     flag_curvature_simplified(r, flag)
     flag_curvature_deng_hou(r, flag)
     sectional_curvature(algebra, metric, flag.u, flag.v)
-    assert sign_analysis(r, n_samples=5, seed=3).ok
+    assert sign_certificate(r).ok
     algebra, metric = catalog(3), dense_metric(4)
     assert len(run_sweep(make_randers(algebra, metric, douglas_q(algebra, metric)), 50, 7)) == 50
 

@@ -46,6 +46,15 @@ def test_rref_rejects_non_rational_entries(bad):
         xl.rref(((1, 2), (3, bad)))
 
 
+@pytest.mark.parametrize(
+    "rows", [((1,), (3, 4)), ((1, 2), (0,))], ids=["short-first", "long-first"]
+)
+def test_rref_rejects_ragged_rows(rows):
+    # zip would cut the longer row, or indexing would run off the shorter one
+    with pytest.raises(DimensionMismatch, match=re.escape("got [1, 2]")):
+        xl.rref(rows)
+
+
 def test_nullspace_orthogonal_to_rows():
     m = mat([[1, 2, 3, 4], [0, 1, 1, 0]])
     basis = xl.nullspace(m, 4)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,22 +12,32 @@ from lieranders import (
     Flag,
     LieAlgebra,
     catalog,
+    compile_randers,
     flag_curvature_deng_hou,
     flag_curvature_simplified,
     identity_metric,
     make_randers,
     sectional_curvature,
-    sign_analysis,
+    sign_certificate,
     u_map,
 )
 from lieranders import exactlinalg as xl
+from lieranders import flagcurv
 from lieranders.errors import DegenerateFlag, LieRandersError, NotDouglas
-from lieranders.flagcurv import signs_agree
 from lieranders.riemann import MetricTensor, curvature_tensor, levi_civita
-from lieranders.sampling import make_rng, random_rational_vector
+from lieranders.sweep import make_rng, signs_agree
 from lieranders.classify import douglas_subspace
 
-from conftest import SO3, deadline, fr, mat, random_flag_pair, random_q_in_subspace
+from conftest import (
+    SO3,
+    deadline,
+    douglas_pole_flags,
+    fr,
+    mat,
+    random_flag_pair,
+    random_q_in_subspace,
+    random_rational_vector,
+)
 from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
@@ -220,35 +231,48 @@ def test_case_formula_validity_checks():
 
 def test_sign_analysis_case2(metric4):
     r = make_randers(catalog(2), metric4, fr(0, 0, "1/2", 0))
-    report = sign_analysis(r, n_samples=60, seed=11)
-    assert report.ok
-    assert len(report.samples) == 60
-    assert all(s.correction == 0.0 for s in report.samples)
+    assert sign_certificate(r).ok
+    compiled = compile_randers(r)
+    for flag in douglas_pole_flags(r, 60, seed=11):
+        res = compiled.flag(flag)
+        assert compiled.exact(flag)[3:] == (0, 0)
+        assert res.correction == 0.0 and signs_agree(res.k_f, res.k_g)
 
 
 @pytest.mark.parametrize("case_id", [3, 4])
 def test_sign_analysis_pole_on_q(case_id, metric4):
     r = make_randers(catalog(case_id), metric4, fr("1/2", 0, 0, 0))
-    report = sign_analysis(r, n_samples=60, seed=13)
-    assert report.ok
-    if case_id == 3:
-        # constant negative curvature: both signs strictly negative
-        assert all(s.k_f < 0 and s.k_g < 0 for s in report.samples)
+    assert sign_certificate(r).ok
+    compiled = compile_randers(r)
+    for flag in douglas_pole_flags(r, 60, seed=13):
+        res = compiled.flag(flag)
+        assert compiled.exact(flag)[3:] == (0, 0)
+        assert signs_agree(res.k_f, res.k_g)
+        if case_id == 3:
+            # constant negative curvature: both signs strictly negative
+            assert res.k_f < 0 and res.k_g < 0
 
 
-@pytest.mark.parametrize("n_samples", [-1, 0, 1.5, True, False, "3", None, Fraction(2)])
-def test_sign_analysis_rejects_bad_sample_count(n_samples, metric4):
+@pytest.mark.parametrize(
+    "form, term, monomial",
+    [("a", (2, 3), (0, 1)), ("c", (3, 2, 3), (0, 1, 1))],
+    ids=["A", "C"],
+)
+def test_sign_certificate_names_a_term_on_the_douglas_subspace(
+    monkeypatch, metric4, form, term, monomial
+):
+    # case 2: D = span{Z, W}, so V = t0 Z + t1 W; a tampered Z W term of A,
+    # or Z W^2 term of C, must be reported as the monomial t0 t1 (t1)
     r = make_randers(catalog(2), metric4, fr(0, 0, "1/2", 0))
-    message = f"n_samples must be an integer >= 1: {n_samples!r}"
-    with pytest.raises(LieRandersError, match=re.escape(message)):
-        sign_analysis(r, n_samples=n_samples, seed=11)
-
-
-def test_sign_analysis_single_sample(metric4):
-    r = make_randers(catalog(2), metric4, fr(0, 0, "1/2", 0))
-    report = sign_analysis(r, n_samples=1, seed=11)
-    assert len(report.samples) == 1
-    assert report.samples[0] == sign_analysis(r, n_samples=60, seed=11).samples[0]
+    compiled = compile_randers(r)
+    tampered = getattr(compiled, form)._replace(terms={**getattr(compiled, form).terms, term: 3})
+    monkeypatch.setattr(
+        flagcurv, "compile_randers", lambda r: replace(compiled, **{form: tampered})
+    )
+    cert = sign_certificate(r)
+    assert not cert.ok
+    assert getattr(cert, form) == {monomial: Fraction(3, tampered.d)}
+    assert getattr(cert, "c" if form == "a" else "a") == {}
 
 
 @pytest.mark.parametrize(
@@ -262,7 +286,7 @@ def test_sign_analysis_single_sample(metric4):
 def test_sign_analysis_without_flags_is_rejected(algebra, q, reason):
     r = make_randers(algebra, identity_metric(algebra.dim), q)
     with deadline(10), pytest.raises(LieRandersError, match=re.escape(reason)):
-        sign_analysis(r, n_samples=3, seed=1)
+        sign_certificate(r)
 
 
 @pytest.mark.parametrize(

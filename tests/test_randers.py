@@ -10,11 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lieranders import (
-    Flag, MetricTensor, catalog, eval_F, fundamental_tensor, g_V, make_randers,
+    Flag, MetricTensor, RandersStructure, catalog, eval_F, fundamental_tensor, g_V, make_randers,
 )
 from lieranders import exactlinalg as xl
-from lieranders.errors import NormTooLarge, ZeroDirection
-from lieranders.sampling import make_rng
+from lieranders.errors import DimensionMismatch, NormTooLarge, ZeroDirection
+from lieranders.sweep import make_rng
 
 from conftest import dense_metric, fr, mat, sphere_directions
 
@@ -48,6 +48,24 @@ def test_make_randers_zero_q_is_riemannian(abelian):
     a, m = abelian
     r = make_randers(a, m, ZERO_Q)
     assert r.norm_q_squared == 0
+
+
+def test_randers_structure_checks_its_own_invariant(abelian):
+    # built directly, not through make_randers: g(Q, Q) = 9 must be refused
+    a, m = catalog(2), abelian[1]
+    with pytest.raises(NormTooLarge) as exc:
+        RandersStructure(algebra=a, metric=m, q_field=fr(0, 0, 3, 0))
+    assert exc.value.norm_squared == 9
+    with pytest.raises(DimensionMismatch):
+        RandersStructure(algebra=a, metric=m, q_field=fr(0, 0, "1/2"))
+    r = RandersStructure(algebra=a, metric=m, q_field=fr(0, 0, "1/2", 0))
+    assert r.norm_q_squared == Fraction(1, 4)
+    assert r == make_randers(a, m, fr(0, 0, "1/2", 0))
+    # g(Q, Q) is computed, never taken from the caller
+    with pytest.raises(TypeError):
+        RandersStructure(
+            algebra=a, metric=m, q_field=fr(0, 0, 3, 0), norm_q_squared=Fraction(1, 4)
+        )
 
 
 def test_make_randers_general_metric():

@@ -31,9 +31,19 @@ from lieranders import (
 )
 from lieranders import exactlinalg as xl
 from lieranders.errors import DegeneratePlane
-from lieranders.sampling import make_rng, random_rational, random_rational_vector
+from lieranders.sweep import make_rng
 
-from conftest import SO3, SOLV5, SPACES, dense_metric, fr, mat, spd_metric
+from conftest import (
+    SO3,
+    SOLV5,
+    SPACES,
+    dense_metric,
+    fr,
+    mat,
+    random_rational,
+    random_rational_vector,
+    spd_metric,
+)
 from exact_oracles import (
     oracle_ad_star,
     oracle_curvature_tensor,

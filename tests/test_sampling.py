@@ -1,9 +1,9 @@
-"""Seed checking and stream keys of ``sampling.make_rng``.
+"""Seed checking and stream keys of ``sweep.make_rng``.
 
-Every seeded stream of the library (``sign_analysis``, ``run_sweep``), and
-the tests' ``conftest.sphere_directions``, is keyed through ``make_rng`` by
-the exact unsigned 64-bit pair (seed, stream); a seed outside the integers
-in [0, 2**64) is rejected.
+The library's seeded stream (``run_sweep``), and the tests' samplers
+(``conftest.sphere_directions`` among them), are keyed through ``make_rng``
+by the exact unsigned 64-bit pair (seed, stream); a seed outside the
+integers in [0, 2**64) is rejected.
 """
 
 import warnings
@@ -11,12 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lieranders import catalog, identity_metric, make_randers
 from lieranders.errors import LieRandersError
-from lieranders.flagcurv import sign_analysis
-from lieranders.sampling import make_rng
+from lieranders.sweep import make_rng
 
-from conftest import fr, sphere_directions
+from conftest import sphere_directions
 
 
 def draws(rng):
@@ -52,13 +50,3 @@ def test_bad_seeds_are_rejected(seed):
         make_rng(seed)
     with pytest.raises(LieRandersError, match=pattern):
         sphere_directions(3, 4, seed)
-    r = make_randers(catalog(2), identity_metric(4), fr(0, 0, "1/2", 0))
-    with pytest.raises(LieRandersError, match=pattern):
-        sign_analysis(r, n_samples=2, seed=seed)
-
-
-def test_sign_analysis_accepts_seeds_above_2_63():
-    r = make_randers(catalog(2), identity_metric(4), fr(0, 0, "1/2", 0))
-    a = sign_analysis(r, n_samples=4, seed=2**63 + 12345)
-    b = sign_analysis(r, n_samples=4, seed=2**63 + 12288)
-    assert [s.v for s in a.samples] != [s.v for s in b.samples]
