@@ -70,10 +70,11 @@ def douglas_subspace(algebra: LieAlgebra, metric: MetricTensor) -> Subspace:
     """Directions of Q giving a Douglas metric: the g-complement of [g, g].
 
     The nullspace of the lowered [g, g] rows G b that ``is_douglas`` dots Q
-    with, in canonical form; [g, g] = {0} gives the whole space.
+    with, in canonical form; [g, g] = {0} gives the whole space.  It is
+    reduced once per (algebra, metric) and kept with the metric
+    (``MetricTensor._tables``).
     """
-    rows, _ = metric._tables(algebra).derived_lowered
-    return Subspace(algebra.dim, xl.nullspace(rows, algebra.dim))
+    return metric._tables(algebra).douglas
 
 
 def _nabla(

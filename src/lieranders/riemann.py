@@ -19,10 +19,12 @@ least common denominator (``exactlinalg.common_denominator``), and one
 numerators of its Gram and inverse Gram matrices once, and keeps the
 Q-independent tables of each algebra it is used with
 (``MetricTensor._tables``): the lowered structure constants, the connection
-numerators, the curvature entries, the lowered [g, g] basis and the Gram and
-bivector forms that ``flagcurv.compile_randers`` compiles.  Each is built
-once, on first use, and stored as tuples; the holder keeps no reference to
-the metric, so the tables are freed with it.  The memo is the one exact
+numerators, the curvature entries, the lowered [g, g] basis, the Douglas
+subspace (its g-complement) and the Gram and bivector forms that
+``flagcurv.compile_randers`` compiles.  Each is built once, on first use,
+and stored as tuples (the Douglas subspace as a frozen ``Subspace`` of
+tuples); the holder keeps no reference to the metric, so the tables are
+freed with it.  The memo is the one exact
 source of the connection and the curvature: ``levi_civita`` is the
 ``Fraction`` form of its connection numerators, and ``sectional_curvature``
 K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) sums its curvature
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import exactlinalg as xl
-from .algebra import AlgebraVector, LieAlgebra
+from .algebra import AlgebraVector, LieAlgebra, Subspace
 from .errors import DegeneratePlane, DimensionMismatch
 from .exactlinalg import Matrix
 
@@ -204,9 +206,10 @@ class _SpaceTables:
     """The exact tables of one (algebra, metric) pair that do not depend on Q.
 
     Each is built on integer numerators the first time it is read and kept
-    as nested tuples.  ``MetricTensor._tables`` holds one per algebra; the
-    holder keeps the algebra and the metric's Gram numerators but not the
-    metric, so the tables are freed with their metric.
+    as nested tuples, the Douglas subspace as a frozen ``Subspace``.
+    ``MetricTensor._tables`` holds one per algebra; the holder keeps the
+    algebra and the metric's Gram numerators but not the metric, so the
+    tables are freed with their metric.
     """
 
     def __init__(self, algebra: LieAlgebra, metric: MetricTensor):
@@ -275,6 +278,13 @@ class _SpaceTables:
             for s in range(0, len(b), n)
         )
         return rows, db * dg
+
+    @cached_property
+    def douglas(self) -> Subspace:
+        # the g-complement of [g, g]: the nullspace of the lowered rows G b
+        n = self.algebra.dim
+        rows, _ = self.derived_lowered
+        return Subspace(n, xl.nullspace(rows, n))
 
     @cached_property
     def forms(self) -> tuple[tuple[tuple, int], tuple[tuple, int], tuple[tuple, int]]:

@@ -13,8 +13,9 @@ tables kept with the metric and builds no ``Fraction`` table.  The float
 bivector curvature operator and correction forms come from
 :meth:`~lieranders.flagcurv.CompiledRanders.dense`.  The rejection test of
 each candidate block takes one Gram product per block of V and one per
-block of U, and every g(., .) as a two-operand row dot.  Per-sample work is
-then a few matrix products in :mod:`lieranders.kernels`.
+block of U, and every g(., .) as a two-operand row dot; a block with no
+rejected row is used as drawn.  Per-sample work is then one matrix product
+per form in :mod:`lieranders.kernels`.
 """
 
 from __future__ import annotations
@@ -89,16 +90,15 @@ def _draw_flags(
     Candidates come from ``make_rng(seed, stream=3)`` as (want,
     dim) blocks, V then U; a flag is kept when g(V,V) > 1e-6 and
     g(U,U) g(V,V) - g(U,V)^2 > 1e-8.  The product V G serves both g(V,V)
-    and g(U,V).
+    and g(U,V).  A block with no rejected row is used as drawn, so the usual
+    sweep, whose first block is kept whole, copies nothing; blocks with
+    rejected rows are compacted and joined.
     """
     dim = len(gram)
     rng = make_rng(seed, stream=3)
-    V = np.empty((n_samples, dim))
-    U = np.empty((n_samples, dim))
-    gvv = np.empty(n_samples)
-    filled = 0
-    while filled < n_samples:
-        want = n_samples - filled
+    blocks = []
+    want = n_samples
+    while want or not blocks:  # n_samples = 0 draws one empty block
         cand_v = rng.uniform(-1.0, 1.0, size=(want, dim))
         cand_u = rng.uniform(-1.0, 1.0, size=(want, dim))
         gv = cand_v @ gram
@@ -106,12 +106,13 @@ def _draw_flags(
         uu = np.einsum("nk,nk->n", cand_u, cand_u @ gram)
         uv = np.einsum("nk,nk->n", cand_u, gv)
         good = (vv > 1e-6) & (uu * vv - uv**2 > 1e-8)
-        took = int(good.sum())
-        V[filled : filled + took] = cand_v[good]
-        U[filled : filled + took] = cand_u[good]
-        gvv[filled : filled + took] = vv[good]
-        filled += took
-    return V, U, gvv
+        if not good.all():
+            cand_v, cand_u, vv = cand_v[good], cand_u[good], vv[good]
+        blocks.append((cand_v, cand_u, vv))
+        want -= len(vv)
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:

@@ -182,6 +182,31 @@ def test_sweep_csv_mode(capsys):
     assert all(len(line.split(",")) == 8 for line in lines[1:])
 
 
+def last_digit(x):
+    """One unit in the 12th significant digit of ``x``, the last one ``%.12g`` prints."""
+    return 10.0 ** (math.floor(math.log10(abs(x))) - 11) if x else 0.0
+
+
+def test_sweep_csv_golden(capsys):
+    # tests/golden/sweep_case2.csv: the header, the V columns and sign_match
+    # byte for byte; K_g, K_F and the correction within 1e-12 of the largest
+    # term of the row, plus one unit in the last printed digit, since another
+    # BLAS may round them differently
+    argv = ["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "2000", "--seed", "7"]
+    code, out, _ = run(argv + ["--csv"], capsys)
+    assert code == 0
+    got = out.splitlines(keepends=True)
+    want = (GOLDEN / "sweep_case2.csv").read_text().splitlines(keepends=True)
+    assert len(got) == len(want) == 2001 and got[0] == want[0]
+    for row, (g, w) in enumerate(zip(got[1:], want[1:])):
+        g, w = g.split(","), w.split(",")
+        assert g[:4] == w[:4] and g[7] == w[7], row
+        got_k, want_k = [float(x) for x in g[4:7]], [float(x) for x in w[4:7]]
+        big = max(1.0, *map(abs, got_k + want_k))
+        for x, y in zip(got_k, want_k):
+            assert abs(x - y) <= 1e-12 * big + last_digit(y), (row, g, w)
+
+
 def reference_rows(structure, n, seed):
     """Sweep rows with every value formatted on its own by ``f"{x:.12g}"``."""
     res = run_sweep(structure, n_samples=n, seed=seed)

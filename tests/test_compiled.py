@@ -14,12 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from lieranders import (
     Flag,
-    LieAlgebra,
     catalog,
     compile_randers,
     douglas_subspace,
@@ -35,7 +33,7 @@ from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.riemann import curvature_tensor, levi_civita
 from lieranders.sweep import make_rng
 
-from conftest import SPACES, douglas_q, fr, random_flag_pair, spd_metric
+from conftest import SPACES, douglas_q, douglas_structures, fr, random_flag_pair
 from exact_oracles import oracle_inner, sparse_entries
 from flag_oracles import bracket_terms
 
@@ -137,38 +135,6 @@ def test_compiled_tables_case2_spot_values():
 def test_compile_requires_douglas():
     with pytest.raises(NotDouglas):
         compile_randers(make_randers(catalog(2), identity_metric(4), fr("1/2", 0, 0, 0)))
-
-
-SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-@st.composite
-def douglas_structures(draw):
-    """Random antisymmetric structure constants with no e_last component, so
-    [g, g] misses e_last and the Douglas subspace is nonzero; metric
-    P^T P + I; Q in the Douglas subspace; a random flag.  The forms are
-    identities without Jacobi, so it is not required."""
-    n = draw(st.integers(min_value=2, max_value=5))
-    vector = st.tuples(*[SMALL_RATIONALS] * n)
-    brackets = {
-        (i, j): draw(st.tuples(*[SMALL_RATIONALS] * (n - 1))) + (Fraction(0),)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if draw(st.booleans())
-    }
-    algebra = LieAlgebra.from_brackets(n, tuple(f"e{i}" for i in range(n)), brackets)
-    p = draw(st.tuples(*[vector] * n))
-    metric = spd_metric(p)
-    basis = douglas_subspace(algebra, metric).basis
-    coeffs = draw(st.tuples(*[SMALL_RATIONALS] * len(basis)))
-    q = xl.zero_vector(n)
-    for c, b in zip(coeffs, basis):
-        q = xl.vec_add(q, xl.vec_scale(c, b))
-    norm = metric.inner(q, q)
-    q = xl.vec_scale(Fraction(1, 2 + int(norm)), q)  # g(Q,Q) < 1
-    v, u = draw(vector), draw(vector)
-    assume(xl.rank([v, u]) == 2)
-    return make_randers(algebra, metric, q), Flag(v=v, u=u)
 
 
 @settings(max_examples=40, deadline=None)

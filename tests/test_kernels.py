@@ -5,7 +5,9 @@ The compiled forms are checked exactly against ``sectional_curvature``,
 object arrays, and against the per-family closed forms coefficient by
 coefficient.  The float kernels are checked against the exact bracket oracle
 at the same flag, converted exactly with ``Fraction(float)``, within 1e-9 of
-the largest term.
+the largest term, on six fixed structures, and against
+``CompiledRanders.exact`` the same way on random Douglas structures in
+dimensions 2-5.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lieranders import (
     Flag,
@@ -28,7 +31,7 @@ from lieranders import kernels
 from lieranders.randers import dense_gram
 from lieranders.riemann import curvature_tensor, levi_civita
 
-from conftest import SO3, SOLV5, dense_metric, douglas_q, fr
+from conftest import SO3, SOLV5, dense_metric, douglas_q, douglas_structures, fr
 from exact_oracles import oracle_inner
 from flag_oracles import bracket_terms, flag_curvature_case, oracle_flag_curvature_simplified
 
@@ -148,6 +151,30 @@ def test_compiled_forms_are_exact(setup):
         assert ((v @ quad) * v).sum() == t1
         vv = (v[:, :, None] * v[:, None, :]).reshape(1, -1)
         assert ((vv @ cubic.T) * v).sum() == cubic1 - cubic2
+
+
+@settings(max_examples=50, deadline=None)
+@given(douglas_structures())
+def test_kernels_match_compiled_exact_on_random_structures(case):
+    # the drawn flag and seven seeded float flags in one block, each against
+    # CompiledRanders.exact at exactly the float flag's values
+    r, flag = case
+    gram, q, r2, g2, quad, cubic = float_forms(r)
+    rng = np.random.Generator(np.random.Philox(key=[5, r.dim]))
+    V = np.vstack([np.array(flag.v, dtype=float), rng.uniform(-1, 1, size=(7, r.dim))])
+    U = np.vstack([np.array(flag.u, dtype=float), rng.uniform(-1, 1, size=(7, r.dim))])
+    f = kernels.eval_f_batch(gram, q, V)
+    k_g = kernels.sectional_batch(r2, g2, U, V)
+    corr = kernels.correction_batch(quad, cubic, V, f)
+    compiled = compile_randers(r)
+    for row in range(len(V)):
+        _, _, want_k_g, a, c = compiled.exact(exact_flag(V[row], U[row]))
+        f_row = Fraction(f[row])
+        want_corr = (3 * a * a - 2 * f_row * c) / (4 * f_row**4)
+        got, want = (k_g[row], corr[row]), (float(want_k_g), float(want_corr))
+        big = max(1.0, *map(abs, got + want))
+        for name, x, y in zip(("k_g", "correction"), got, want):
+            assert abs(x - y) <= TOL * big, (name, row, x, y)
 
 
 def as_poly(coeffs):

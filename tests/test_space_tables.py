@@ -2,11 +2,11 @@
 
 ``MetricTensor._tables(algebra)`` builds the Q-independent tables of a space
 once, on integer numerators: the lowered structure constants, the
-connection and curvature numerators, the lowered [g, g] basis and the Gram,
-``G2`` and ``R2`` forms.  Each is checked with ``==`` against the
-``Fraction`` oracles in ``exact_oracles``; the memo must be shared by every
-reader, separate for distinct algebra objects, immutable, and freed with
-its metric.
+connection and curvature numerators, the lowered [g, g] basis, the Douglas
+subspace and the Gram, ``G2`` and ``R2`` forms.  Each is checked with ``==``
+against the ``Fraction`` oracles in ``exact_oracles``; the memo must be
+shared by every reader, separate for distinct algebra objects, immutable,
+and freed with its metric.
 """
 
 import gc
@@ -36,6 +36,7 @@ from conftest import SPACES, dense_metric, douglas_q, fr
 from exact_oracles import (
     oracle_bivector_forms,
     oracle_derived_algebra,
+    oracle_douglas_subspace,
     oracle_integer_curvature_tensor,
     oracle_levi_civita,
     oracle_lowered_structure,
@@ -144,6 +145,24 @@ def test_second_structure_reuses_the_curvature(space, monkeypatch):
     classify_randers(second)
     assert len(calls) == 1
     assert first.r2 == compile_randers(second).r2
+
+
+@pytest.mark.parametrize("space", ["case2-identity", "case2-dense", "solv5-dense"])
+def test_douglas_subspace_is_reduced_once(space, monkeypatch):
+    calls = []
+    core = xl.nullspace
+
+    def counted(*args):
+        calls.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(xl, "nullspace", counted)
+    algebra, metric = SPACES[space]()
+    first = douglas_subspace(algebra, metric)
+    assert len(calls) == 1
+    second = douglas_subspace(algebra, metric)
+    assert len(calls) == 1 and second is first
+    assert first == oracle_douglas_subspace(algebra, metric)
 
 
 def test_equal_distinct_algebras_give_equal_tables():

@@ -2,15 +2,25 @@
 
 The draw is checked against ``oracle_draw``, which takes each g(., .) of
 the rejection test as a three-operand einsum; ``run_sweep`` shares one Gram
-product between g(V,V) and g(U,V) and must keep exactly the same flags.
+product between g(V,V) and g(U,V) and must keep exactly the same flags,
+both when it uses a candidate block as drawn and when it compacts one.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lieranders import LieAlgebra, catalog, identity_metric, kernels, make_randers, run_sweep
+from lieranders import (
+    LieAlgebra,
+    MetricTensor,
+    catalog,
+    identity_metric,
+    kernels,
+    make_randers,
+    run_sweep,
+)
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.flagcurv import compile_randers
 from lieranders.randers import dense_gram
@@ -77,11 +87,13 @@ def test_sweep_rejects_dimension_one():
 
 
 def oracle_draw(gram, n, seed):
-    """(V, U, g(V,V)) of the draw, each g(., .) as einsum("ni,ij,nj->n")."""
+    """(V, U, g(V,V), candidates drawn) of the draw, each g(., .) as
+    einsum("ni,ij,nj->n")."""
     dim = len(gram)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
-    vs, us, gvs, filled = [], [], [], 0
+    vs, us, gvs, filled, drawn = [], [], [], 0, 0
     while filled < n:
+        drawn += n - filled
         v = rng.uniform(-1.0, 1.0, size=(n - filled, dim))
         u = rng.uniform(-1.0, 1.0, size=(n - filled, dim))
         gv = np.einsum("ni,ij,nj->n", v, gram, v)
@@ -92,24 +104,39 @@ def oracle_draw(gram, n, seed):
         us.append(u[good])
         gvs.append(gv[good])
         filled += int(good.sum())
-    return np.concatenate(vs), np.concatenate(us), np.concatenate(gvs)
+    return np.concatenate(vs), np.concatenate(us), np.concatenate(gvs), drawn
+
+
+def small_metric(n):
+    """1e-4 I: g(U,U) g(V,V) - g(U,V)^2 = 1e-8 |U^V|^2, so the draw rejects
+    about half of its candidates, and keeps them all under the other metrics."""
+    return MetricTensor(gram=tuple(
+        tuple(Fraction(int(i == j), 10_000) for j in range(n)) for i in range(n)
+    ))
 
 
 DRAW_STRUCTURES = {
     "identity": lambda: make_randers(catalog(2), identity_metric(4), fr(0, 0, "1/2", 0)),
     "dense": lambda: make_randers(catalog(2), dense_metric(4), douglas_q(catalog(2), dense_metric(4))),
+    "rejecting": lambda: make_randers(catalog(2), small_metric(4), fr(0, 0, "1/2", 0)),
 }
 
 
 @pytest.mark.parametrize("n", [1, 17, 5000, 100_000])
 @pytest.mark.parametrize("metric", DRAW_STRUCTURES)
 def test_draw_matches_einsum_oracle(metric, n):
+    # both paths of the draw: blocks used as drawn (identity, dense) and
+    # compacted blocks joined (rejecting)
     r = DRAW_STRUCTURES[metric]()
     gram = dense_gram(r.metric)
     r2, g2, _, _ = compile_randers(r).dense()
     for seed in (0, 7, 2024):
         V, U, gvv = _draw_flags(gram, n, seed)
-        oracle_v, oracle_u, oracle_gvv = oracle_draw(gram, n, seed)
+        oracle_v, oracle_u, oracle_gvv, drawn = oracle_draw(gram, n, seed)
+        if metric == "rejecting":
+            assert drawn > n and (n < 5000 or drawn > 1.5 * n)
+        else:
+            assert drawn == n
         np.testing.assert_array_equal(V, oracle_v)
         np.testing.assert_array_equal(U, oracle_u)
         # the summation order differs, so g(V,V) may move by an ulp
