@@ -1,5 +1,10 @@
 """Exact curvature and Douglas/Berwald classification of left-invariant
-Randers metrics on low-dimensional Lie groups."""
+Randers metrics on low-dimensional Lie groups.
+
+The package imports no numpy.  The float sweeps live in
+:mod:`lieranders.sweep` (``run_sweep``, ``SweepResult``), which loads numpy
+when it is imported.
+"""
 
 __version__ = "0.1.0"
 
@@ -49,7 +54,7 @@ from .hypercomplex import (
     verify_hyper_hermitian,
     verify_hypercomplex,
 )
-from .randers import RandersStructure, eval_F, fundamental_tensor, g_V, make_randers
+from .randers import RandersStructure, make_randers
 from .riemann import (
     ConnectionTable,
     CurvatureTable,
@@ -59,7 +64,6 @@ from .riemann import (
     levi_civita,
     sectional_curvature,
 )
-from .sweep import SweepResult, run_sweep
 
 __all__ = [
     "AlgebraVector",
@@ -84,19 +88,15 @@ __all__ = [
     "RandersClass",
     "RandersStructure",
     "Subspace",
-    "SweepResult",
     "ZeroDirection",
     "catalog",
     "classify_randers",
     "compile_randers",
     "curvature_tensor",
     "douglas_subspace",
-    "eval_F",
     "find_signed_permutation_triples",
     "flag_curvature_deng_hou",
     "flag_curvature_simplified",
-    "fundamental_tensor",
-    "g_V",
     "identity_metric",
     "is_berwald",
     "is_douglas",
@@ -106,7 +106,6 @@ __all__ = [
     "nijenhuis",
     "parse_definition",
     "reproduce_theorem",
-    "run_sweep",
     "save_definition",
     "sectional_curvature",
     "serialize_definition",

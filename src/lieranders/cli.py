@@ -5,6 +5,10 @@ Rational inputs are comma lists of "p/q" strings; floats are printed with 12
 significant digits (``%.12g``).  Reports carry no timestamps, so output is
 byte-identical for fixed inputs and seed.
 
+Only the sweep path (``cmd_sweep``, ``write_sweep_rows`` and the ``--seed``
+type) imports :mod:`lieranders.sweep` and, through it, numpy; every other
+command runs without numpy.
+
 Exit codes: 0 success, 1 failed verification, 2 usage (among them a
 ``--samples`` below 1 or a ``--seed`` outside [0, 2**64)), 3 bad definition or
 argument parse, 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
@@ -17,8 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .algebra import LieAlgebra, catalog, format_combination
@@ -40,7 +42,6 @@ from .flagcurv import Flag, flag_curvature_simplified
 from .hypercomplex import verify_hyper_hermitian, verify_hypercomplex
 from .randers import make_randers
 from .riemann import MetricTensor, identity_metric
-from .sweep import _check_seed, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,6 +90,8 @@ def positive_int(text: str) -> int:
 def _seed(text: str) -> int:
     """A ``--seed``: an integer in [0, 2**64), the range ``run_sweep`` keys
     its Philox stream with."""
+    from .sweep import _check_seed
+
     try:
         return _check_seed(int(text))
     except ValueError:
@@ -215,6 +218,8 @@ def write_sweep_rows(result, out) -> None:
     ``"%.12g" % x`` and ``f"{x:.12g}"`` agree on every double, so the bytes
     are those of formatting each value on its own.
     """
+    import numpy as np
+
     row = csv_row_template(result.v.shape[1])
     for start in range(0, len(result), CSV_BLOCK):
         part = slice(start, start + CSV_BLOCK)
@@ -226,6 +231,8 @@ def write_sweep_rows(result, out) -> None:
 
 
 def cmd_sweep(args, out) -> int:
+    from .sweep import run_sweep
+
     algebra, metric, source = _load_space(args)
     if algebra.dim > len(CSV_COORDS):
         raise LieRandersError(

@@ -13,8 +13,10 @@ each: ``R2``/``G2`` on bivectors w = U^V with K^g = w^T R2 w / w^T G2 w
 Gram form depend only on the algebra and the metric and are read from the
 tables the metric keeps; only the Q-dependent forms are built per compile.
 Exact flags, the sign certificate and sweeps all read these coefficients; F
-is the only float step.  :func:`sign_certificate` restricts ``A`` and ``C``
-to the Douglas subspace exactly.  The Deng-Hou U-map route
+is the only float step, and no array is built here: sweeps round the
+coefficients into arrays with :func:`lieranders.sweep.dense_forms`.
+:func:`sign_certificate` restricts ``A`` and ``C`` to the Douglas subspace
+exactly.  The Deng-Hou U-map route
 (:func:`flag_curvature_deng_hou`) is the oracle.
 """
 
@@ -26,8 +28,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace
@@ -75,13 +75,6 @@ class IntegerForm(NamedTuple):
             total += num
         return total
 
-    def dense(self, *shape: int) -> np.ndarray:
-        """Coefficient array; each entry is one correctly rounded ``num / d``."""
-        out = np.zeros(shape)
-        for idx, num in self.terms.items():
-            out[idx] = num / self.d
-        return out
-
 
 def _form(coeffs: dict, d: int) -> IntegerForm:
     return IntegerForm({idx: x for idx, x in coeffs.items() if x}, d)
@@ -126,12 +119,6 @@ class CompiledRanders:
         correction = (3.0 * a**2 - 2.0 * f * c) / (4.0 * f**4)
         k_f = gvv / f**2 * k_g + correction
         return FlagCurvatureResult(k_f=k_f, k_g=k_g, correction=correction, f_value=f)
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Float (R2, G2, A, C) for the sweep kernels, C as a d x d^2 array."""
-        n, p = self.dim, self.dim * (self.dim - 1) // 2
-        return (self.r2.dense(p, p), self.g2.dense(p, p), self.a.dense(n, n),
-                self.c.dense(n, n, n).reshape(n, n * n))
 
 
 def compile_randers(r: RandersStructure) -> CompiledRanders:

@@ -11,11 +11,15 @@ Each sweep compiles its structure once with
 the compile reads the curvature and the bivector forms from the integer
 tables kept with the metric and builds no ``Fraction`` table.  The float
 bivector curvature operator and correction forms come from
-:meth:`~lieranders.flagcurv.CompiledRanders.dense`.  The rejection test of
+:func:`dense_forms`, the Gram matrix from :func:`dense_gram`.  The rejection test of
 each candidate block takes one Gram product per block of V and one per
 block of U, and every g(., .) as a two-operand row dot; a block with no
 rejected row is used as drawn.  Per-sample work is then one matrix product
 per form in :mod:`lieranders.kernels`.
+
+This module and :mod:`lieranders.kernels` are the only ones that import
+numpy, and only the ``sweep`` command loads them: ``import lieranders`` and
+the exact commands run without numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import numpy as np
 
 from . import kernels
 from .errors import LieRandersError
-from .flagcurv import compile_randers
-from .randers import RandersStructure, dense_gram
+from .flagcurv import CompiledRanders, compile_randers
+from .randers import RandersStructure
+from .riemann import MetricTensor
 
 # Philox takes the seed as one unsigned 64-bit key word.
 _SEED_BOUND = 2**64
@@ -66,6 +71,28 @@ def signs_agree(k_f, k_g):
     scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
     both_zero = (np.abs(k_f) <= SIGN_TOL * scale) & (np.abs(k_g) <= SIGN_TOL * scale)
     return (np.sign(k_f) == np.sign(k_g)) | both_zero
+
+
+def dense_gram(metric: MetricTensor) -> np.ndarray:
+    """The Gram matrix as floats."""
+    return np.array(metric.gram, dtype=float)
+
+
+def dense_forms(
+    compiled: CompiledRanders,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Float (R2, G2, A, C) of the compiled forms for the sweep kernels, C as
+    a dim x dim^2 array; each entry is one correctly rounded ``num / d``."""
+    n, p = compiled.dim, compiled.dim * (compiled.dim - 1) // 2
+    tables = []
+    for form, shape in ((compiled.r2, (p, p)), (compiled.g2, (p, p)),
+                        (compiled.a, (n, n)), (compiled.c, (n, n, n))):
+        table = np.zeros(shape)
+        for idx, num in form.terms.items():
+            table[idx] = num / form.d
+        tables.append(table)
+    r2, g2, a, c = tables
+    return r2, g2, a, c.reshape(n, n * n)
 
 
 @dataclass
@@ -135,7 +162,7 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     dim = r.dim
     if dim < 2:
         raise LieRandersError(f"sweep needs dimension >= 2 for a flag plane; got {dim}")
-    r2, g2, quad, cubic = compile_randers(r).dense()
+    r2, g2, quad, cubic = dense_forms(compile_randers(r))
     gram = dense_gram(r.metric)
     q = np.array(r.q_field, dtype=float)
 

@@ -35,7 +35,6 @@ from lieranders.hypercomplex import (
     verify_hyper_hermitian,
     verify_hypercomplex,
 )
-from lieranders.randers import fundamental_tensor
 from lieranders.riemann import curvature_tensor, levi_civita
 from lieranders.sweep import make_rng, signs_agree
 from lieranders.classify import douglas_subspace
@@ -49,6 +48,7 @@ from conftest import (
     sphere_directions,
 )
 from exact_oracles import oracle_ad_star, oracle_of
+from finsler_oracles import fundamental_tensor
 from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
 METRIC = identity_metric(4)

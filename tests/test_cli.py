@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from lieranders import LieAlgebra, cli, make_randers, run_sweep
+from lieranders import LieAlgebra, cli, make_randers
 from lieranders.definition import DefinitionFile, save_definition
 from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutation_triples
+from lieranders.sweep import run_sweep
 from lieranders import catalog, identity_metric
 from lieranders import exactlinalg as xl
 

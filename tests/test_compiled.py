@@ -31,7 +31,7 @@ from lieranders import (
 from lieranders import exactlinalg as xl
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.riemann import curvature_tensor, levi_civita
-from lieranders.sweep import make_rng
+from lieranders.sweep import dense_forms, make_rng
 
 from conftest import SPACES, douglas_q, douglas_structures, fr, random_flag_pair
 from exact_oracles import oracle_inner, sparse_entries
@@ -100,7 +100,7 @@ def test_dense_tables_are_rounded_numerators(space):
     r = structure(space)
     compiled = compile_randers(r)
     n, p = r.dim, r.dim * (r.dim - 1) // 2
-    dense = compiled.dense()
+    dense = dense_forms(compiled)
     forms = (compiled.r2, compiled.g2, compiled.a, compiled.c)
     assert [x.shape for x in dense] == [(p, p), (p, p), (n, n), (n, n * n)]
     for form, table, shape in zip(forms, dense, [(p, p), (p, p), (n, n), (n, n, n)]):

@@ -32,14 +32,13 @@ from lieranders import (
     levi_civita,
     make_randers,
     reproduce_theorem,
-    run_sweep,
     sectional_curvature,
     sign_certificate,
 )
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace
 from lieranders.classify import berwald_subset, expected_theorem_reports
-from lieranders.sweep import make_rng
+from lieranders.sweep import make_rng, run_sweep
 
 from conftest import SPACES, dense_metric, douglas_q, fr, random_flag_pair, spd_metric
 from exact_oracles import (

@@ -22,17 +22,17 @@ from lieranders import (
     Flag,
     catalog,
     compile_randers,
-    eval_F,
     identity_metric,
     make_randers,
     sectional_curvature,
 )
 from lieranders import kernels
-from lieranders.randers import dense_gram
 from lieranders.riemann import curvature_tensor, levi_civita
+from lieranders.sweep import dense_forms, dense_gram
 
 from conftest import SO3, SOLV5, dense_metric, douglas_q, douglas_structures, fr
 from exact_oracles import oracle_inner
+from finsler_oracles import eval_F
 from flag_oracles import bracket_terms, flag_curvature_case, oracle_flag_curvature_simplified
 
 TOL = 1e-9  # of the largest term (at least 1), as in the benchmark's check
@@ -56,7 +56,7 @@ STRUCTURES = {
 def float_forms(r):
     gram = dense_gram(r.metric)
     q = np.array(r.q_field, dtype=float)
-    return (gram, q, *compile_randers(r).dense())
+    return (gram, q, *dense_forms(compile_randers(r)))
 
 
 def exact_forms(r):

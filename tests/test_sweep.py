@@ -19,12 +19,10 @@ from lieranders import (
     identity_metric,
     kernels,
     make_randers,
-    run_sweep,
 )
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.flagcurv import compile_randers
-from lieranders.randers import dense_gram
-from lieranders.sweep import _draw_flags
+from lieranders.sweep import _draw_flags, dense_forms, dense_gram, run_sweep
 
 from conftest import deadline, dense_metric, douglas_q, fr
 
@@ -129,7 +127,7 @@ def test_draw_matches_einsum_oracle(metric, n):
     # compacted blocks joined (rejecting)
     r = DRAW_STRUCTURES[metric]()
     gram = dense_gram(r.metric)
-    r2, g2, _, _ = compile_randers(r).dense()
+    r2, g2, _, _ = dense_forms(compile_randers(r))
     for seed in (0, 7, 2024):
         V, U, gvv = _draw_flags(gram, n, seed)
         oracle_v, oracle_u, oracle_gvv, drawn = oracle_draw(gram, n, seed)
