@@ -1,4 +1,5 @@
-"""Randers metric construction, evaluation and the closed-form fundamental tensor."""
+"""Randers metric construction, and the float oracles of ``finsler_oracles``:
+evaluation of F and the closed-form fundamental tensor."""
 
 import math
 import re
