@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 failed verification, 2 usage (among them a
 ``--samples`` below 1 or a ``--seed`` outside [0, 2**64)), 3 bad definition or
 argument parse, 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
 flag/plane, 7 other validation error (among them a ``--file`` algebra that
-fails the Jacobi identity).
+fails the Jacobi identity), 141 (128 + SIGPIPE), silently, on a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -51,6 +52,7 @@ EXIT_NORM = 4
 EXIT_NOT_DOUGLAS = 5
 EXIT_DEGENERATE = 6
 EXIT_VALIDATION = 7
+EXIT_BROKEN_PIPE = 141
 
 # Sweep rows per "%" format call.  Blocks of 64 to 5000 rows format equally
 # fast; small ones keep the temporary strings, and so peak memory, independent
@@ -374,7 +376,14 @@ def main(argv=None) -> int:
         if args.case is None:
             parser.error(f"{args.command}: one of --case or --file is required")
     try:
-        return _HANDLERS[args.command](args, sys.stdout)
+        code = _HANDLERS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left (| head): devnull takes the last flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except DefinitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEFINITION

@@ -13,8 +13,8 @@ each: ``R2``/``G2`` on bivectors w = U^V with K^g = w^T R2 w / w^T G2 w
 Gram form depend only on the algebra and the metric and are read from the
 tables the metric keeps; only the Q-dependent forms are built per compile.
 Exact flags, the sign certificate and sweeps all read these coefficients; F
-is the only float step, and no array is built here: sweeps round the
-coefficients into arrays with :func:`lieranders.sweep.dense_forms`.
+is the only float step, and no array is built here: sweeps read each form's
+monomials, ``IntegerForm.rounded()``, each coefficient rounded once.
 :func:`sign_certificate` restricts ``A`` and ``C`` to the Douglas subspace
 exactly.  The Deng-Hou U-map route
 (:func:`flag_curvature_deng_hou`) is the oracle.
@@ -74,6 +74,13 @@ class IntegerForm(NamedTuple):
                 num *= x[i]
             total += num
         return total
+
+    def rounded(self) -> list[tuple[tuple, float]]:
+        """(sorted index tuple, exact sum of its terms rounded once as num / d)."""
+        sums = defaultdict(int)
+        for idx, num in self.terms.items():
+            sums[tuple(sorted(idx))] += num
+        return [(idx, num / self.d) for idx, num in sums.items() if num]
 
 
 def _form(coeffs: dict, d: int) -> IntegerForm:

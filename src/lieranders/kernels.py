@@ -1,16 +1,10 @@
 """Batch float kernels behind the sweep machinery.
 
-Each sweep compiles its structure once, exactly, with
-:func:`lieranders.flagcurv.compile_randers` and takes the float ``R2``,
-``G2`` (bivectors w = U^V: ``g(R(U,V)V, U) = w^T R2 w``, ``|U^V|^2 = w^T G2 w``),
-``A`` and ``C`` (``A(V) = g([Q,V],V)``, ``C(V)`` the cubic correction form)
-from :func:`lieranders.sweep.dense_forms`.  Each kernel takes its (n, dim)
-blocks ``U``/``V`` last and evaluates each form with one product and one
-two-operand reduction: the quadratic form x^T M x as the row dot
-``einsum("nk,nk->n", x, x @ M)``, and the cubic form C(V) as the product
-``P = V @ C``, ``P_nbc = sum_a V_a C_abc``, contracted with V by
-``einsum("nbc,nc->nb")`` and a row dot, so no (n, dim^2) array V (x) V is
-built.  Empty blocks give empty columns.
+Each kernel takes its (n, dim) blocks ``U``/``V`` (or ``F``) last, transposes
+them once into contiguous length-n columns and evaluates each compiled form
+it is given, g(Q, .), ``R2``/``G2`` on w = U^V (K^g = R2(w) / G2(w)), ``A``
+and ``C``, as its ``IntegerForm.rounded()`` monomials with :func:`form_batch`:
+the cost is proportional to the nonzero terms, and no dense table is built.
 """
 
 from __future__ import annotations
@@ -20,37 +14,51 @@ import itertools
 import numpy as np
 
 
-def eval_f_batch(gram: np.ndarray, q: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """F(y) = sqrt(g(y,y)) + g(q,y) per row of Y."""
-    gy = Y @ gram
-    return np.sqrt(np.einsum("nk,nk->n", Y, gy)) + gy @ q
+def _horner(terms: list, x: np.ndarray, depth: int) -> np.ndarray:
+    """sum over sorted ``terms`` of coef * x[idx[depth]] * ...; terms sharing
+    x[i] at ``depth`` share one product by it, the last index is one dot."""
+    if depth == len(terms[0][0]) - 1:
+        if len(terms) == 1:
+            (idx, coef), = terms
+            return x[idx[depth]] if coef == 1 else x[idx[depth]] * coef
+        ks = [idx[depth] for idx, _ in terms]
+        rows = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
+        return np.array([coef for _, coef in terms]) @ x[rows]
+    parts = [x[i] * _horner(list(group), x, depth + 1)
+             for i, group in itertools.groupby(terms, key=lambda term: term[0][depth])]
+    for part in parts[1:]:
+        parts[0] += part
+    return parts[0]
 
 
-def sectional_batch(
-    R2: np.ndarray, G2: np.ndarray, U: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    """Sectional curvature of span{U, V} per row, through the bivector U^V.
-
-    Needs dimension >= 2, where a flag plane exists.
-    """
-    # the pairs i < j in the itertools.combinations order of R2 and G2
-    i, j = zip(*itertools.combinations(range(U.shape[1]), 2))
-    # w = U_i V_j - U_j V_i, formed in the gathered copies: four (n, p)
-    # allocations instead of the plain expression's seven
-    w = U[:, i]
-    w *= V[:, j]
-    uv = U[:, j]
-    uv *= V[:, i]
-    w -= uv
-    return np.einsum("nk,nk->n", w, w @ R2) / np.einsum("nk,nk->n", w, w @ G2)
+def form_batch(terms, x: np.ndarray) -> np.ndarray:
+    """sum of coef * x[i] * x[j] * ... over the (index tuple, coef) ``terms``,
+    per column of the rows x[i]; x[k] itself (a view) for the one term x_k.
+    On ``Fraction`` object arrays with exact coefficients it is exact."""
+    if not terms:
+        return np.zeros(x.shape[1], dtype=x.dtype)
+    return _horner(sorted(terms), x, 0)
 
 
-def correction_batch(
-    A: np.ndarray, C: np.ndarray, V: np.ndarray, F: np.ndarray
-) -> np.ndarray:
+def eval_f_batch(gvv: np.ndarray, beta, Y: np.ndarray) -> np.ndarray:
+    """F(y) = sqrt(g(y,y)) + g(Q,y) per row of Y; ``beta`` is g(Q, .)."""
+    return np.sqrt(gvv) + form_batch(beta, np.ascontiguousarray(Y.T))
+
+
+def sectional_batch(r2, g2, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Sectional curvature R2(w) / G2(w) of span{U, V} per row, w = U^V; dim >= 2."""
+    u, v = np.ascontiguousarray(U.T), np.ascontiguousarray(V.T)
+    # w_(ij) = U_i V_j - U_j V_i in the itertools.combinations order of R2, G2
+    pairs = list(itertools.combinations(range(len(u)), 2))
+    w = np.empty((len(pairs), len(U)), dtype=np.result_type(U, V))
+    for t, (i, j) in enumerate(pairs):
+        np.multiply(u[i], v[j], out=w[t])
+        w[t] -= u[j] * v[i]
+    return form_batch(r2, w) / form_batch(g2, w)
+
+
+def correction_batch(a, c, V: np.ndarray, F: np.ndarray) -> np.ndarray:
     """(3 A(V)^2 - 2 F C(V)) / (4 F^4), the Douglas flag-curvature correction."""
-    n, dim = V.shape
-    quad = np.einsum("nk,nk->n", V, V @ A)
-    P = (V @ C).reshape(n, dim, dim)  # P_nbc = sum_a V_a C_abc
-    cubic = np.einsum("nk,nk->n", V, np.einsum("nbc,nc->nb", P, V))
+    v = np.ascontiguousarray(V.T)
+    quad, cubic = form_batch(a, v), form_batch(c, v)
     return (3.0 * quad * quad - 2.0 * F * cubic) / (4.0 * F**4)

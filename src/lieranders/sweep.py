@@ -9,13 +9,10 @@ an explicit unsigned 64-bit array: numpy would cast a list holding a seed of
 Each sweep compiles its structure once with
 :func:`lieranders.flagcurv.compile_randers`, the route exact flags take too;
 the compile reads the curvature and the bivector forms from the integer
-tables kept with the metric and builds no ``Fraction`` table.  The float
-bivector curvature operator and correction forms come from
-:func:`dense_forms`, the Gram matrix from :func:`dense_gram`.  The rejection test of
-each candidate block takes one Gram product per block of V and one per
-block of U, and every g(., .) as a two-operand row dot; a block with no
-rejected row is used as drawn.  Per-sample work is then one matrix product
-per form in :mod:`lieranders.kernels`.
+tables kept with the metric and builds no ``Fraction`` table.  The kernels
+read each form's rounded monomials; only the draw uses a float Gram matrix,
+one product per block of V and of U, and its g(V, V) gives F too.  A block
+with no rejected row is used as drawn.
 
 This module and :mod:`lieranders.kernels` are the only ones that import
 numpy, and only the ``sweep`` command loads them: ``import lieranders`` and
@@ -31,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import LieRandersError
-from .flagcurv import CompiledRanders, compile_randers
+from .flagcurv import compile_randers
 from .randers import RandersStructure
 from .riemann import MetricTensor
 
@@ -76,23 +73,6 @@ def signs_agree(k_f, k_g):
 def dense_gram(metric: MetricTensor) -> np.ndarray:
     """The Gram matrix as floats."""
     return np.array(metric.gram, dtype=float)
-
-
-def dense_forms(
-    compiled: CompiledRanders,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Float (R2, G2, A, C) of the compiled forms for the sweep kernels, C as
-    a dim x dim^2 array; each entry is one correctly rounded ``num / d``."""
-    n, p = compiled.dim, compiled.dim * (compiled.dim - 1) // 2
-    tables = []
-    for form, shape in ((compiled.r2, (p, p)), (compiled.g2, (p, p)),
-                        (compiled.a, (n, n)), (compiled.c, (n, n, n))):
-        table = np.zeros(shape)
-        for idx, num in form.terms.items():
-            table[idx] = num / form.d
-        tables.append(table)
-    r2, g2, a, c = tables
-    return r2, g2, a, c.reshape(n, n * n)
 
 
 @dataclass
@@ -162,14 +142,11 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     dim = r.dim
     if dim < 2:
         raise LieRandersError(f"sweep needs dimension >= 2 for a flag plane; got {dim}")
-    r2, g2, quad, cubic = dense_forms(compile_randers(r))
-    gram = dense_gram(r.metric)
-    q = np.array(r.q_field, dtype=float)
-
-    V, U, gvv = _draw_flags(gram, int(n_samples), seed)
-    f = kernels.eval_f_batch(gram, q, V)
-    k_g = kernels.sectional_batch(r2, g2, U, V)
-    correction = kernels.correction_batch(quad, cubic, V, f)
+    compiled = compile_randers(r)
+    V, U, gvv = _draw_flags(dense_gram(r.metric), int(n_samples), seed)
+    f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), V)
+    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), U, V)
+    correction = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), V, f)
     k_f = gvv / f**2 * k_g + correction
     sign_match = signs_agree(k_f, k_g)
     return SweepResult(v=V, k_g=k_g, k_f=k_f, correction=correction, sign_match=sign_match)

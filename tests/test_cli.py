@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,6 +209,27 @@ def test_sweep_csv_golden(capsys):
         big = max(1.0, *map(abs, got_k + want_k))
         for x, y in zip(got_k, want_k):
             assert abs(x - y) <= 1e-12 * big + last_digit(y), (row, g, w)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "50000", "--seed", "1", "--csv"],
+    ["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "50000", "--seed", "1"],
+], ids=["csv", "report"])
+def test_closed_pipe_exits_quietly(argv):
+    # the reader takes one line and closes the pipe while the sweep is still
+    # writing, as "| head -1" does: exit 141 with nothing on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "lieranders.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    with deadline(60):
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert first.startswith(b"# lieranders sweep" if "--csv" not in argv else b"a,b,c,d,")
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b"", err.decode()
 
 
 def reference_rows(structure, n, seed):

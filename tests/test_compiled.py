@@ -3,13 +3,16 @@
 ``compile_randers`` is the one production flag-curvature route.  Its exact
 values are checked with ``==`` against ``sectional_curvature``, the
 ``Fraction`` inner product ``oracle_inner`` and the bracket oracle, its flag
-curvature against the Deng-Hou U-map route, and its float tables against one
-correctly rounded ``num / d`` per coefficient.  Its ``A`` and ``C`` restricted
+curvature against the Deng-Hou U-map route, and the float terms the sweep
+kernels read against one correctly rounded ``num / d`` per symmetrised
+monomial (and the oracle's dense tables against one per entry).  Its ``A`` and ``C`` restricted
 to the Douglas subspace, the sign certificate, vanish on every test space and
 on random structures.
 """
 
+import itertools
 import re
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -31,11 +34,12 @@ from lieranders import (
 from lieranders import exactlinalg as xl
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.riemann import curvature_tensor, levi_civita
-from lieranders.sweep import dense_forms, make_rng
+from lieranders.sweep import make_rng
 
 from conftest import SPACES, douglas_q, douglas_structures, fr, random_flag_pair
 from exact_oracles import oracle_inner, sparse_entries
 from flag_oracles import bracket_terms
+from kernel_oracles import dense_forms
 
 def structure(space):
     algebra, metric = SPACES[space]()
@@ -109,6 +113,24 @@ def test_dense_tables_are_rounded_numerators(space):
             assert num != 0
             want[idx] = num / form.d
         np.testing.assert_array_equal(table, want.reshape(table.shape))
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_float_terms_are_rounded_monomials(space):
+    r = structure(space)
+    compiled = compile_randers(r)
+    n, p = r.dim, r.dim * (r.dim - 1) // 2
+    forms = [(compiled.gq, n, 1), (compiled.r2, p, 2), (compiled.g2, p, 2),
+             (compiled.a, n, 2), (compiled.c, n, 3)]
+    for form, size, degree in forms:
+        # each coefficient is float(Fraction(symmetrised sum, d)), rounded once
+        sums = defaultdict(int)
+        for idx in itertools.product(range(size), repeat=degree):
+            sums[tuple(sorted(idx))] += form.terms.get(idx, 0)
+        want = {idx: float(Fraction(num, form.d)) for idx, num in sums.items() if num}
+        terms = form.rounded()
+        assert len(terms) == len(want) and dict(terms) == want
+        assert all(type(coef) is float for _, coef in terms)
 
 
 @pytest.mark.parametrize("space", SPACES)

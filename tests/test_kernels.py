@@ -2,12 +2,13 @@
 
 The compiled forms are checked exactly against ``sectional_curvature``,
 ``oracle_inner`` and the bracket oracle, on the kernels run over ``Fraction``
-object arrays, and against the per-family closed forms coefficient by
-coefficient.  The float kernels are checked against the exact bracket oracle
-at the same flag, converted exactly with ``Fraction(float)``, within 1e-9 of
-the largest term, on six fixed structures, and against
-``CompiledRanders.exact`` the same way on random Douglas structures in
-dimensions 2-5.
+object arrays with exact coefficients, and against the per-family closed
+forms coefficient by coefficient.  The float kernels are checked against the
+exact bracket oracle at the same flag, converted exactly with
+``Fraction(float)``, within 1e-9 of the largest term, on six fixed
+structures, against the dense ``einsum`` kernels of ``kernel_oracles`` the
+same way, and against ``CompiledRanders.exact`` on random Douglas structures
+in dimensions 2-5.
 """
 
 import itertools
@@ -28,12 +29,19 @@ from lieranders import (
 )
 from lieranders import kernels
 from lieranders.riemann import curvature_tensor, levi_civita
-from lieranders.sweep import dense_forms, dense_gram
+from lieranders.sweep import dense_gram
 
 from conftest import SO3, SOLV5, dense_metric, douglas_q, douglas_structures, fr
 from exact_oracles import oracle_inner
 from finsler_oracles import eval_F
 from flag_oracles import bracket_terms, flag_curvature_case, oracle_flag_curvature_simplified
+from kernel_oracles import (
+    dense_forms,
+    exact_terms,
+    oracle_correction_batch,
+    oracle_eval_f_batch,
+    oracle_sectional_batch,
+)
 
 TOL = 1e-9  # of the largest term (at least 1), as in the benchmark's check
 
@@ -53,26 +61,22 @@ STRUCTURES = {
 }
 
 
-def float_forms(r):
-    gram = dense_gram(r.metric)
-    q = np.array(r.q_field, dtype=float)
-    return (gram, q, *dense_forms(compile_randers(r)))
-
-
-def exact_forms(r):
-    """The compiled (R2, G2, A, C) as Fraction object arrays: exact coefficients."""
+def kernel_columns(r, V, U):
+    """(F, K^g, correction, K^F) of the library kernels at the rows of V, U."""
     compiled = compile_randers(r)
-    n, p = r.dim, r.dim * (r.dim - 1) // 2
-    out = []
-    for form, shape in zip(
-        (compiled.r2, compiled.g2, compiled.a, compiled.c), [(p, p), (p, p), (n, n), (n, n, n)]
-    ):
-        coeffs = np.full(shape, Fraction(0), dtype=object)
-        for idx, num in form.terms.items():
-            coeffs[idx] = Fraction(num, form.d)
-        out.append(coeffs)
-    out[3] = out[3].reshape(n, n * n)
-    return out
+    gram = dense_gram(r.metric)
+    gvv = np.einsum("nk,nk->n", V, V @ gram)
+    f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), V)
+    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), U, V)
+    corr = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), V, f)
+    return f, k_g, corr, gvv / f**2 * k_g + corr
+
+
+def oracle_columns(r, V, U):
+    """(F, K^g, correction) of the dense einsum oracle at the rows of V, U."""
+    r2, g2, quad, cubic = dense_forms(compile_randers(r))
+    f = oracle_eval_f_batch(dense_gram(r.metric), np.array(r.q_field, dtype=float), V)
+    return f, oracle_sectional_batch(r2, g2, U, V), oracle_correction_batch(quad, cubic, V, f)
 
 
 def obj(x):
@@ -92,11 +96,7 @@ def setup(request):
     rng = np.random.Generator(np.random.Philox(key=[99, 0]))
     V = rng.uniform(-1, 1, size=(101, r.dim))
     U = rng.uniform(-1, 1, size=(101, r.dim))
-    gram, q, r2, g2, quad, cubic = float_forms(r)
-    f = kernels.eval_f_batch(gram, q, V)
-    k_g = kernels.sectional_batch(r2, g2, U, V)
-    corr = kernels.correction_batch(quad, cubic, V, f)
-    k_f = np.einsum("ni,ij,nj->n", V, gram, V) / f**2 * k_g + corr
+    f, k_g, corr, k_f = kernel_columns(r, V, U)
     table = curvature_tensor(r.algebra, levi_civita(r.algebra, r.metric))
     rows = range(0, len(V), 5)
     exact = {
@@ -133,10 +133,20 @@ def test_correction_batch_matches_scalar(setup):
     assert_within_bound(setup, ["correction", "k_f"])
 
 
+def test_kernels_match_dense_oracle(setup):
+    # the dense einsum kernels on the unsymmetrised tables, within the same bound
+    r, V, U = setup["r"], setup["V"], setup["U"]
+    want = oracle_columns(r, V, U)
+    got = [setup[name] for name in ("f", "k_g", "correction")]
+    big = np.maximum(1.0, np.max(np.abs(np.vstack([*want, *got])), axis=0))
+    for name, x, y in zip(("f", "k_g", "correction"), got, want):
+        assert (np.abs(x - y) <= TOL * big).all(), name
+
+
 def test_compiled_forms_are_exact(setup):
     r, V, U = setup["r"], setup["V"], setup["U"]
     compiled = compile_randers(r)
-    r2, g2, quad, cubic = exact_forms(r)
+    r2, g2, quad, cubic = (exact_terms(f) for f in (compiled.r2, compiled.g2, compiled.a, compiled.c))
     a, m = r.algebra, r.metric
     for row in range(0, len(V), 20):
         flag = exact_flag(V[row], U[row])
@@ -145,12 +155,11 @@ def test_compiled_forms_are_exact(setup):
         gvv, beta, *forms = compiled.exact(flag)
         assert (gvv, beta) == (oracle_inner(m, flag.v, flag.v), oracle_inner(m, r.q_field, flag.v))
         assert forms == [k_g, t1, cubic1 - cubic2]
-        # the dense layout the kernels read, on exact object arrays
+        # the library kernels on Fraction columns with exact coefficients
         v, u = obj(flag.v)[None], obj(flag.u)[None]
         assert kernels.sectional_batch(r2, g2, u, v)[0] == k_g
-        assert ((v @ quad) * v).sum() == t1
-        vv = (v[:, :, None] * v[:, None, :]).reshape(1, -1)
-        assert ((vv @ cubic.T) * v).sum() == cubic1 - cubic2
+        assert kernels.form_batch(quad, v.T)[0] == t1
+        assert kernels.form_batch(cubic, v.T)[0] == cubic1 - cubic2
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,13 +168,10 @@ def test_kernels_match_compiled_exact_on_random_structures(case):
     # the drawn flag and seven seeded float flags in one block, each against
     # CompiledRanders.exact at exactly the float flag's values
     r, flag = case
-    gram, q, r2, g2, quad, cubic = float_forms(r)
     rng = np.random.Generator(np.random.Philox(key=[5, r.dim]))
     V = np.vstack([np.array(flag.v, dtype=float), rng.uniform(-1, 1, size=(7, r.dim))])
     U = np.vstack([np.array(flag.u, dtype=float), rng.uniform(-1, 1, size=(7, r.dim))])
-    f = kernels.eval_f_batch(gram, q, V)
-    k_g = kernels.sectional_batch(r2, g2, U, V)
-    corr = kernels.correction_batch(quad, cubic, V, f)
+    f, k_g, corr, _ = kernel_columns(r, V, U)
     compiled = compile_randers(r)
     for row in range(len(V)):
         _, _, want_k_g, a, c = compiled.exact(exact_flag(V[row], U[row]))
@@ -177,13 +183,12 @@ def test_kernels_match_compiled_exact_on_random_structures(case):
             assert abs(x - y) <= TOL * big, (name, row, x, y)
 
 
-def as_poly(coeffs):
-    """{exponents: coefficient} of sum coeffs[i1..ik] x_i1 ... x_ik."""
-    coeffs = np.asarray(coeffs, dtype=object)
-    dim = coeffs.shape[0]
+def as_poly(terms):
+    """{exponents: coefficient} of sum coef x_i1 ... x_ik over the
+    (index tuple, coef) ``terms``, in four variables."""
     out = defaultdict(Fraction)
-    for idx in itertools.product(range(dim), repeat=coeffs.ndim):
-        out[tuple(idx.count(v) for v in range(dim))] += coeffs[idx]
+    for idx, coef in terms:
+        out[tuple(idx.count(v) for v in range(4))] += coef
     return {k: c for k, c in out.items() if c}
 
 
@@ -195,26 +200,26 @@ def poly_mul(p, q, scale=1):
 
 
 def diag(*entries):
-    return np.diag(np.array([Fraction(x) for x in entries], dtype=object))
+    return as_poly(((i, i), Fraction(x)) for i, x in enumerate(entries))
 
 
 def coordinate(i):
-    return np.array([Fraction(int(k == i)) for k in range(4)], dtype=object)
+    return as_poly([((i,), Fraction(1))])
 
 
 def closed_form(case_id):
     """(p, q, F-free term, F-linear term) of the closed form's numerator."""
     if case_id == 2:
         p, q = Fraction(3, 10), Fraction(1, 5)
-        s = as_poly(diag(1, 1, 0, 0))  # a^2 + b^2
-        return p, q, poly_mul(s, s, 3 * p * p), poly_mul(as_poly(coordinate(2)), s, 4 * p)
+        s = diag(1, 1, 0, 0)  # a^2 + b^2
+        return p, q, poly_mul(s, s, 3 * p * p), poly_mul(coordinate(2), s, 4 * p)
     p, q = Fraction(0), Fraction(3, 10)
-    a = as_poly(coordinate(0))
+    a = coordinate(0)
     if case_id == 3:
-        s = as_poly(diag(0, 1, 1, 1))  # b^2 + c^2 + d^2
+        s = diag(0, 1, 1, 1)  # b^2 + c^2 + d^2
         return p, q, poly_mul(s, s, 3 * q * q), poly_mul(a, s, 4 * q)
-    s = as_poly(diag(0, 2, 1, 1))
-    return p, q, poly_mul(s, s, 3 * q * q / 4), poly_mul(a, as_poly(diag(0, 4, 1, 1)), q)
+    s = diag(0, 2, 1, 1)
+    return p, q, poly_mul(s, s, 3 * q * q / 4), poly_mul(a, diag(0, 4, 1, 1), q)
 
 
 def case_structure(case_id, p, q):
@@ -225,16 +230,17 @@ def case_structure(case_id, p, q):
 @pytest.mark.parametrize("case_id", [2, 3, 4])
 def test_compiled_forms_match_closed_form_coefficients(case_id):
     p, q, free, linear = closed_form(case_id)
-    _, _, quad, cubic = exact_forms(case_structure(case_id, p, q))
-    assert poly_mul(as_poly(quad), as_poly(quad), 3) == free
-    assert {k: -2 * c for k, c in as_poly(cubic.reshape(4, 4, 4)).items()} == linear
+    compiled = compile_randers(case_structure(case_id, p, q))
+    quad, cubic = as_poly(exact_terms(compiled.a)), as_poly(exact_terms(compiled.c))
+    assert poly_mul(quad, quad, 3) == free
+    assert {k: -2 * c for k, c in cubic.items()} == linear
 
 
 @pytest.mark.parametrize("case_id", [2, 3, 4])
 def test_correction_batch_matches_closed_form(case_id):
     p, q, *_ = closed_form(case_id)
-    gram, qv, _, _, quad, cubic = float_forms(case_structure(case_id, p, q))
+    r = case_structure(case_id, p, q)
     V = np.random.Generator(np.random.Philox(key=[7, case_id])).uniform(-1, 1, size=(64, 4))
-    corr = kernels.correction_batch(quad, cubic, V, kernels.eval_f_batch(gram, qv, V))
+    _, _, corr, _ = kernel_columns(r, V, V[::-1])
     want = [flag_curvature_case(case_id, float(p), float(q), *row, k_g=0.0) for row in V]
     np.testing.assert_allclose(corr, want, rtol=1e-12, atol=1e-15)

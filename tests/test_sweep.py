@@ -20,9 +20,10 @@ from lieranders import (
     kernels,
     make_randers,
 )
+from lieranders.classify import reproduce_theorem
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.flagcurv import compile_randers
-from lieranders.sweep import _draw_flags, dense_forms, dense_gram, run_sweep
+from lieranders.sweep import _draw_flags, dense_gram, run_sweep
 
 from conftest import deadline, dense_metric, douglas_q, fr
 
@@ -72,10 +73,31 @@ def test_sweep_requires_douglas():
 def test_sweep_riemannian_reduction():
     r = make_randers(catalog(3), identity_metric(4), fr(0, 0, 0, 0))
     res = run_sweep(r, n_samples=32, seed=2)
-    np.testing.assert_allclose(res.correction, 0.0, atol=1e-15)
+    assert (res.correction == 0.0).all()
     np.testing.assert_allclose(res.k_f, res.k_g, rtol=1e-12)
     np.testing.assert_allclose(res.k_g, -1.0, rtol=1e-9)
     assert res.sign_match.all()
+
+
+# every Berwald direction the theorem reports: X in case 1, W in case 2
+BERWALD = [(rep.case_id, b) for rep in reproduce_theorem() for b in rep.berwald.basis]
+
+
+def test_theorem_reports_the_berwald_directions():
+    assert BERWALD == [(1, fr(1, 0, 0, 0)), (2, fr(0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("case_id, direction", BERWALD, ids=["case1-X", "case2-W"])
+def test_berwald_directions_give_exact_zero_correction(case_id, direction):
+    # A and C vanish identically on a Berwald Q = direction / 2: their
+    # monomial lists are empty, so the correction column is exactly 0.0,
+    # not a rounding residue
+    q = tuple(x / 2 for x in direction)
+    r = make_randers(catalog(case_id), identity_metric(4), q)
+    compiled = compile_randers(r)
+    assert compiled.a.rounded() == [] and compiled.c.rounded() == []
+    res = run_sweep(r, n_samples=256, seed=3)
+    assert len(res) == 256 and (res.correction == 0.0).all()
 
 
 def test_sweep_rejects_dimension_one():
@@ -127,7 +149,8 @@ def test_draw_matches_einsum_oracle(metric, n):
     # compacted blocks joined (rejecting)
     r = DRAW_STRUCTURES[metric]()
     gram = dense_gram(r.metric)
-    r2, g2, _, _ = dense_forms(compile_randers(r))
+    compiled = compile_randers(r)
+    r2, g2 = compiled.r2.rounded(), compiled.g2.rounded()
     for seed in (0, 7, 2024):
         V, U, gvv = _draw_flags(gram, n, seed)
         oracle_v, oracle_u, oracle_gvv, drawn = oracle_draw(gram, n, seed)
