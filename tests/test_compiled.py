@@ -5,9 +5,9 @@ values are checked with ``==`` against ``sectional_curvature``, the
 ``Fraction`` inner product ``oracle_inner`` and the bracket oracle, its flag
 curvature against the Deng-Hou U-map route, and the float terms the sweep
 kernels read against one correctly rounded ``num / d`` per symmetrised
-monomial (and the oracle's dense tables against one per entry).  Its ``A`` and ``C`` restricted
-to the Douglas subspace, the sign certificate, vanish on every test space and
-on random structures.
+monomial (the oracle's dense tables against one per entry).  Its ``A`` and
+``C`` restricted to the Douglas subspace, the sign certificate, vanish on
+every test space and on random structures.
 """
 
 import itertools

@@ -143,6 +143,18 @@ def test_kernels_match_dense_oracle(setup):
         assert (np.abs(x - y) <= TOL * big).all(), name
 
 
+def test_form_batch_takes_terms_in_any_order():
+    # x_0 (x_0 + 3 x_1 + 2 x_2 + 4 x_3) - x_1^2 on integer columns, exact in
+    # floats; unsorted, the last indices 0, 2, 1, 3 would pass for one slice
+    x = np.arange(1.0, 9.0).reshape(4, 2)
+    terms = [((0, 0), 1.0), ((0, 2), 2.0), ((0, 1), 3.0), ((0, 3), 4.0), ((1, 1), -1.0)]
+    want = x[0] * (x[0] + 3 * x[1] + 2 * x[2] + 4 * x[3]) - x[1] * x[1]
+    for order in (terms, terms[::-1], sorted(terms)):
+        np.testing.assert_array_equal(kernels.form_batch(order, x), want)
+    np.testing.assert_array_equal(kernels.form_batch([], x), [0.0, 0.0])
+    np.testing.assert_array_equal(kernels.form_batch([((3,), 1.0), ((1,), 0.5)], x), x[3] + x[1] / 2)
+
+
 def test_compiled_forms_are_exact(setup):
     r, V, U = setup["r"], setup["V"], setup["U"]
     compiled = compile_randers(r)
