@@ -34,7 +34,6 @@ from .errors import (
     LieRandersError,
     NormTooLarge,
     NotDouglas,
-    ZeroDirection,
 )
 from .flagcurv import (
     CompiledRanders,
@@ -88,7 +87,6 @@ __all__ = [
     "RandersClass",
     "RandersStructure",
     "Subspace",
-    "ZeroDirection",
     "catalog",
     "classify_randers",
     "compile_randers",

@@ -369,9 +369,21 @@ _HANDLERS = {
 }
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--Q -1/2,0`` as ``--Q=-1/2,0`` (also ``--V``, ``--U``): argparse takes
+    "-1/2,0" for an option, as it takes any "-" token but a lone number."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--Q", "--V", "--U") and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command in ("classify", "flag", "sweep") and not args.file:
         if args.case is None:
             parser.error(f"{args.command}: one of --case or --file is required")

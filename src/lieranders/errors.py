@@ -17,10 +17,6 @@ class NormTooLarge(LieRandersError):
         super().__init__(f"g(Q,Q) = {norm_squared} >= 1; Randers metric is not Finsler")
 
 
-class ZeroDirection(LieRandersError):
-    """A pointwise Finsler quantity was requested at the zero vector."""
-
-
 class DegeneratePlane(LieRandersError):
     """The two vectors supposed to span a plane are linearly dependent."""
 

@@ -4,20 +4,23 @@ The flag with pole V and plane span{U, V} has flag curvature
 
     K^F = g(V,V)/F^2 K^g + (3 A(V)^2 - 2 F C(V)) / (4 F^4),
 
-with A(V) = g([Q,V],V) and C(V) = g([[Q,V],V],V) - g(V,[Q,ad*_V V]); it is
-homogeneous of degree zero in V.  :func:`compile_randers`, the one production
-route, compiles a structure once into integer tables over one denominator
-each: ``R2``/``G2`` on bivectors w = U^V with K^g = w^T R2 w / w^T G2 w
-(Milnor, *Curvatures of left invariant metrics on Lie groups*, Adv. Math. 21,
-1976), the Gram matrix, g(Q,.), ``A`` and ``C``.  ``R2``, ``G2`` and the
-Gram form depend only on the algebra and the metric and are read from the
-tables the metric keeps; only the Q-dependent forms are built per compile.
-Exact flags, the sign certificate and sweeps all read these coefficients; F
-is the only float step, and no array is built here: sweeps read each form's
-monomials, ``IntegerForm.rounded()``, each coefficient rounded once.
+with A(V) = g([Q,V],V) = g(nabla_V V, Q) and
+C(V) = 2 g(U(V, nabla_V V), Q) = g([[Q,V],V],V) - g(V,[Q,ad*_V V]), U the
+Deng-Hou U-map (:func:`u_map`); it is homogeneous of degree zero in V.
+:func:`compile_randers`, the one production route, compiles a structure once
+into integer tables over one denominator each: ``R2``/``G2`` on bivectors
+w = U^V with K^g = w^T R2 w / w^T G2 w (Milnor, *Curvatures of left
+invariant metrics on Lie groups*, Adv. Math. 21, 1976), the Gram matrix,
+g(Q,.), ``A`` and ``C``.  ``R2``, ``G2``, the Gram form and the Levi-Civita
+numerators depend only on the algebra and the metric and are read from the
+tables the metric keeps; only the Q-dependent forms are built per compile,
+``A`` and ``C`` from the Levi-Civita numerators.  Exact flags, the sign
+certificate and sweeps all read these coefficients; F is the only float
+step, and no array is built here: sweeps read each form's monomials,
+``IntegerForm.rounded()``, each coefficient rounded once.
 :func:`sign_certificate` restricts ``A`` and ``C`` to the Douglas subspace
-exactly.  The Deng-Hou U-map route
-(:func:`flag_curvature_deng_hou`) is the oracle.
+exactly.  The Deng-Hou U-map route (:func:`flag_curvature_deng_hou`), which
+raises the U-map through the inverse Gram matrix, is the oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from . import exactlinalg as xl
@@ -131,46 +135,46 @@ class CompiledRanders:
 def compile_randers(r: RandersStructure) -> CompiledRanders:
     """Compile a Douglas-type structure into its exact integer forms.
 
-    With c_ijk = g([e_i,e_j],e_k) and H = G^-1: A_ab = sum_i q_i c_iab;
-    C_abc = sum_m (AH)_am c_mbc - sum_k c_bka (HA)_kc, since
-    [Q, e_a] = sum_m (AH)_am e_m and g(ad*_V V, e_k) = g([V, e_k], V);
-    R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and G2_(ij)(kl) = g_ik g_jl - g_il g_jk.
-    The Gram, ``G2`` and ``R2`` forms and the lowered structure constants
-    depend only on the algebra and the metric: they are built once per
-    pair, on integer numerators, and kept with the metric
-    (``MetricTensor._tables``).  Only g(Q,.), ``A`` and ``C`` are built per
-    call.  Raises NotDouglas when Q is not g-orthogonal to [g, g].
+    The Q-independent tables are read from the metric's memo
+    (``MetricTensor._tables``): the Gram numerators, the Gram, ``G2`` and
+    ``R2`` forms, R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and
+    G2_(ij)(kl) = g_ik g_jl - g_il g_jk, and the Levi-Civita numerators
+    Gamma_ij^m, nabla_{e_i} e_j = sum_m Gamma_ij^m e_m.  As
+    nabla_u v = [u,v]/2 + U(u,v), with U the Deng-Hou U-map, and Q is
+    g-orthogonal to [g, g]:
+
+        A(V) = g([Q,V],V) = g(nabla_V V, Q):  A_ij = sum_m Gamma_ij^m g(e_m, Q),
+        C(V) = 2 g(U(V, nabla_V V), Q):       C_aij = 2 sum_m A_am Gamma_ij^m,
+
+    and A_ij = A_ji.  Only g(Q,.), ``A`` and ``C`` are built per call.
+    Raises NotDouglas when Q is not g-orthogonal to [g, g].
     """
     require_douglas(r)
     n = r.dim
     rn = range(n)
     space = r.metric._tables(r.algebra)
     g, dg = space.gram
-    h, dh = space.inverse_gram
-    _, dc = space.lowered
-    lowered = space.lowered_nonzeros
+    gam, dgam = space.connection
     q, dq = xl.common_denominator(r.q_field)
-    quad = [[0] * n for _ in rn]
-    for i, a, b, x in lowered:
-        quad[a][b] += q[i] * x
-    ah = [[sum(quad[a][k] * h[k * n + m] for k in rn) for m in rn] for a in rn]
-    ha = [[sum(h[k * n + j] * quad[j][e] for j in rn) for e in rn] for k in rn]
-    cubic = defaultdict(int)
-    for m, b, e, x in lowered:
-        for a in rn:
-            cubic[a, b, e] += ah[a][m] * x
-    for b, k, a, x in lowered:
-        for e in rn:
-            cubic[a, b, e] -= x * ha[k][e]
+    gq = [sum(map(mul, q, g[m::n])) for m in rn]  # g(e_m, Q) over dq * dg
+    # the numerator row (Gamma_ij^m)_m of nabla_{e_i} e_j, per (i, j)
+    gamma = {(i, j): gam[(i * n + j) * n : (i * n + j + 1) * n] for i in rn for j in rn}
+    quad = [[sum(map(mul, gamma[i, j], gq)) for j in rn] for i in rn]
+    cubic = {
+        (a, i, j): 2 * sum(map(mul, quad[a], row))
+        for (i, j), row in gamma.items()
+        if any(row)
+        for a in rn
+    }
     gram, g2, r2 = (IntegerForm(dict(terms), d) for terms, d in space.forms)
     return CompiledRanders(
         dim=n,
         gram=gram,
-        gq=_form({(k,): sum(q[i] * g[i * n + k] for i in rn) for k in rn}, dq * dg),
+        gq=_form({(m,): gq[m] for m in rn}, dq * dg),
         r2=r2,
         g2=g2,
-        a=_form({(a, b): quad[a][b] for a in rn for b in rn}, dq * dc),
-        c=_form(cubic, dq * dc * dh * dc),
+        a=_form({(i, j): quad[i][j] for i in rn for j in rn}, dgam * dq * dg),
+        c=_form(cubic, dgam * dgam * dq * dg),
     )
 
 

@@ -18,10 +18,11 @@ least common denominator (``exactlinalg.common_denominator``), and one
 ``Fraction`` is built per output entry.  A ``MetricTensor`` computes the
 numerators of its Gram and inverse Gram matrices once, and keeps the
 Q-independent tables of each algebra it is used with
-(``MetricTensor._tables``): the lowered structure constants, the connection
-numerators, the curvature entries, the lowered [g, g] basis, the Douglas
-subspace (its g-complement) and the Gram and bivector forms that
-``flagcurv.compile_randers`` compiles.  Each is built once, on first use,
+(``MetricTensor._tables``): the connection numerators (built from the
+lowered structure constants, which are not kept), the curvature entries, the
+lowered [g, g] basis, the Douglas subspace (its g-complement) and the Gram
+and bivector forms; ``flagcurv.compile_randers`` reads the Gram numerators,
+the connection and the forms.  Each is built once, on first use,
 and stored as tuples (the Douglas subspace as a frozen ``Subspace`` of
 tuples); the holder keeps no reference to the metric, so the tables are
 freed with it.  The memo is the one exact
@@ -218,28 +219,15 @@ class _SpaceTables:
         self.inverse_gram = metric._inverse_gram_numerators
 
     @cached_property
-    def lowered(self) -> tuple[tuple[int, ...], int]:
-        # c_ijk = g([e_i, e_j], e_k), flat index (i*n + j)*n + k
+    def connection(self) -> tuple[tuple[int, ...], int]:
+        # Koszul in index form: 2 gamma_ijk = c_ijk - c_jki + c_kij, k raised by G^-1,
+        # with c_ijk = g([e_i, e_j], e_k) at flat index (i*n + j)*n + k
         n = self.algebra.dim
         rn = range(n)
+        rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
         c, d = self.algebra._structure_numerators
         g, dg = self.gram
-        c = tuple(sum(c[ij + m] * g[m * n + k] for m in rn) for ij in range(0, n**3, n) for k in rn)
-        return c, d * dg
-
-    @cached_property
-    def lowered_nonzeros(self) -> tuple[tuple[int, int, int, int], ...]:
-        # sparse (i, j, k, numerator) view of ``lowered``
-        n = self.algebra.dim
-        c, _ = self.lowered
-        return tuple((t // (n * n), t // n % n, t % n, x) for t, x in enumerate(c) if x)
-
-    @cached_property
-    def connection(self) -> tuple[tuple[int, ...], int]:
-        # Koszul in index form: 2 gamma_ijk = c_ijk - c_jki + c_kij, k raised by G^-1
-        n = self.algebra.dim
-        rn = range(n)
-        c, d = self.lowered
+        c = [sum(c[ij + m] * g[m * n + k] for m in rn) for ij in rows for k in rn]
         two = [
             c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
             for i in rn
@@ -247,9 +235,8 @@ class _SpaceTables:
             for k in rn
         ]
         h, dh = self.inverse_gram
-        rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
         two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
-        return tuple(two), 2 * d * dh
+        return tuple(two), 2 * d * dg * dh
 
     @cached_property
     def curvature_entries(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:

@@ -1,9 +1,9 @@
 """Fraction-at-a-time oracles for the integer-numerator exact invariants.
 
 The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
-Levi-Civita table, the curvature entries, the lowered structure constants,
-the bivector forms, the Douglas and Berwald tests and subspaces and the
-sectional curvature in Python ints over memoised numerators.  The functions
+Levi-Civita table, the curvature entries, the bivector forms, the Douglas
+and Berwald tests and subspaces and the sectional curvature in Python ints
+over memoised numerators.  The functions
 here compute the same values one ``Fraction`` at a time, from the frozen
 ``structure`` and ``gram`` fields alone, and the two must agree with ``==``.
 ``oracle_nabla`` and ``oracle_of`` extend a ``Fraction`` connection or
@@ -45,12 +45,6 @@ def oracle_bracket(algebra, u, v):
                     if c:
                         out[k] += ui * vj * c
     return tuple(out)
-
-
-def oracle_lowered_structure(algebra, metric):
-    """c[i][j][k] = g([e_i, e_j], e_k) in Fractions."""
-    e, rn = algebra.basis(), range(algebra.dim)
-    return [[[oracle_inner(metric, algebra.structure[i][j], ek) for ek in e] for j in rn] for i in rn]
 
 
 def oracle_derived_algebra(algebra):

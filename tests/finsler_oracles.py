@@ -10,7 +10,11 @@ import math
 
 import numpy as np
 
-from lieranders.errors import DimensionMismatch, ZeroDirection
+from lieranders.errors import DimensionMismatch, LieRandersError
+
+
+class ZeroDirection(LieRandersError):
+    """A pointwise Finsler quantity was requested at the zero vector."""
 
 
 def _floats(x) -> np.ndarray:

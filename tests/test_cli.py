@@ -371,6 +371,35 @@ def test_bad_rational_names_token(capsys, token):
     assert err == f"error: --Q: bad rational '{token}'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--case", "3", "--Q=-1/2,0,0,0"],
+    ["flag", "--case", "3", "--Q=-1/2,0,0,0", "--V=-1,0,0,0", "--U=-0,1,0,0"],
+    ["sweep", "--case", "4", "--Q=-9/10,0,0,0", "--samples", "20", "--seed", "3"],
+    ["sweep", "--case", "4", "--Q=-9/10,0,0,0", "--samples", "20", "--seed", "3", "--csv"],
+], ids=["classify", "flag", "sweep", "sweep-csv"])
+def test_vector_starting_with_minus(capsys, argv):
+    # "--Q -1/2,0,0,0" reads as "--Q=-1/2,0,0,0", so the "--Q -1/2,0,0,0"
+    # of the echo line can be pasted back
+    spaced = [part for token in argv for part in token.split("=", 1)]
+    code, out, err = run(spaced, capsys)
+    assert code == cli.EXIT_OK and err == ""
+    assert run(argv, capsys) == (code, out, err)
+    if "--csv" not in argv:
+        assert " ".join(spaced[3:5]) in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--case", "3", "--Q", "--file", "x"],
+    ["classify", "--case", "3", "--Q", "-x"],
+    ["flag", "--case", "3", "--Q", "1/2,0,0,0", "--V", "1,0,0,0", "--U", "--case", "3"],
+], ids=["option", "letter", "flag-option"])
+def test_vector_option_still_needs_a_value(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_check_valid_file(tmp_path, capsys):
     path = tmp_path / "case3.json"
     defn = DefinitionFile(

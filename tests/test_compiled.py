@@ -2,12 +2,13 @@
 
 ``compile_randers`` is the one production flag-curvature route.  Its exact
 values are checked with ``==`` against ``sectional_curvature``, the
-``Fraction`` inner product ``oracle_inner`` and the bracket oracle, its flag
-curvature against the Deng-Hou U-map route, and the float terms the sweep
-kernels read against one correctly rounded ``num / d`` per symmetrised
-monomial (the oracle's dense tables against one per entry).  Its ``A`` and
-``C`` restricted to the Douglas subspace, the sign certificate, vanish on
-every test space and on random structures.
+``Fraction`` inner product ``oracle_inner``, the bracket oracle and, for
+``A`` and ``C``, the ``Fraction`` U-map; its flag curvature against the
+Deng-Hou U-map route, and the float terms the sweep kernels read against
+one correctly rounded ``num / d`` per symmetrised monomial (the oracle's
+dense tables against one per entry).  Its ``A`` and ``C`` restricted to the
+Douglas subspace, the sign certificate, vanish on every test space and on
+random structures.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from lieranders import (
     make_randers,
     sectional_curvature,
     sign_certificate,
+    u_map,
 )
 from lieranders import exactlinalg as xl
 from lieranders.errors import LieRandersError, NotDouglas
@@ -56,12 +58,20 @@ def flags(dim, seed, count=12):
 def assert_exact(r, compiled, flag):
     a, m = r.algebra, r.metric
     t1, cubic1, cubic2 = bracket_terms(r, flag.v)
-    assert compiled.exact(flag) == (
+    exact = compiled.exact(flag)
+    assert exact == (
         oracle_inner(m, flag.v, flag.v),
         oracle_inner(m, r.q_field, flag.v),
         sectional_curvature(a, m, flag.u, flag.v),
         t1,
         cubic1 - cubic2,
+    )
+    # the identity the compile rests on: A(V) = g(U(V,V), Q) and
+    # C(V) = 2 g(U(V, U(V,V)), Q), with U(V,V) = nabla_V V
+    uvv = u_map(a, m, flag.v, flag.v)
+    assert exact[3:] == (
+        oracle_inner(m, uvv, r.q_field),
+        2 * oracle_inner(m, u_map(a, m, flag.v, uvv), r.q_field),
     )
 
 

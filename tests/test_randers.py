@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from lieranders import Flag, MetricTensor, RandersStructure, catalog, make_randers
 from lieranders import exactlinalg as xl
-from lieranders.errors import DimensionMismatch, NormTooLarge, ZeroDirection
+from lieranders.errors import DimensionMismatch, NormTooLarge
 from lieranders.sweep import make_rng
 
 from conftest import dense_metric, fr, mat, sphere_directions
-from finsler_oracles import eval_F, fundamental_tensor, g_V
+from finsler_oracles import ZeroDirection, eval_F, fundamental_tensor, g_V
 
 X = fr(1, 0, 0, 0)
 ZERO_Q = fr(0, 0, 0, 0)

@@ -1,12 +1,11 @@
 """The exact tables memoised per (algebra, metric) pair.
 
 ``MetricTensor._tables(algebra)`` builds the Q-independent tables of a space
-once, on integer numerators: the lowered structure constants, the
-connection and curvature numerators, the lowered [g, g] basis, the Douglas
-subspace and the Gram, ``G2`` and ``R2`` forms.  Each is checked with ``==``
-against the ``Fraction`` oracles in ``exact_oracles``; the memo must be
-shared by every reader, separate for distinct algebra objects, immutable,
-and freed with its metric.
+once, on integer numerators: the connection and curvature numerators, the
+lowered [g, g] basis, the Douglas subspace and the Gram, ``G2`` and ``R2``
+forms.  Each is checked with ``==`` against the ``Fraction`` oracles in
+``exact_oracles``; the memo must be shared by every reader, separate for
+distinct algebra objects, immutable, and freed with its metric.
 """
 
 import gc
@@ -39,7 +38,6 @@ from exact_oracles import (
     oracle_douglas_subspace,
     oracle_integer_curvature_tensor,
     oracle_levi_civita,
-    oracle_lowered_structure,
 )
 
 
@@ -49,8 +47,7 @@ def fractions(nums, d):
 
 def read_all(tables):
     """Every memoised table of ``tables``, by name."""
-    names = ("lowered", "lowered_nonzeros", "connection", "curvature_entries",
-             "derived_lowered", "forms")
+    names = ("connection", "curvature_entries", "derived_lowered", "forms")
     return {name: getattr(tables, name) for name in names}
 
 
@@ -61,15 +58,6 @@ def test_memoised_tables_equal_fraction_oracles(space):
     tables = metric._tables(algebra)
     assert tables.gram == metric._gram_numerators
     assert tables.inverse_gram == metric._inverse_gram_numerators
-
-    lowered = oracle_lowered_structure(algebra, metric)
-    flat = [x for ci in lowered for cij in ci for x in cij]
-    assert fractions(*tables.lowered) == flat
-    _, d = tables.lowered
-    assert [(i, j, k, Fraction(x, d)) for i, j, k, x in tables.lowered_nonzeros] == [
-        (i, j, k, lowered[i][j][k])
-        for i in range(n) for j in range(n) for k in range(n) if lowered[i][j][k]
-    ]
 
     conn = oracle_levi_civita(algebra, metric)
     assert fractions(*tables.connection) == [x for gi in conn.gamma for gij in gi for x in gij]
