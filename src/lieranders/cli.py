@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 from fractions import Fraction
 
@@ -103,7 +104,9 @@ def _seed(text: str) -> int:
 
 
 def _echo(args_list: list[str]) -> str:
-    return "# lieranders " + " ".join(args_list)
+    """The report's first line: the command, shell-quoted so that it can be
+    pasted back."""
+    return "# lieranders " + shlex.join(args_list)
 
 
 def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
@@ -117,17 +120,18 @@ def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
     ]
 
 
-def _load_space(args) -> tuple[LieAlgebra, MetricTensor, str]:
+def _load_space(args) -> tuple[LieAlgebra, MetricTensor, list[str]]:
     """The space of ``--file``, which must satisfy Jacobi, else catalog
-    ``--case``, with its source label for the echo line."""
+    ``--case``, with the option that names it (``--file PATH`` or ``--case
+    N``) for the echo line."""
     if args.file:
         defn = load_definition(args.file)
         violations = defn.algebra.jacobi_check()
         if violations:
             raise LieRandersError("\n".join(jacobi_lines(defn.algebra, violations)))
-        return defn.algebra, defn.metric, args.file
+        return defn.algebra, defn.metric, ["--file", args.file]
     algebra = catalog(args.case)
-    return algebra, identity_metric(algebra.dim), f"case {args.case}"
+    return algebra, identity_metric(algebra.dim), ["--case", str(args.case)]
 
 
 def cmd_catalog(args, out) -> int:
@@ -182,7 +186,7 @@ def cmd_classify(args, out) -> int:
     q = parse_rationals(args.q, algebra.dim, "--Q")
     structure = make_randers(algebra, metric, q)
     result = classify_randers(structure)
-    print(_echo(["classify", source, "--Q", args.q]), file=out)
+    print(_echo(["classify", *source, "--Q", args.q]), file=out)
     print(f"class: {result.kind.value}", file=out)
     print(f"|Q|^2 = {structure.norm_q_squared}", file=out)
     for line in result.evidence:
@@ -198,7 +202,7 @@ def cmd_flag(args, out) -> int:
     structure = make_randers(algebra, metric, q)
     result = flag_curvature_simplified(structure, Flag(v=v, u=u))
     print(
-        _echo(["flag", source, "--Q", args.q, "--V", args.v, "--U", args.u]),
+        _echo(["flag", *source, "--Q", args.q, "--V", args.v, "--U", args.u]),
         file=out,
     )
     print(f"F(V)        = {fmt(result.f_value)}", file=out)
@@ -246,7 +250,7 @@ def cmd_sweep(args, out) -> int:
     result = run_sweep(structure, n_samples=args.samples, seed=args.seed)
     if not args.csv:
         print(_echo([
-            "sweep", source, "--Q", args.q,
+            "sweep", *source, "--Q", args.q,
             "--samples", str(args.samples), "--seed", str(args.seed),
         ]), file=out)
     header = [*CSV_COORDS[: algebra.dim], "K_g", "K_F", "correction", "sign_match"]

@@ -1,10 +1,11 @@
 """Batch float kernels behind the sweep machinery.
 
-Each kernel takes its (n, dim) blocks ``U``/``V`` (or ``F``) last, transposes
-them once into contiguous length-n columns and evaluates each compiled form
-it is given, g(Q, .), ``R2``/``G2`` on w = U^V (K^g = R2(w) / G2(w)), ``A``
-and ``C``, as its ``IntegerForm.rounded()`` monomials with :func:`form_batch`:
-the cost is proportional to the nonzero terms, and no dense table is built.
+Each kernel takes its flags as contiguous (dim, n) columns ``u``/``v``, one
+row per coordinate, as the sweep draws them, and evaluates each compiled
+form it is given, g(Q, .), ``R2``/``G2`` on w = U^V (K^g = R2(w) / G2(w)),
+``A`` and ``C``, as its ``IntegerForm.rounded()`` monomials with
+:func:`form_batch`: the cost is proportional to the nonzero terms, and no
+dense table is built.  No kernel transposes or copies its input.
 """
 
 from __future__ import annotations
@@ -40,25 +41,36 @@ def form_batch(terms, x: np.ndarray) -> np.ndarray:
     return _horner(sorted(terms), x, 0)
 
 
-def eval_f_batch(gvv: np.ndarray, beta, Y: np.ndarray) -> np.ndarray:
-    """F(y) = sqrt(g(y,y)) + g(Q,y) per row of Y; ``beta`` is g(Q, .)."""
-    return np.sqrt(gvv) + form_batch(beta, np.ascontiguousarray(Y.T))
+def eval_f_batch(gvv: np.ndarray, beta, v: np.ndarray) -> np.ndarray:
+    """F(y) = sqrt(g(y,y)) + g(Q,y) per column of v; ``beta`` is g(Q, .)."""
+    f = np.sqrt(gvv)
+    f += form_batch(beta, v)
+    return f
 
 
-def sectional_batch(r2, g2, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Sectional curvature R2(w) / G2(w) of span{U, V} per row, w = U^V; dim >= 2."""
-    u, v = np.ascontiguousarray(U.T), np.ascontiguousarray(V.T)
+def sectional_batch(r2, g2, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sectional curvature R2(w) / G2(w) of span{U, V} per column, w = U^V; dim >= 2."""
     # w_(ij) = U_i V_j - U_j V_i in the itertools.combinations order of R2, G2
     pairs = list(itertools.combinations(range(len(u)), 2))
-    w = np.empty((len(pairs), len(U)), dtype=np.result_type(U, V))
+    w = np.empty((len(pairs), u.shape[1]), dtype=np.result_type(u, v))
+    scratch = np.empty_like(w[0])
     for t, (i, j) in enumerate(pairs):
         np.multiply(u[i], v[j], out=w[t])
-        w[t] -= u[j] * v[i]
+        w[t] -= np.multiply(u[j], v[i], out=scratch)
     return form_batch(r2, w) / form_batch(g2, w)
 
 
-def correction_batch(a, c, V: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """(3 A(V)^2 - 2 F C(V)) / (4 F^4), the Douglas flag-curvature correction."""
-    v = np.ascontiguousarray(V.T)
+def correction_batch(a, c, v: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """(3 A(V)^2 - 2 F C(V)) / (4 F^4), the Douglas flag-curvature correction,
+    per column of v; F^4 is (F F)^2."""
     quad, cubic = form_batch(a, v), form_batch(c, v)
-    return (3.0 * quad * quad - 2.0 * F * cubic) / (4.0 * F**4)
+    out = quad * 3.0
+    out *= quad
+    t = F * 2.0
+    t *= cubic
+    out -= t
+    np.multiply(F, F, out=t)
+    t *= t
+    t *= 4.0
+    out /= t
+    return out

@@ -11,8 +11,10 @@ Each sweep compiles its structure once with
 the compile reads the curvature and the bivector forms from the integer
 tables kept with the metric and builds no ``Fraction`` table.  The kernels
 read each form's rounded monomials; only the draw uses a float Gram matrix,
-one product per block of V and of U, and its g(V, V) gives F too.  A block
-with no rejected row is used as drawn.
+one product per block of V and of U, and its g(V, V) gives F too.  The sweep
+is column-major from the draw on: each candidate block is one Philox fill,
+transposed once into contiguous (dim, n) columns of V and of U, and every
+kernel reads those columns as they are.
 
 This module and :mod:`lieranders.kernels` are the only ones that import
 numpy, and only the ``sweep`` command loads them: ``import lieranders`` and
@@ -64,10 +66,16 @@ def signs_agree(k_f, k_g):
 
     They do when np.sign gives the same value, or when both lie within
     ``SIGN_TOL * max(1, |k_f|, |k_g|)`` of zero.  NaN agrees with nothing.
+    The tolerance is evaluated only where the signs differ.
     """
-    scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
-    both_zero = (np.abs(k_f) <= SIGN_TOL * scale) & (np.abs(k_g) <= SIGN_TOL * scale)
-    return (np.sign(k_f) == np.sign(k_g)) | both_zero
+    k_f, k_g = np.asarray(k_f), np.asarray(k_g)
+    agree = np.asarray(np.sign(k_f) == np.sign(k_g))
+    differ = ~agree
+    if differ.any():
+        abs_f, abs_g = np.abs(k_f[differ]), np.abs(k_g[differ])
+        tol = SIGN_TOL * np.maximum(1.0, np.maximum(abs_f, abs_g))
+        agree[differ] = (abs_f <= tol) & (abs_g <= tol)
+    return agree
 
 
 def dense_gram(metric: MetricTensor) -> np.ndarray:
@@ -79,7 +87,7 @@ def dense_gram(metric: MetricTensor) -> np.ndarray:
 class SweepResult:
     """Columns of one sweep; rows are flags (V = aX+bY+cZ+dW, U discarded)."""
 
-    v: np.ndarray            # (n, dim) flag poles
+    v: np.ndarray            # (n, dim) flag poles: a transposed view of the (dim, n) V columns
     k_g: np.ndarray
     k_f: np.ndarray
     correction: np.ndarray
@@ -92,34 +100,43 @@ class SweepResult:
 def _draw_flags(
     gram: np.ndarray, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V, U, g(V, V)) of ``n_samples`` seeded flags, near-degenerate ones rejected.
+    """(v, u, g(V, V)) of ``n_samples`` seeded flags, near-degenerate ones
+    rejected; v and u are contiguous (dim, n) columns.
 
-    Candidates come from ``make_rng(seed, stream=3)`` as (want,
-    dim) blocks, V then U; a flag is kept when g(V,V) > 1e-6 and
-    g(U,U) g(V,V) - g(U,V)^2 > 1e-8.  The product V G serves both g(V,V)
-    and g(U,V).  A block with no rejected row is used as drawn, so the usual
-    sweep, whose first block is kept whole, copies nothing; blocks with
-    rejected rows are compacted and joined.
+    Each candidate block is one ``make_rng(seed, stream=3).random((2, want,
+    dim))`` scaled in place to [-1, 1): the bits of ``uniform(-1, 1)`` for
+    the V block, then the U block, in stream order.  V and U are transposed
+    once each into separate columns, so a result that keeps V never pins U.
+    A flag is kept when g(V,V) > 1e-6 and g(U,U) g(V,V) - g(U,V)^2 > 1e-8;
+    the product G v serves both g(V,V) and g(U,V).  A block with no rejected
+    row is kept whole; blocks with rejected rows are compacted on their
+    columns and joined.
     """
     dim = len(gram)
     rng = make_rng(seed, stream=3)
     blocks = []
     want = n_samples
     while want or not blocks:  # n_samples = 0 draws one empty block
-        cand_v = rng.uniform(-1.0, 1.0, size=(want, dim))
-        cand_u = rng.uniform(-1.0, 1.0, size=(want, dim))
-        gv = cand_v @ gram
-        vv = np.einsum("nk,nk->n", cand_v, gv)
-        uu = np.einsum("nk,nk->n", cand_u, cand_u @ gram)
-        uv = np.einsum("nk,nk->n", cand_u, gv)
-        good = (vv > 1e-6) & (uu * vv - uv**2 > 1e-8)
+        cand = rng.random((2, want, dim))
+        cand *= 2.0
+        cand -= 1.0
+        v, u = cand[0].T.copy(), cand[1].T.copy()
+        gv = gram @ v
+        vv = np.einsum("kn,kn->n", v, gv)
+        uv = np.einsum("kn,kn->n", u, gv)
+        uu = np.einsum("kn,kn->n", u, np.matmul(gram, u, out=gv))
+        # the Gram determinant g(U,U) g(V,V) - g(U,V)^2, in place
+        uu *= vv
+        uv *= uv
+        uu -= uv
+        good = (vv > 1e-6) & (uu > 1e-8)
         if not good.all():
-            cand_v, cand_u, vv = cand_v[good], cand_u[good], vv[good]
-        blocks.append((cand_v, cand_u, vv))
+            v, u, vv = (np.compress(good, x, axis=-1) for x in (v, u, vv))
+        blocks.append((v, u, vv))
         want -= len(vv)
     if len(blocks) == 1:
         return blocks[0]
-    return tuple(np.concatenate(column) for column in zip(*blocks))
+    return tuple(np.concatenate(column, axis=-1) for column in zip(*blocks))
 
 
 def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
@@ -128,7 +145,8 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     Flags are drawn from the counter-based Philox stream keyed by ``seed``,
     so the same seed and the same ``n_samples`` give the same rows.  Rows do
     depend on ``n_samples``: V and U are drawn as separate ``(want, dim)``
-    blocks, so a shorter sweep is not a prefix of a longer one.
+    halves of each candidate block, so a shorter sweep is not a prefix of a
+    longer one.
     ``n_samples = 0`` gives empty columns.  Raises LieRandersError when
     ``n_samples`` is not a non-negative integer, when ``seed`` is not an
     integer in [0, 2**64) (bools are neither), and below dimension 2, where
@@ -143,10 +161,14 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     if dim < 2:
         raise LieRandersError(f"sweep needs dimension >= 2 for a flag plane; got {dim}")
     compiled = compile_randers(r)
-    V, U, gvv = _draw_flags(dense_gram(r.metric), int(n_samples), seed)
-    f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), V)
-    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), U, V)
-    correction = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), V, f)
-    k_f = gvv / f**2 * k_g + correction
+    v, u, gvv = _draw_flags(dense_gram(r.metric), int(n_samples), seed)
+    f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), v)
+    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), u, v)
+    correction = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), v, f)
+    # k_f = gvv / f**2 * k_g + correction, in place and in that order
+    k_f = f * f
+    np.divide(gvv, k_f, out=k_f)
+    k_f *= k_g
+    k_f += correction
     sign_match = signs_agree(k_f, k_g)
-    return SweepResult(v=V, k_g=k_g, k_f=k_f, correction=correction, sign_match=sign_match)
+    return SweepResult(v=v.T, k_g=k_g, k_f=k_f, correction=correction, sign_match=sign_match)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,36 @@ def test_dense_file_golden(monkeypatch, capsys, argv, golden):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--case", "3", "--Q", "-1/2,0,0,0"],
+    ["classify", "--file", DENSE, "--Q", DENSE_Q],
+    ["flag", "--case", "3", "--Q", "1/2,0,0,0", "--V", "1,0,0,0", "--U", "0,1,0,0"],
+    ["flag", "--file", DENSE, "--Q", DENSE_Q, "--V", "-1,0,1,0", "--U", "0,1,0,1"],
+    ["sweep", "--case", "4", "--Q=-9/10,0,0,0", "--samples", "5", "--seed", "3"],
+    ["sweep", "--file", DENSE, "--Q", DENSE_Q, "--samples", "5", "--seed", "1"],
+], ids=["classify-case", "classify-file", "flag-case", "flag-file", "sweep-case", "sweep-file"])
+def test_echo_line_runs_as_the_command(monkeypatch, capsys, argv):
+    # the first line, "# lieranders <command>", pasted back gives the same report
+    monkeypatch.chdir(GOLDEN.parents[1])
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    echo = out.splitlines()[0]
+    assert shlex.split(echo)[:2] == ["#", "lieranders"]
+    assert run(shlex.split(echo)[2:], capsys) == (0, out, "")
+
+
+def test_echo_line_quotes_a_path_with_spaces(tmp_path, monkeypatch, capsys):
+    spaced = tmp_path / "my space"
+    spaced.mkdir()
+    (spaced / "case 2.json").write_bytes((GOLDEN / "dense_case2.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    argv = ["classify", "--file", "my space/case 2.json", "--Q", DENSE_Q]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[0] == f"# lieranders classify --file 'my space/case 2.json' --Q {DENSE_Q}"
+    assert run(shlex.split(out.splitlines()[0])[2:], capsys) == (0, out, "")
 
 
 def test_flag_not_douglas_exit_code(capsys):
@@ -258,7 +289,7 @@ def test_sweep_output_matches_per_value_format(capsys, n, csv):
         expected = header + "".join(rows)
     else:
         expected = (
-            f"# lieranders sweep case 2 --Q {q} --samples {n} --seed 9\n"
+            f"# lieranders sweep --case 2 --Q {q} --samples {n} --seed 9\n"
             + header + "".join(rows) + f"# sign matches: {matched}/{n}\n"
         )
     assert out == expected

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieranders import (
     Flag,
@@ -25,7 +27,7 @@ from lieranders import exactlinalg as xl
 from lieranders import flagcurv
 from lieranders.errors import DegenerateFlag, LieRandersError, NotDouglas
 from lieranders.riemann import MetricTensor, curvature_tensor, levi_civita
-from lieranders.sweep import make_rng, signs_agree
+from lieranders.sweep import SIGN_TOL, make_rng, signs_agree
 from lieranders.classify import douglas_subspace
 
 from conftest import (
@@ -312,3 +314,36 @@ def test_signs_agree_edge_values(k_f, k_g, agree):
     # the elementwise rule run_sweep applies to whole columns
     column = signs_agree(np.array([k_f, 1.0]), np.array([k_g, 1.0]))
     assert column.tolist() == [agree, True]
+
+
+def oracle_signs_agree(k_f, k_g):
+    """The sign rule with the tolerance evaluated on every element."""
+    scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
+    both_zero = (np.abs(k_f) <= SIGN_TOL * scale) & (np.abs(k_g) <= SIGN_TOL * scale)
+    return (np.sign(k_f) == np.sign(k_g)) | both_zero
+
+
+def _around(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# +-0, subnormals, both sides of SIGN_TOL * scale at scales 1 and 1e3, the
+# scale itself, +-inf and NaN; each also negated
+SIGN_EDGES = [
+    s * x
+    for s in (1.0, -1.0)
+    for x in [0.0, 5e-324, np.finfo(float).tiny / 3, np.finfo(float).tiny,
+              *_around(SIGN_TOL), *_around(SIGN_TOL * 1e3), *_around(1.0),
+              1e3, math.inf, math.nan]
+]
+sign_values = st.one_of(st.sampled_from(SIGN_EDGES), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(sign_values, sign_values), min_size=1, max_size=40))
+def test_signs_agree_matches_oracle_on_arrays(pairs):
+    k_f, k_g = (np.array(col, dtype=float) for col in zip(*pairs))
+    got = signs_agree(k_f, k_g)
+    assert got.dtype == bool and got.shape == k_f.shape
+    np.testing.assert_array_equal(got, oracle_signs_agree(k_f, k_g))
+    np.testing.assert_array_equal(signs_agree(k_g, k_f), got)

@@ -62,13 +62,14 @@ STRUCTURES = {
 
 
 def kernel_columns(r, V, U):
-    """(F, K^g, correction, K^F) of the library kernels at the rows of V, U."""
+    """(F, K^g, correction, K^F) of the library kernels at the rows of V, U,
+    passed as contiguous (dim, n) columns as the sweep draws them."""
     compiled = compile_randers(r)
-    gram = dense_gram(r.metric)
-    gvv = np.einsum("nk,nk->n", V, V @ gram)
-    f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), V)
-    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), U, V)
-    corr = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), V, f)
+    v, u = np.ascontiguousarray(V.T), np.ascontiguousarray(U.T)
+    gvv = np.einsum("kn,kn->n", v, dense_gram(r.metric) @ v)
+    f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), v)
+    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), u, v)
+    corr = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), v, f)
     return f, k_g, corr, gvv / f**2 * k_g + corr
 
 
@@ -168,10 +169,10 @@ def test_compiled_forms_are_exact(setup):
         assert (gvv, beta) == (oracle_inner(m, flag.v, flag.v), oracle_inner(m, r.q_field, flag.v))
         assert forms == [k_g, t1, cubic1 - cubic2]
         # the library kernels on Fraction columns with exact coefficients
-        v, u = obj(flag.v)[None], obj(flag.u)[None]
+        v, u = obj(flag.v)[:, None], obj(flag.u)[:, None]
         assert kernels.sectional_batch(r2, g2, u, v)[0] == k_g
-        assert kernels.form_batch(quad, v.T)[0] == t1
-        assert kernels.form_batch(cubic, v.T)[0] == cubic1 - cubic2
+        assert kernels.form_batch(quad, v)[0] == t1
+        assert kernels.form_batch(cubic, v)[0] == cubic1 - cubic2
 
 
 @settings(max_examples=50, deadline=None)

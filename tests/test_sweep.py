@@ -1,11 +1,14 @@
 """Sweep orchestration: determinism, internal consistency, preconditions.
 
-The draw is checked against ``oracle_draw``, which takes each g(., .) of
-the rejection test as a three-operand einsum; ``run_sweep`` shares one Gram
-product between g(V,V) and g(U,V) and must keep exactly the same flags,
-both when it uses a candidate block as drawn and when it compacts one.
+The draw is checked against ``oracle_draw``, which draws V and U as two
+``uniform(-1, 1)`` row blocks and takes each g(., .) of the rejection test
+as a three-operand einsum; ``run_sweep`` fills both blocks in one Philox
+call, works on their transposed columns, shares one Gram product between
+g(V,V) and g(U,V) and must keep exactly the same flags, both when it keeps a
+candidate block whole and when it compacts one.
 """
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -152,19 +155,42 @@ def test_draw_matches_einsum_oracle(metric, n):
     compiled = compile_randers(r)
     r2, g2 = compiled.r2.rounded(), compiled.g2.rounded()
     for seed in (0, 7, 2024):
-        V, U, gvv = _draw_flags(gram, n, seed)
+        v, u, gvv = _draw_flags(gram, n, seed)
         oracle_v, oracle_u, oracle_gvv, drawn = oracle_draw(gram, n, seed)
         if metric == "rejecting":
             assert drawn > n and (n < 5000 or drawn > 1.5 * n)
         else:
             assert drawn == n
-        np.testing.assert_array_equal(V, oracle_v)
-        np.testing.assert_array_equal(U, oracle_u)
+        # separate contiguous (dim, n) columns
+        assert v.flags.c_contiguous and u.flags.c_contiguous and not np.shares_memory(v, u)
+        np.testing.assert_array_equal(v.T, oracle_v)
+        np.testing.assert_array_equal(u.T, oracle_u)
         # the summation order differs, so g(V,V) may move by an ulp
         np.testing.assert_allclose(gvv, oracle_gvv, rtol=1e-15, atol=0)
         res = run_sweep(r, n, seed)
         np.testing.assert_array_equal(res.v, oracle_v)
-        np.testing.assert_array_equal(res.k_g, kernels.sectional_batch(r2, g2, oracle_u, oracle_v))
+        np.testing.assert_array_equal(
+            res.k_g, kernels.sectional_batch(r2, g2, oracle_u.T.copy(), oracle_v.T.copy())
+        )
+
+
+def test_sweep_memory_per_flag(structure):
+    # tracemalloc counts numpy's buffers: the peak of one 200000-flag sweep,
+    # and what its result keeps, V as a view of its columns (4 floats), three
+    # float columns and the sign match, 57 B per flag; a V that pinned U, or
+    # a view of the drawn candidate block, would keep 32 B per flag more
+    n = 200_000
+    run_sweep(structure, n_samples=8, seed=11)  # compile memo filled
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = run_sweep(structure, n_samples=n, seed=11)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res) == n and res.v.shape == (n, 4)
+    assert (peak - base) / n <= 210
+    assert (held - base) / n <= 60
 
 
 def test_sweep_zero_samples_gives_empty_columns(structure):
