@@ -11,10 +11,10 @@ Deng-Hou U-map (:func:`u_map`); it is homogeneous of degree zero in V.
 into integer tables over one denominator each: ``R2``/``G2`` on bivectors
 w = U^V with K^g = w^T R2 w / w^T G2 w (Milnor, *Curvatures of left
 invariant metrics on Lie groups*, Adv. Math. 21, 1976), the Gram matrix,
-g(Q,.), ``A`` and ``C``.  ``R2``, ``G2``, the Gram form and the Levi-Civita
-numerators depend only on the algebra and the metric and are read from the
-tables the metric keeps; only the Q-dependent forms are built per compile,
-``A`` and ``C`` from the Levi-Civita numerators.  Exact flags, the sign
+g(Q,.), ``A`` and ``C``.  ``R2``, ``G2``, the Gram form and the nonzero
+Levi-Civita numerator rows depend only on the algebra and the metric and are
+read from the tables the metric keeps; only the Q-dependent forms are built
+per compile, ``A`` and ``C`` from those rows.  Exact flags, the sign
 certificate and sweeps all read these coefficients; F is the only float
 step, and no array is built here: sweeps read each form's monomials,
 ``IntegerForm.rounded()``, each coefficient rounded once.
@@ -31,14 +31,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace
 from .classify import douglas_subspace, require_douglas
 from .errors import DegenerateFlag, DimensionMismatch, LieRandersError
 from .randers import RandersStructure
-from .riemann import CurvatureTable, MetricTensor, sectional_curvature
+from .riemann import CurvatureTable, IntegerForm, MetricTensor, sectional_curvature
 
 
 @dataclass(frozen=True)
@@ -62,33 +61,6 @@ class FlagCurvatureResult:
 
     def __iter__(self):
         return iter((self.k_f, self.k_g, self.correction, self.f_value))
-
-
-class IntegerForm(NamedTuple):
-    """sum of num * x[i] * x[j] * ... over ``terms`` {(i, j, ...): num}, over ``d``."""
-
-    terms: dict
-    d: int
-
-    def at(self, x) -> int:
-        """Numerator (over ``d``) of the form at the integer point ``x``."""
-        total = 0
-        for idx, num in self.terms.items():
-            for i in idx:
-                num *= x[i]
-            total += num
-        return total
-
-    def rounded(self) -> list[tuple[tuple, float]]:
-        """(sorted index tuple, exact sum of its terms rounded once as num / d)."""
-        sums = defaultdict(int)
-        for idx, num in self.terms.items():
-            sums[tuple(sorted(idx))] += num
-        return [(idx, num / self.d) for idx, num in sums.items() if num]
-
-
-def _form(coeffs: dict, d: int) -> IntegerForm:
-    return IntegerForm({idx: x for idx, x in coeffs.items() if x}, d)
 
 
 @dataclass(frozen=True)
@@ -136,45 +108,53 @@ def compile_randers(r: RandersStructure) -> CompiledRanders:
     """Compile a Douglas-type structure into its exact integer forms.
 
     The Q-independent tables are read from the metric's memo
-    (``MetricTensor._tables``): the Gram numerators, the Gram, ``G2`` and
-    ``R2`` forms, R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and
-    G2_(ij)(kl) = g_ik g_jl - g_il g_jk, and the Levi-Civita numerators
-    Gamma_ij^m, nabla_{e_i} e_j = sum_m Gamma_ij^m e_m.  As
-    nabla_u v = [u,v]/2 + U(u,v), with U the Deng-Hou U-map, and Q is
-    g-orthogonal to [g, g]:
+    (``MetricTensor._tables``): the Gram numerators and the compile base,
+    that is the nonzero Levi-Civita numerator rows Gamma_ij^m,
+    nabla_{e_i} e_j = sum_m Gamma_ij^m e_m, in lowest terms, and the Gram,
+    ``G2`` and ``R2`` forms, R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and
+    G2_(ij)(kl) = g_ik g_jl - g_il g_jk, shared by every compile of the space
+    with read-only terms.  As nabla_u v = [u,v]/2 + U(u,v), with U the
+    Deng-Hou U-map, and Q is g-orthogonal to [g, g]:
 
         A(V) = g([Q,V],V) = g(nabla_V V, Q):  A_ij = sum_m Gamma_ij^m g(e_m, Q),
         C(V) = 2 g(U(V, nabla_V V), Q):       C_aij = 2 sum_m A_am Gamma_ij^m,
 
-    and A_ij = A_ji.  Only g(Q,.), ``A`` and ``C`` are built per call.
-    Raises NotDouglas when Q is not g-orthogonal to [g, g].
+    and A_ij = A_ji.  Per call only the Q-dependent forms are built:
+    g(e_m, Q), then ``A`` from the nonzero connection rows, then ``C`` from
+    each pair of a nonzero row of ``A`` and a nonzero connection row; only
+    nonzero terms are stored.  Raises NotDouglas when Q is not g-orthogonal
+    to [g, g].
     """
     require_douglas(r)
     n = r.dim
-    rn = range(n)
     space = r.metric._tables(r.algebra)
+    rows, gram, g2, r2 = space.compile_base
     g, dg = space.gram
-    gam, dgam = space.connection
+    dgam = space.connection[1]
     q, dq = xl.common_denominator(r.q_field)
-    gq = [sum(map(mul, q, g[m::n])) for m in rn]  # g(e_m, Q) over dq * dg
-    # the numerator row (Gamma_ij^m)_m of nabla_{e_i} e_j, per (i, j)
-    gamma = {(i, j): gam[(i * n + j) * n : (i * n + j + 1) * n] for i in rn for j in rn}
-    quad = [[sum(map(mul, gamma[i, j], gq)) for j in rn] for i in rn]
-    cubic = {
-        (a, i, j): 2 * sum(map(mul, quad[a], row))
-        for (i, j), row in gamma.items()
-        if any(row)
-        for a in rn
-    }
-    gram, g2, r2 = (IntegerForm(dict(terms), d) for terms, d in space.forms)
+    gq = [sum(map(mul, q, g[m::n])) for m in range(n)]  # g(e_m, Q) over dq * dg
+    quad = {}
+    twice = [[0] * n for _ in range(n)]  # 2 A_am, row a
+    for (i, j), row in rows:
+        x = sum(map(mul, row, gq))
+        if x:
+            quad[i, j] = x
+            twice[i][j] = 2 * x
+    cubic = {}
+    for a, arow in enumerate(twice):
+        if any(arow):
+            for (i, j), row in rows:
+                x = sum(map(mul, arow, row))
+                if x:
+                    cubic[a, i, j] = x
     return CompiledRanders(
         dim=n,
         gram=gram,
-        gq=_form({(m,): gq[m] for m in rn}, dq * dg),
+        gq=IntegerForm({(m,): x for m, x in enumerate(gq) if x}, dq * dg),
         r2=r2,
         g2=g2,
-        a=_form({(i, j): quad[i][j] for i in rn for j in rn}, dgam * dq * dg),
-        c=_form(cubic, dgam * dgam * dq * dg),
+        a=IntegerForm(quad, dgam * dq * dg),
+        c=IntegerForm(cubic, dgam * dgam * dq * dg),
     )
 
 

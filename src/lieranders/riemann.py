@@ -18,18 +18,19 @@ least common denominator (``exactlinalg.common_denominator``), and one
 ``Fraction`` is built per output entry.  A ``MetricTensor`` computes the
 numerators of its Gram and inverse Gram matrices once, and keeps the
 Q-independent tables of each algebra it is used with
-(``MetricTensor._tables``): the connection numerators (built from the
-lowered structure constants, which are not kept), the curvature entries, the
-lowered [g, g] basis, the Douglas subspace (its g-complement) and the Gram
-and bivector forms; ``flagcurv.compile_randers`` reads the Gram numerators,
-the connection and the forms.  Each is built once, on first use,
-and stored as tuples (the Douglas subspace as a frozen ``Subspace`` of
-tuples); the holder keeps no reference to the metric, so the tables are
-freed with it.  The memo is the one exact
-source of the connection and the curvature: ``levi_civita`` is the
-``Fraction`` form of its connection numerators, and ``sectional_curvature``
-K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) sums its curvature
-entries.  The curvature sum has one integer core, ``_curvature_numerators``:
+(``MetricTensor._tables``): the connection numerators in lowest terms (built
+from the lowered structure constants, which are not kept), the curvature
+entries, the lowered [g, g] basis, the Douglas subspace (its g-complement)
+and the compile base that ``flagcurv.compile_randers`` reads with the Gram
+numerators: the nonzero connection rows and the Gram and bivector forms as
+``IntegerForm``s, shared by every compile of the space.  Each is built once,
+on first use, and stored as tuples (the Douglas subspace as a frozen
+``Subspace`` of tuples, the forms' terms as read-only mappings); the holder
+keeps no reference to the metric, so the tables are freed with it.  The memo
+is the one exact source of the connection and the curvature: ``levi_civita``
+is the ``Fraction`` form of its connection numerators, and
+``sectional_curvature`` K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2)
+sums its curvature entries.  The curvature sum has one integer core, ``_curvature_numerators``:
 ``curvature_tensor`` turns its output into a ``Fraction`` table, and the
 memo reads it straight into sparse integer entries.
 """
@@ -43,6 +44,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace
@@ -203,14 +206,39 @@ def _curvature_numerators(
     return out, dg * dg * dc
 
 
+class IntegerForm(NamedTuple):
+    """sum of num * x[i] * x[j] * ... over ``terms`` {(i, j, ...): num}, over ``d``."""
+
+    terms: dict
+    d: int
+
+    def at(self, x) -> int:
+        """Numerator (over ``d``) of the form at the integer point ``x``."""
+        total = 0
+        for idx, num in self.terms.items():
+            for i in idx:
+                num *= x[i]
+            total += num
+        return total
+
+    def rounded(self) -> list[tuple[tuple, float]]:
+        """(sorted index tuple, exact sum of its terms rounded once as num / d)."""
+        sums = defaultdict(int)
+        for idx, num in self.terms.items():
+            sums[tuple(sorted(idx))] += num
+        return [(idx, num / self.d) for idx, num in sums.items() if num]
+
+
 class _SpaceTables:
     """The exact tables of one (algebra, metric) pair that do not depend on Q.
 
     Each is built on integer numerators the first time it is read and kept
-    as nested tuples, the Douglas subspace as a frozen ``Subspace``.
-    ``MetricTensor._tables`` holds one per algebra; the holder keeps the
-    algebra and the metric's Gram numerators but not the metric, so the
-    tables are freed with their metric.
+    as nested tuples, the Douglas subspace as a frozen ``Subspace`` and the
+    compile base's forms as ``IntegerForm``s over read-only terms.  The
+    connection is kept in lowest terms.  ``MetricTensor._tables`` holds one
+    per algebra; the holder keeps the algebra and the metric's Gram
+    numerators but not the metric, so the tables are freed with their
+    metric.
     """
 
     def __init__(self, algebra: LieAlgebra, metric: MetricTensor):
@@ -236,7 +264,10 @@ class _SpaceTables:
         ]
         h, dh = self.inverse_gram
         two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
-        return tuple(two), 2 * d * dg * dh
+        # dividing out gcd(d, numerators) leaves the least common denominator
+        d = 2 * d * dg * dh
+        k = math.gcd(d, *two)
+        return tuple(x // k for x in two), d // k
 
     @cached_property
     def curvature_entries(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
@@ -274,16 +305,23 @@ class _SpaceTables:
         return Subspace(n, xl.nullspace(rows, n))
 
     @cached_property
-    def forms(self) -> tuple[tuple[tuple, int], tuple[tuple, int], tuple[tuple, int]]:
-        """The Gram form on V and the bivector forms ``G2``, ``R2`` on
-        w_(ij) = U_i V_j - U_j V_i, i < j: each as its nonzero
-        (index, numerator) terms over one denominator.
+    def compile_base(self) -> tuple[tuple, IntegerForm, IntegerForm, IntegerForm]:
+        """What ``flagcurv.compile_randers`` reads besides the Gram numerators.
+
+        First the nonzero connection rows ((i, j), (Gamma_ij^m)_m), over the
+        connection's denominator; then the Gram form on V and the bivector
+        forms ``G2``, ``R2`` on w_(ij) = U_i V_j - U_j V_i, i < j, each as
+        an ``IntegerForm`` of its nonzero terms over one denominator.  Every
+        compile of the space shares these forms, so their terms are
+        read-only.
 
         G2_(ij)(kl) = g_ik g_jl - g_il g_jk and R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l),
         so that K^g = w^T R2 w / w^T G2 w.
         """
         n = self.algebra.dim
         rn = range(n)
+        gam, _ = self.connection
+        rows = ((divmod(ij // n, n), gam[ij : ij + n]) for ij in range(0, n**3, n))
         g, dg = self.gram
         pairs = list(itertools.combinations(rn, 2))
         pos = {pair: t for t, pair in enumerate(pairs)}
@@ -299,9 +337,12 @@ class _SpaceTables:
             for t, (k, l) in enumerate(pairs)
         }
         gram = {(a, b): g[a * n + b] for a in rn for b in rn}
-        return tuple(
-            (tuple((idx, x) for idx, x in terms.items() if x), d)
-            for terms, d in ((gram, dg), (g2, dg * dg), (r2, d_r * dg))
+        return (
+            tuple((ij, row) for ij, row in rows if any(row)),
+            *(
+                IntegerForm(MappingProxyType({idx: x for idx, x in terms.items() if x}), d)
+                for terms, d in ((gram, dg), (g2, dg * dg), (r2, d_r * dg))
+            ),
         )
 
 

@@ -65,15 +65,20 @@ def signs_agree(k_f, k_g):
     """Whether K^F and K^g share their sign, elementwise on floats or arrays.
 
     They do when np.sign gives the same value, or when both lie within
-    ``SIGN_TOL * max(1, |k_f|, |k_g|)`` of zero.  NaN agrees with nothing.
-    The tolerance is evaluated only where the signs differ.
+    ``SIGN_TOL * max(1, |k_f|, |k_g|)`` of zero, the maximum taken over
+    finite magnitudes only, so an infinite value agrees only with a value of
+    its own sign.  NaN agrees with nothing.  The tolerance is evaluated only
+    where the signs differ.
     """
     k_f, k_g = np.asarray(k_f), np.asarray(k_g)
     agree = np.asarray(np.sign(k_f) == np.sign(k_g))
     differ = ~agree
     if differ.any():
         abs_f, abs_g = np.abs(k_f[differ]), np.abs(k_g[differ])
-        tol = SIGN_TOL * np.maximum(1.0, np.maximum(abs_f, abs_g))
+        scale = np.maximum(abs_f, abs_g)
+        # an infinite value lies within no finite tolerance, so 1 can stand in for it
+        scale[np.isinf(scale)] = 1.0
+        tol = SIGN_TOL * np.maximum(1.0, scale)
         agree[differ] = (abs_f <= tol) & (abs_g <= tol)
     return agree
 

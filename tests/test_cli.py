@@ -222,24 +222,34 @@ def last_digit(x):
     return 10.0 ** (math.floor(math.log10(abs(x))) - 11) if x else 0.0
 
 
+SWEEP_GOLDEN = [
+    ("sweep_case2.csv",
+     ["--case", "2", "--Q", "0,0,1/2,0", "--samples", "2000", "--seed", "7"]),
+    ("sweep_dense_case2.csv",
+     ["--file", str(GOLDEN / "dense_case2.json"), "--Q", "1/16,0,-1/8,-1/4",
+      "--samples", "1000", "--seed", "1"]),
+]
+
+
 def test_sweep_csv_golden(capsys):
-    # tests/golden/sweep_case2.csv: the header, the V columns and sign_match
-    # byte for byte; K_g, K_F and the correction within 1e-12 of the largest
-    # term of the row, plus one unit in the last printed digit, since another
-    # BLAS may round them differently
-    argv = ["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "2000", "--seed", "7"]
-    code, out, _ = run(argv + ["--csv"], capsys)
-    assert code == 0
-    got = out.splitlines(keepends=True)
-    want = (GOLDEN / "sweep_case2.csv").read_text().splitlines(keepends=True)
-    assert len(got) == len(want) == 2001 and got[0] == want[0]
-    for row, (g, w) in enumerate(zip(got[1:], want[1:])):
-        g, w = g.split(","), w.split(",")
-        assert g[:4] == w[:4] and g[7] == w[7], row
-        got_k, want_k = [float(x) for x in g[4:7]], [float(x) for x in w[4:7]]
-        big = max(1.0, *map(abs, got_k + want_k))
-        for x, y in zip(got_k, want_k):
-            assert abs(x - y) <= 1e-12 * big + last_digit(y), (row, g, w)
+    # each golden sweep: the header, the V columns and sign_match byte for
+    # byte; K_g, K_F and the correction within 1e-12 of the largest term of
+    # the row, plus one unit in the last printed digit, since another BLAS
+    # may round them differently
+    for name, args in SWEEP_GOLDEN:
+        code, out, _ = run(["sweep", *args, "--csv"], capsys)
+        assert code == 0, name
+        got = out.splitlines(keepends=True)
+        want = (GOLDEN / name).read_text().splitlines(keepends=True)
+        samples = int(args[args.index("--samples") + 1])
+        assert len(got) == len(want) == samples + 1 and got[0] == want[0], name
+        for row, (g, w) in enumerate(zip(got[1:], want[1:])):
+            g, w = g.split(","), w.split(",")
+            assert g[:4] == w[:4] and g[7] == w[7], (name, row)
+            got_k, want_k = [float(x) for x in g[4:7]], [float(x) for x in w[4:7]]
+            big = max(1.0, *map(abs, got_k + want_k))
+            for x, y in zip(got_k, want_k):
+                assert abs(x - y) <= 1e-12 * big + last_digit(y), (name, row, g, w)
 
 
 @pytest.mark.parametrize("argv", [

@@ -306,6 +306,13 @@ def test_sign_analysis_without_flags_is_rejected(algebra, q, reason):
         (float("nan"), 1.0, False),
         (float("nan"), 0.0, False),
         (float("nan"), float("nan"), False),
+        (math.inf, -1.0, False),  # an infinite value agrees only with its own sign
+        (-math.inf, 5.0, False),
+        (math.inf, 0.0, False),
+        (math.inf, -math.inf, False),
+        (math.inf, 1.0, True),
+        (-math.inf, -1e-20, True),
+        (math.inf, float("nan"), False),
     ],
 )
 def test_signs_agree_edge_values(k_f, k_g, agree):
@@ -317,8 +324,10 @@ def test_signs_agree_edge_values(k_f, k_g, agree):
 
 
 def oracle_signs_agree(k_f, k_g):
-    """The sign rule with the tolerance evaluated on every element."""
-    scale = np.maximum(1.0, np.maximum(np.abs(k_f), np.abs(k_g)))
+    """The sign rule with the tolerance evaluated on every element; only the
+    finite magnitudes scale it."""
+    finite_f, finite_g = (np.where(np.isfinite(x), np.abs(x), 0.0) for x in (k_f, k_g))
+    scale = np.maximum(1.0, np.maximum(finite_f, finite_g))
     both_zero = (np.abs(k_f) <= SIGN_TOL * scale) & (np.abs(k_g) <= SIGN_TOL * scale)
     return (np.sign(k_f) == np.sign(k_g)) | both_zero
 

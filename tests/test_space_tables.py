@@ -1,16 +1,20 @@
 """The exact tables memoised per (algebra, metric) pair.
 
 ``MetricTensor._tables(algebra)`` builds the Q-independent tables of a space
-once, on integer numerators: the connection and curvature numerators, the
-lowered [g, g] basis, the Douglas subspace and the Gram, ``G2`` and ``R2``
-forms.  Each is checked with ``==`` against the ``Fraction`` oracles in
-``exact_oracles``; the memo must be shared by every reader, separate for
-distinct algebra objects, immutable, and freed with its metric.
+once, on integer numerators: the connection (in lowest terms) and curvature
+numerators, the lowered [g, g] basis, the Douglas subspace and the compile
+base: the nonzero connection rows and the Gram, ``G2`` and ``R2`` forms.
+Each is checked with ``==`` against
+the ``Fraction`` oracles in ``exact_oracles``; the memo must be shared by
+every reader and every compile, separate for distinct algebra objects,
+immutable, and freed with its metric.
 """
 
 import gc
+import math
 import weakref
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -30,6 +34,7 @@ from lieranders import exactlinalg as xl
 from lieranders import riemann
 from lieranders.classify import berwald_subset
 from lieranders.flagcurv import Flag
+from lieranders.riemann import IntegerForm
 
 from conftest import SPACES, dense_metric, douglas_q, fr
 from exact_oracles import (
@@ -47,7 +52,7 @@ def fractions(nums, d):
 
 def read_all(tables):
     """Every memoised table of ``tables``, by name."""
-    names = ("connection", "curvature_entries", "derived_lowered", "forms")
+    names = ("connection", "curvature_entries", "derived_lowered", "compile_base")
     return {name: getattr(tables, name) for name in names}
 
 
@@ -75,8 +80,43 @@ def test_memoised_tables_equal_fraction_oracles(space):
         list(xl.mat_vec(metric.gram, b)) for b in oracle_derived_algebra(algebra).basis
     ]
 
-    got = tuple({idx: Fraction(x, d) for idx, x in terms} for terms, d in tables.forms)
+    rows, *forms = tables.compile_base
+    got = tuple({idx: Fraction(x, form.d) for idx, x in form.terms.items()} for form in forms)
     assert got == oracle_bivector_forms(algebra, metric, curvature)
+    assert all(all(form.terms.values()) for form in forms)
+    gamma = [x for gi in conn.gamma for gij in gi for x in gij]
+    d = tables.connection[1]
+    assert {ij: fractions(row, d) for ij, row in rows} == {
+        (i, j): gamma[(i * n + j) * n : (i * n + j + 1) * n]
+        for i in range(n) for j in range(n) if any(gamma[(i * n + j) * n : (i * n + j + 1) * n])
+    }
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_connection_is_in_lowest_terms(space):
+    algebra, metric = SPACES[space]()
+    nums, d = metric._tables(algebra).connection
+    assert math.gcd(d, *nums) == 1
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_compiles_share_the_read_only_forms(space):
+    # the Gram, G2 and R2 forms are built once per space; compiles with
+    # different Q (on so3 the only Douglas Q is 0) hand out the same objects
+    algebra, metric = SPACES[space]()
+    q = douglas_q(algebra, metric)
+    first = compile_randers(make_randers(algebra, metric, q))
+    second = compile_randers(make_randers(algebra, metric, tuple(x / 2 for x in q)))
+    for name in ("gram", "g2", "r2"):
+        form = getattr(first, name)
+        assert getattr(second, name) is form, name
+        key = (0, 0)  # R2 is empty on the abelian case 0
+        with pytest.raises(TypeError):
+            form.terms[key] = 1
+        with pytest.raises(TypeError):
+            del form.terms[key]
+        tampered = form._replace(terms={**form.terms, key: form.terms.get(key, 0) + 1})
+        assert tampered.terms[key] == form.terms.get(key, 0) + 1 and tampered.d == form.d
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -93,6 +133,7 @@ def test_readers_return_the_memo(space):
     is_douglas(algebra, metric, q)
     is_berwald(algebra, metric, q)
     sectional_curvature(algebra, metric, e0, e1)
+    compile_randers(make_randers(algebra, metric, q))
     conn = levi_civita(algebra, metric)
     assert metric._tables(algebra) is tables and list(metric._spaces) == [id(algebra)]
     assert all(getattr(tables, name) is value for name, value in before.items())
@@ -104,7 +145,9 @@ def test_memo_values_are_tuples(space):
     def assert_tuples(value, where):
         if isinstance(value, int):
             return
-        assert type(value) is tuple, (where, type(value))
+        if type(value) is MappingProxyType:  # the read-only terms of a shared form
+            value = tuple(value.items())
+        assert type(value) in (tuple, IntegerForm), (where, type(value))
         for item in value:
             assert_tuples(item, where)
 
