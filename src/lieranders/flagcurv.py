@@ -8,16 +8,17 @@ with A(V) = g([Q,V],V) = g(nabla_V V, Q) and
 C(V) = 2 g(U(V, nabla_V V), Q) = g([[Q,V],V],V) - g(V,[Q,ad*_V V]), U the
 Deng-Hou U-map (:func:`u_map`); it is homogeneous of degree zero in V.
 :func:`compile_randers`, the one production route, compiles a structure once
-into integer tables over one denominator each: ``R2``/``G2`` on bivectors
-w = U^V with K^g = w^T R2 w / w^T G2 w (Milnor, *Curvatures of left
-invariant metrics on Lie groups*, Adv. Math. 21, 1976), the Gram matrix,
-g(Q,.), ``A`` and ``C``.  ``R2``, ``G2``, the Gram form and the nonzero
-Levi-Civita numerator rows depend only on the algebra and the metric and are
-read from the tables the metric keeps; only the Q-dependent forms are built
-per compile, ``A`` and ``C`` from those rows.  Exact flags, the sign
-certificate and sweeps all read these coefficients; F is the only float
-step, and no array is built here: sweeps read each form's monomials,
-``IntegerForm.rounded()``, each coefficient rounded once.
+into integer forms of symmetric monomials over one denominator each:
+``R2``/``G2`` on bivectors w = U^V with K^g = w^T R2 w / w^T G2 w (Milnor,
+*Curvatures of left invariant metrics on Lie groups*, Adv. Math. 21, 1976),
+the Gram form, g(Q,.), ``A`` and ``C``.  ``R2``, ``G2`` and the Gram form
+depend only on the algebra and the metric and are read from the tables the
+metric keeps, as are ``A`` and ``C`` at each basis direction of Q; a
+compile contracts those with Q's numerators.  Exact flags, the float flag
+(each exact integer ratio rounded once), the sign certificate and sweeps
+all read these coefficients; F is the only inexact step, and no array is
+built here: sweeps read each form's monomials, ``IntegerForm.rounded()``,
+each coefficient rounded once.
 :func:`sign_certificate` restricts ``A`` and ``C`` to the Douglas subspace
 exactly.  The Deng-Hou U-map route (:func:`flag_curvature_deng_hou`), which
 raises the U-map through the inverse Gram matrix, is the oracle.
@@ -30,7 +31,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, truediv
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra, Subspace
@@ -67,9 +68,9 @@ class FlagCurvatureResult:
 class CompiledRanders:
     """Exact integer forms of one Randers structure of Douglas type.
 
-    ``gram``, ``gq``, ``a`` and ``c`` give g(V,V), g(Q,V), A(V) and C(V) (not
-    symmetrised) on V; ``r2`` and ``g2`` act on w_(ij) = U_i V_j - U_j V_i,
-    i < j, in ``itertools.combinations`` order.
+    ``gram``, ``gq``, ``a`` and ``c`` give g(V,V), g(Q,V), A(V) and C(V) on
+    V; ``r2`` and ``g2`` act on w_(ij) = U_i V_j - U_j V_i, i < j, in
+    ``itertools.combinations`` order.  Each is stored as symmetric monomials.
     """
 
     dim: int
@@ -80,24 +81,27 @@ class CompiledRanders:
     a: IntegerForm
     c: IntegerForm
 
-    def exact(self, flag: Flag) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-        """(g(V,V), g(Q,V), K^g, A(V), C(V)) of the flag, as exact rationals."""
+    def exact(self, flag: Flag, divide=Fraction) -> tuple:
+        """(g(V,V), g(Q,V), K^g, A(V), C(V)) of the flag, each ``divide(num, den)``
+        of its exact integer sums: exact rationals by default, correctly
+        rounded floats with ``operator.truediv`` (as ``flag`` reads them)."""
         if len(flag.v) != self.dim or len(flag.u) != self.dim:
             raise DimensionMismatch("flag vectors must match the algebra dimension")
         (v, dv), (u, du) = map(xl.common_denominator, (flag.v, flag.u))
         # w = U^V over du*dv; K^g does not depend on that scale
         w = [u[i] * v[j] - u[j] * v[i] for i, j in itertools.combinations(range(self.dim), 2)]
         return (
-            Fraction(self.gram.at(v), self.gram.d * dv**2),
-            Fraction(self.gq.at(v), self.gq.d * dv),
-            Fraction(self.r2.at(w) * self.g2.d, self.g2.at(w) * self.r2.d),
-            Fraction(self.a.at(v), self.a.d * dv**2),
-            Fraction(self.c.at(v), self.c.d * dv**3),
+            divide(self.gram.at(v), self.gram.d * dv**2),
+            divide(self.gq.at(v), self.gq.d * dv),
+            divide(self.r2.at(w) * self.g2.d, self.g2.at(w) * self.r2.d),
+            divide(self.a.at(v), self.a.d * dv**2),
+            divide(self.c.at(v), self.c.d * dv**3),
         )
 
     def flag(self, flag: Flag) -> FlagCurvatureResult:
-        """Flag curvature of one flag; F is the only float step."""
-        gvv, beta, k_g, a, c = map(float, self.exact(flag))
+        """Flag curvature of one flag; F is the only inexact step, as int / int
+        rounds each exact value once, to the float of its ``Fraction``."""
+        gvv, beta, k_g, a, c = self.exact(flag, truediv)
         f = math.sqrt(gvv) + beta
         correction = (3.0 * a**2 - 2.0 * f * c) / (4.0 * f**4)
         k_f = gvv / f**2 * k_g + correction
@@ -108,53 +112,49 @@ def compile_randers(r: RandersStructure) -> CompiledRanders:
     """Compile a Douglas-type structure into its exact integer forms.
 
     The Q-independent tables are read from the metric's memo
-    (``MetricTensor._tables``): the Gram numerators and the compile base,
-    that is the nonzero Levi-Civita numerator rows Gamma_ij^m,
-    nabla_{e_i} e_j = sum_m Gamma_ij^m e_m, in lowest terms, and the Gram,
-    ``G2`` and ``R2`` forms, R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and
-    G2_(ij)(kl) = g_ik g_jl - g_il g_jk, shared by every compile of the space
-    with read-only terms.  As nabla_u v = [u,v]/2 + U(u,v), with U the
-    Deng-Hou U-map, and Q is g-orthogonal to [g, g]:
+    (``MetricTensor._tables``): the Gram numerators, the compile base (the
+    Gram, ``G2`` and ``R2`` forms, R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and
+    G2_(ij)(kl) = g_ik g_jl - g_il g_jk, shared by every compile of the
+    space with read-only terms) and, per basis direction e_i with q_i != 0,
+    the tensors A_i and T_i of ``_SpaceTables.direction``.  As
+    nabla_u v = [u,v]/2 + U(u,v), with U the Deng-Hou U-map, and Q is
+    g-orthogonal to [g, g]:
 
         A(V) = g([Q,V],V) = g(nabla_V V, Q):  A_ij = sum_m Gamma_ij^m g(e_m, Q),
         C(V) = 2 g(U(V, nabla_V V), Q):       C_aij = 2 sum_m A_am Gamma_ij^m,
 
-    and A_ij = A_ji.  Per call only the Q-dependent forms are built:
-    g(e_m, Q), then ``A`` from the nonzero connection rows, then ``C`` from
-    each pair of a nonzero row of ``A`` and a nonzero connection row; only
-    nonzero terms are stored.  Raises NotDouglas when Q is not g-orthogonal
-    to [g, g].
+    with nabla_{e_i} e_j = sum_m Gamma_ij^m e_m.  Both are linear in Q, so a
+    compile is one contraction of Q's numerators q_i: g(e_m, Q),
+    A = sum_i q_i A_i and C = sum_i q_i T_i, keeping the nonzero monomials.
+    The Douglas test is one integer dot of the same numerators per lowered
+    [g, g] row; raises NotDouglas, with its exact evidence, when Q is not
+    g-orthogonal to [g, g].
     """
-    require_douglas(r)
     n = r.dim
     space = r.metric._tables(r.algebra)
-    rows, gram, g2, r2 = space.compile_base
+    q, dq = xl.common_denominator(r.q_field)
+    if any(sum(map(mul, q, row)) for row in space.derived_lowered[0]):
+        require_douglas(r)  # raises, with the evidence
+    _, gram, g2, r2 = space.compile_base
     g, dg = space.gram
     dgam = space.connection[1]
-    q, dq = xl.common_denominator(r.q_field)
     gq = [sum(map(mul, q, g[m::n])) for m in range(n)]  # g(e_m, Q) over dq * dg
-    quad = {}
-    twice = [[0] * n for _ in range(n)]  # 2 A_am, row a
-    for (i, j), row in rows:
-        x = sum(map(mul, row, gq))
-        if x:
-            quad[i, j] = x
-            twice[i][j] = 2 * x
-    cubic = {}
-    for a, arow in enumerate(twice):
-        if any(arow):
-            for (i, j), row in rows:
-                x = sum(map(mul, arow, row))
-                if x:
-                    cubic[a, i, j] = x
+    quad, cubic = {}, {}
+    for i, qi in enumerate(q):
+        if qi:
+            a_i, t_i = space.direction(i)
+            for idx, x in a_i:
+                quad[idx] = quad.get(idx, 0) + qi * x
+            for idx, x in t_i:
+                cubic[idx] = cubic.get(idx, 0) + qi * x
     return CompiledRanders(
         dim=n,
         gram=gram,
         gq=IntegerForm({(m,): x for m, x in enumerate(gq) if x}, dq * dg),
         r2=r2,
         g2=g2,
-        a=IntegerForm(quad, dgam * dq * dg),
-        c=IntegerForm(cubic, dgam * dgam * dq * dg),
+        a=IntegerForm({idx: x for idx, x in quad.items() if x}, dgam * dq * dg),
+        c=IntegerForm({idx: x for idx, x in cubic.items() if x}, dgam * dgam * dq * dg),
     )
 
 

@@ -21,16 +21,18 @@ Q-independent tables of each algebra it is used with
 (``MetricTensor._tables``): the connection numerators in lowest terms (built
 from the lowered structure constants, which are not kept), the curvature
 entries, the lowered [g, g] basis, the Douglas subspace (its g-complement)
-and the compile base that ``flagcurv.compile_randers`` reads with the Gram
-numerators: the nonzero connection rows and the Gram and bivector forms as
-``IntegerForm``s, shared by every compile of the space.  Each is built once,
-on first use, and stored as tuples (the Douglas subspace as a frozen
-``Subspace`` of tuples, the forms' terms as read-only mappings); the holder
-keeps no reference to the metric, so the tables are freed with it.  The memo
-is the one exact source of the connection and the curvature: ``levi_civita``
-is the ``Fraction`` form of its connection numerators, and
-``sectional_curvature`` K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2)
-sums its curvature entries.  The curvature sum has one integer core, ``_curvature_numerators``:
+and what ``flagcurv.compile_randers`` reads with the Gram numerators: the
+compile base (the nonzero connection rows and the Gram and bivector forms
+as ``IntegerForm``s of symmetric monomials, symmetrised once) and, per
+basis direction e_i, the forms A and C at Q = e_i, which a compile
+contracts with Q.  Each is built once, on first use, and stored as tuples
+(the Douglas subspace as a frozen ``Subspace`` of tuples, the forms' terms
+as read-only mappings); the holder keeps no reference to the metric, so
+the tables are freed with it.  The memo is the one exact source of the
+connection and the curvature: ``levi_civita`` is the ``Fraction`` form of
+its connection numerators, and ``sectional_curvature``
+K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) sums its curvature
+entries.  The curvature sum has one integer core, ``_curvature_numerators``:
 ``curvature_tensor`` turns its output into a ``Fraction`` table, and the
 memo reads it straight into sparse integer entries.
 """
@@ -44,6 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -207,7 +210,12 @@ def _curvature_numerators(
 
 
 class IntegerForm(NamedTuple):
-    """sum of num * x[i] * x[j] * ... over ``terms`` {(i, j, ...): num}, over ``d``."""
+    """sum of num * x[i] * x[j] * ... over ``terms`` {(i, j, ...): num}, over ``d``.
+
+    Every compiled form is stored as symmetric monomials: each index tuple
+    is sorted and carries one nonzero numerator, the sum of the terms of its
+    permutations (``_symmetrised``).
+    """
 
     terms: dict
     d: int
@@ -222,19 +230,27 @@ class IntegerForm(NamedTuple):
         return total
 
     def rounded(self) -> list[tuple[tuple, float]]:
-        """(sorted index tuple, exact sum of its terms rounded once as num / d)."""
-        sums = defaultdict(int)
-        for idx, num in self.terms.items():
-            sums[tuple(sorted(idx))] += num
-        return [(idx, num / self.d) for idx, num in sums.items() if num]
+        """(index tuple, its numerator rounded once as num / d) per monomial."""
+        d = self.d
+        return [(idx, num / d) for idx, num in self.terms.items()]
+
+
+def _symmetrised(terms) -> dict:
+    """{sorted index tuple: sum of the nums of its permutations} of the
+    (index tuple, num) pairs ``terms``, zero sums left out."""
+    sums = defaultdict(int)
+    for idx, num in terms:
+        sums[tuple(sorted(idx))] += num
+    return {idx: x for idx, x in sums.items() if x}
 
 
 class _SpaceTables:
     """The exact tables of one (algebra, metric) pair that do not depend on Q.
 
     Each is built on integer numerators the first time it is read and kept
-    as nested tuples, the Douglas subspace as a frozen ``Subspace`` and the
-    compile base's forms as ``IntegerForm``s over read-only terms.  The
+    as nested tuples, the Douglas subspace as a frozen ``Subspace``, the
+    compile base's forms as ``IntegerForm``s over read-only terms and the
+    forms of each basis direction (``direction``) as tuples.  The
     connection is kept in lowest terms.  ``MetricTensor._tables`` holds one
     per algebra; the holder keeps the algebra and the metric's Gram
     numerators but not the metric, so the tables are freed with their
@@ -245,6 +261,7 @@ class _SpaceTables:
         self.algebra = algebra
         self.gram = metric._gram_numerators
         self.inverse_gram = metric._inverse_gram_numerators
+        self._directions = {}  # basis index i -> (A_i, T_i); see direction
 
     @cached_property
     def connection(self) -> tuple[tuple[int, ...], int]:
@@ -306,14 +323,14 @@ class _SpaceTables:
 
     @cached_property
     def compile_base(self) -> tuple[tuple, IntegerForm, IntegerForm, IntegerForm]:
-        """What ``flagcurv.compile_randers`` reads besides the Gram numerators.
+        """The Q-independent part of every ``flagcurv.compile_randers`` of the space.
 
         First the nonzero connection rows ((i, j), (Gamma_ij^m)_m), over the
-        connection's denominator; then the Gram form on V and the bivector
-        forms ``G2``, ``R2`` on w_(ij) = U_i V_j - U_j V_i, i < j, each as
-        an ``IntegerForm`` of its nonzero terms over one denominator.  Every
-        compile of the space shares these forms, so their terms are
-        read-only.
+        connection's denominator, which ``direction`` reads; then the Gram
+        form on V and the bivector forms ``G2``, ``R2`` on
+        w_(ij) = U_i V_j - U_j V_i, i < j, each an ``IntegerForm`` of
+        symmetric monomials over one denominator.  Every compile of the
+        space shares these forms, so their terms are read-only.
 
         G2_(ij)(kl) = g_ik g_jl - g_il g_jk and R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l),
         so that K^g = w^T R2 w / w^T G2 w.
@@ -326,24 +343,57 @@ class _SpaceTables:
         pairs = list(itertools.combinations(rn, 2))
         pos = {pair: t for t, pair in enumerate(pairs)}
         d_r, entries = self.curvature_entries
-        r2 = defaultdict(int)
-        for i, j, k, l, x in entries:
-            for m in range(k + 1, n):
-                if g[l * n + m]:
-                    r2[pos[i, j], pos[k, m]] -= x * g[l * n + m]
-        g2 = {
-            (s, t): g[i * n + k] * g[j * n + l] - g[i * n + l] * g[j * n + k]
+        r2 = [
+            ((pos[i, j], pos[k, m]), -x * g[l * n + m])
+            for i, j, k, l, x in entries
+            for m in range(k + 1, n)
+            if g[l * n + m]
+        ]
+        g2 = [
+            ((s, t), g[i * n + k] * g[j * n + l] - g[i * n + l] * g[j * n + k])
             for s, (i, j) in enumerate(pairs)
             for t, (k, l) in enumerate(pairs)
-        }
-        gram = {(a, b): g[a * n + b] for a in rn for b in rn}
+        ]
+        gram = [((a, b), g[a * n + b]) for a in rn for b in rn]
         return (
             tuple((ij, row) for ij, row in rows if any(row)),
             *(
-                IntegerForm(MappingProxyType({idx: x for idx, x in terms.items() if x}), d)
+                IntegerForm(MappingProxyType(_symmetrised(terms)), d)
                 for terms, d in ((gram, dg), (g2, dg * dg), (r2, d_r * dg))
             ),
         )
+
+    def direction(self, i: int) -> tuple[tuple, tuple]:
+        """(A_i, T_i): A and C at Q = e_i as symmetric monomials, tuples of
+        (index tuple, num), built the first time a compile reads direction i.
+
+        With Gamma the connection numerators over dgam and g the Gram
+        numerators over dg, A_i,ab = sum_m Gamma_ab^m g_im over dgam * dg and
+        T_i,abc = 2 sum_m A_i,am Gamma_bc^m over dgam^2 * dg.  A and C are
+        linear in Q: A = sum_i q_i A_i and C = sum_i q_i T_i.
+        """
+        forms = self._directions.get(i)
+        if forms is None:
+            n = self.algebra.dim
+            rows = self.compile_base[0]
+            gi = self.gram[0][i * n : (i + 1) * n]  # g(e_i, e_m)
+            quad = []
+            twice = [[0] * n for _ in range(n)]  # 2 A_i,am, row a
+            for (a, b), row in rows:
+                x = sum(map(mul, row, gi))
+                if x:
+                    quad.append(((a, b), x))
+                    twice[a][b] = 2 * x
+            cubic = [
+                ((a, b, c), x)
+                for a, arow in enumerate(twice)
+                if any(arow)
+                for (b, c), row in rows
+                if (x := sum(map(mul, arow, row)))
+            ]
+            forms = tuple(tuple(_symmetrised(terms).items()) for terms in (quad, cubic))
+            self._directions[i] = forms
+        return forms
 
 
 def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTable:

@@ -193,11 +193,12 @@ SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def douglas_structures(draw):
+def douglas_structures(draw, identity=st.just(False)):
     """Random antisymmetric structure constants with no e_last component, so
     [g, g] misses e_last and the Douglas subspace is nonzero; metric
-    P^T P + I; Q in the Douglas subspace; a random flag.  The forms are
-    identities without Jacobi, so it is not required."""
+    P^T P + I, or the identity where ``identity`` draws True; Q in the
+    Douglas subspace; a random flag.  The forms are identities without
+    Jacobi, so it is not required."""
     n = draw(st.integers(min_value=2, max_value=5))
     vector = st.tuples(*[SMALL_RATIONALS] * n)
     brackets = {
@@ -208,7 +209,7 @@ def douglas_structures(draw):
     }
     algebra = LieAlgebra.from_brackets(n, tuple(f"e{i}" for i in range(n)), brackets)
     p = draw(st.tuples(*[vector] * n))
-    metric = spd_metric(p)
+    metric = identity_metric(n) if draw(identity) else spd_metric(p)
     basis = douglas_subspace(algebra, metric).basis
     coeffs = draw(st.tuples(*[SMALL_RATIONALS] * len(basis)))
     q = xl.zero_vector(n)

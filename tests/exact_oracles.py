@@ -1,17 +1,21 @@
 """Fraction-at-a-time oracles for the integer-numerator exact invariants.
 
 The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
-Levi-Civita table, the curvature entries, the bivector forms, the Douglas
-and Berwald tests and subspaces and the sectional curvature in Python ints
-over memoised numerators.  The functions
+Levi-Civita table, the curvature entries, the bivector forms, the compiled
+``A`` and ``C``, the Douglas and Berwald tests and subspaces and the
+sectional curvature in Python ints over memoised numerators.  The functions
 here compute the same values one ``Fraction`` at a time, from the frozen
-``structure`` and ``gram`` fields alone, and the two must agree with ``==``.
+``structure`` and ``gram`` fields alone, and the two must agree with ``==``;
+forms, which the library stores as symmetric monomials, are compared as
+polynomials (``symmetrised``).
 ``oracle_nabla`` and ``oracle_of`` extend a ``Fraction`` connection or
 curvature table to arbitrary vectors; the library keeps no such extension.
 """
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace, format_combination
@@ -265,6 +269,43 @@ def oracle_bivector_forms(algebra, metric, curvature):
         for t, (k, l) in enumerate(pairs)
     }
     return tuple({idx: x for idx, x in form.items() if x} for form in (gram, g2, r2))
+
+
+def symmetrised(terms):
+    """{sorted index tuple: sum of the coefficients of its permutations} of
+    the form ``terms`` {index tuple: coefficient}, zero sums left out: the
+    polynomial the terms stand for, in the library's storage."""
+    sums = defaultdict(int)
+    for idx, x in terms.items():
+        sums[tuple(sorted(idx))] += x
+    return {idx: x for idx, x in sums.items() if x}
+
+
+def oracle_correction_forms(r):
+    """(A, C) of the Randers structure ``r`` by the pair loop, in Fractions,
+    unsymmetrised and with zeros left out: A_ij = sum_m Gamma_ij^m g(e_m, Q)
+    over the nonzero connection rows of ``oracle_levi_civita``, then
+    C_aij = 2 sum_m A_am Gamma_ij^m over each pair of a nonzero row of A and
+    a nonzero connection row."""
+    n = r.dim
+    conn = oracle_levi_civita(r.algebra, r.metric)
+    rows = [((i, j), conn.gamma[i][j])
+            for i in range(n) for j in range(n) if any(conn.gamma[i][j])]
+    gq = [oracle_inner(r.metric, e, r.q_field) for e in r.algebra.basis()]
+    quad, cubic = {}, {}
+    twice = [[0] * n for _ in range(n)]  # 2 A_am, row a
+    for (i, j), row in rows:
+        x = sum(map(mul, row, gq))
+        if x:
+            quad[i, j] = x
+            twice[i][j] = 2 * x
+    for a, arow in enumerate(twice):
+        if any(arow):
+            for (i, j), row in rows:
+                x = sum(map(mul, arow, row))
+                if x:
+                    cubic[a, i, j] = x
+    return quad, cubic
 
 
 def oracle_find_signed_permutation_triples(algebra, metric=None):

@@ -1,16 +1,15 @@
 """The dense float kernels, kept as an oracle for the monomial kernels.
 
 ``dense_forms`` lays the compiled forms out as dense float tables, each
-entry one correctly rounded ``num / d`` of the unsymmetrised terms, and the
+entry one correctly rounded ``num / d`` of the symmetric monomials, and the
 three kernels evaluate them with matrix products and ``einsum`` reductions:
 the quadratic form x^T M x as the row dot ``einsum("nk,nk->n", x, x @ M)``
 and the cubic form C(V) through ``P = V @ C``, ``P_nbc = sum_a V_a C_abc``.
-``exact_terms`` gives a form's symmetrised monomials with exact
-``Fraction`` coefficients, for running the library kernels on object arrays.
+``exact_terms`` gives a form's monomials with exact ``Fraction``
+coefficients, for running the library kernels on object arrays.
 """
 
 import itertools
-from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -31,11 +30,8 @@ def dense_forms(compiled):
 
 
 def exact_terms(form):
-    """(index tuple, Fraction coefficient) of each symmetrised monomial."""
-    sums = defaultdict(int)
-    for idx, num in form.terms.items():
-        sums[tuple(sorted(idx))] += num
-    return [(idx, Fraction(num, form.d)) for idx, num in sums.items() if num]
+    """(index tuple, Fraction coefficient) of each monomial."""
+    return [(idx, Fraction(num, form.d)) for idx, num in form.terms.items()]
 
 
 def oracle_eval_f_batch(gram, q, Y):

@@ -163,7 +163,7 @@ def test_flag_not_douglas_exit_code(capsys):
         capsys,
     )
     assert code == cli.EXIT_NOT_DOUGLAS
-    assert "Douglas" in err
+    assert err == "error: not of Douglas type: g(Q, X) = 1/2\n"
 
 
 def test_flag_degenerate_exit_code(capsys):

@@ -3,22 +3,26 @@
 ``compile_randers`` is the one production flag-curvature route.  Its exact
 values are checked with ``==`` against ``sectional_curvature``, the
 ``Fraction`` inner product ``oracle_inner``, the bracket oracle and, for
-``A`` and ``C``, the ``Fraction`` U-map; its flag curvature against the
-Deng-Hou U-map route, and the float terms the sweep kernels read against
-one correctly rounded ``num / d`` per symmetrised monomial (the oracle's
-dense tables against one per entry).  Its ``A`` and ``C`` restricted to the
-Douglas subspace, the sign certificate, vanish on every test space and on
-random structures.
+``A`` and ``C``, the ``Fraction`` U-map and, as polynomials, the ``Fraction``
+pair loop ``oracle_correction_forms``; its flag curvature against the
+Deng-Hou U-map route and, bit for bit, against the floats of its exact
+values, and the float terms the sweep kernels read against one correctly
+rounded ``num / d`` per symmetric monomial (the oracle's dense tables
+against one per entry).  Its ``A`` and ``C`` restricted to the Douglas
+subspace, the sign certificate, vanish on every test space and on random
+structures.
 """
 
 import itertools
+import math
 import re
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lieranders import (
     Flag,
@@ -38,8 +42,15 @@ from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.riemann import curvature_tensor, levi_civita
 from lieranders.sweep import make_rng
 
-from conftest import SPACES, douglas_q, douglas_structures, fr, random_flag_pair
-from exact_oracles import oracle_inner, sparse_entries
+from conftest import (
+    SMALL_RATIONALS,
+    SPACES,
+    douglas_q,
+    douglas_structures,
+    fr,
+    random_flag_pair,
+)
+from exact_oracles import oracle_correction_forms, oracle_inner, sparse_entries, symmetrised
 from flag_oracles import bracket_terms
 from kernel_oracles import dense_forms
 
@@ -182,3 +193,43 @@ def test_sign_certificate_holds_on_random_structures(case):
 def test_compiled_values_equal_oracles_random(case):
     r, flag = case
     assert_exact(r, compile_randers(r), flag)
+
+
+def polynomial(form):
+    """The exact coefficients of a compiled form, by stored index tuple."""
+    return {idx: Fraction(num, form.d) for idx, num in form.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(douglas_structures(identity=st.booleans()))
+def test_contracted_forms_equal_pair_loop_oracle(case):
+    # A = sum_i q_i A_i and C = sum_i q_i T_i are the forms of the pair loop
+    r, _ = case
+    compiled = compile_randers(r)
+    quad, cubic = oracle_correction_forms(r)
+    assert polynomial(compiled.a) == symmetrised(quad)
+    assert polynomial(compiled.c) == symmetrised(cubic)
+    zero = compile_randers(make_randers(r.algebra, r.metric, xl.zero_vector(r.dim)))
+    assert zero.a.terms == {} and zero.c.terms == {}
+    for form in (compiled.a, compiled.c):
+        assert all(idx == tuple(sorted(idx)) and num for idx, num in form.terms.items())
+
+
+@pytest.mark.parametrize("space", SPACES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flag_is_the_float_route_of_exact(space, data):
+    # flag divides the integer sums; int / int is correctly rounded, so each
+    # value is the float of its Fraction, and K^F follows bit for bit
+    r = structure(space)
+    vector = st.tuples(*[SMALL_RATIONALS] * r.dim)
+    v, u = data.draw(vector), data.draw(vector)
+    assume(xl.rank([v, u]) == 2)
+    flag = Flag(v=v, u=u)
+    compiled = compile_randers(r)
+    gvv, beta, k_g, a, c = map(float, compiled.exact(flag))
+    f = math.sqrt(gvv) + beta
+    correction = (3.0 * a**2 - 2.0 * f * c) / (4.0 * f**4)
+    k_f = gvv / f**2 * k_g + correction
+    want = [x.hex() for x in (k_f, k_g, correction, f)]
+    assert [x.hex() for x in compiled.flag(flag)] == want

@@ -3,9 +3,10 @@
 ``MetricTensor._tables(algebra)`` builds the Q-independent tables of a space
 once, on integer numerators: the connection (in lowest terms) and curvature
 numerators, the lowered [g, g] basis, the Douglas subspace and the compile
-base: the nonzero connection rows and the Gram, ``G2`` and ``R2`` forms.
-Each is checked with ``==`` against
-the ``Fraction`` oracles in ``exact_oracles``; the memo must be shared by
+base: the nonzero connection rows and the Gram, ``G2`` and ``R2`` forms,
+and, per basis direction a compile reads, the tensors ``A_i`` and ``T_i``.
+Each is checked with ``==`` against the ``Fraction`` oracles in
+``exact_oracles``, the forms as polynomials; the memo must be shared by
 every reader and every compile, separate for distinct algebra objects,
 immutable, and freed with its metric.
 """
@@ -43,6 +44,7 @@ from exact_oracles import (
     oracle_douglas_subspace,
     oracle_integer_curvature_tensor,
     oracle_levi_civita,
+    symmetrised,
 )
 
 
@@ -80,10 +82,12 @@ def test_memoised_tables_equal_fraction_oracles(space):
         list(xl.mat_vec(metric.gram, b)) for b in oracle_derived_algebra(algebra).basis
     ]
 
+    # the forms are stored as symmetric monomials: compared as polynomials
     rows, *forms = tables.compile_base
     got = tuple({idx: Fraction(x, form.d) for idx, x in form.terms.items()} for form in forms)
-    assert got == oracle_bivector_forms(algebra, metric, curvature)
+    assert got == tuple(map(symmetrised, oracle_bivector_forms(algebra, metric, curvature)))
     assert all(all(form.terms.values()) for form in forms)
+    assert all(idx == tuple(sorted(idx)) for form in forms for idx in form.terms)
     gamma = [x for gi in conn.gamma for gij in gi for x in gij]
     d = tables.connection[1]
     assert {ij: fractions(row, d) for ij, row in rows} == {
@@ -154,6 +158,23 @@ def test_memo_values_are_tuples(space):
     algebra, metric = SPACES[space]()
     for name, value in read_all(metric._tables(algebra)).items():
         assert_tuples(value, name)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_direction_tensors_are_built_per_nonzero_q_coordinate(space):
+    # A_i and T_i are A and C at Q = e_i, built on first use for q_i != 0 only,
+    # kept as tuples of sorted, nonzero monomials and reused by later compiles
+    algebra, metric = SPACES[space]()
+    tables = metric._tables(algebra)
+    q = douglas_q(algebra, metric)
+    compile_randers(make_randers(algebra, metric, q))
+    assert set(tables._directions) == {i for i, x in enumerate(q) if x}
+    kept = dict(tables._directions)
+    compile_randers(make_randers(algebra, metric, tuple(x / 3 for x in q)))
+    assert all(tables.direction(i) is forms for i, forms in kept.items())
+    for forms in kept.values():
+        assert type(forms) is tuple and all(type(terms) is tuple for terms in forms)
+        assert all(idx == tuple(sorted(idx)) and x for terms in forms for idx, x in terms)
 
 
 @pytest.mark.parametrize("space", ["case2-identity", "case2-dense", "solv5-dense"])
