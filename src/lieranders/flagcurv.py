@@ -99,8 +99,9 @@ class CompiledRanders:
         )
 
     def flag(self, flag: Flag) -> FlagCurvatureResult:
-        """Flag curvature of one flag; F is the only inexact step, as int / int
-        rounds each exact value once, to the float of its ``Fraction``."""
+        """Flag curvature of one flag.  Each exact value is rounded once
+        (int / int is correctly rounded, so it is the float of its
+        ``Fraction``); F, the correction and K^F follow in floats."""
         gvv, beta, k_g, a, c = self.exact(flag, truediv)
         f = math.sqrt(gvv) + beta
         correction = (3.0 * a**2 - 2.0 * f * c) / (4.0 * f**4)
