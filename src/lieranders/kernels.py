@@ -1,11 +1,14 @@
 """Batch float kernels behind the sweep machinery.
 
-Each kernel takes its flags as contiguous (dim, n) columns ``u``/``v``, one
-row per coordinate, as the sweep draws them, and evaluates each compiled
-form it is given, g(Q, .), ``R2``/``G2`` on w = U^V (K^g = R2(w) / G2(w)),
-``A`` and ``C``, as its ``IntegerForm.rounded()`` monomials with
+Each kernel takes its flags as contiguous (dim, n) columns, one row per
+coordinate, as the sweep draws them: V as ``v``, and the plane as its
+bivector columns w = U^V (:func:`wedge_batch`, built once by the draw, which
+reads G2(w) from them for its rejection test).  Each compiled form it is
+given, g(Q, .), ``R2`` on w (K^g = R2(w) / G2(w)), ``A`` and ``C``, is
+evaluated as its ``IntegerForm.rounded()`` monomials with
 :func:`form_batch`: the cost is proportional to the nonzero terms, and no
-dense table is built.  No kernel transposes or copies its input.
+dense table is built.  No kernel transposes, copies or writes into its
+inputs.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ def _horner(terms: list, x: np.ndarray, depth: int) -> np.ndarray:
         ks = [idx[depth] for idx, _ in terms]
         rows = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
         return np.array([coef for _, coef in terms]) @ x[rows]
-    parts = [x[i] * _horner(list(group), x, depth + 1)
-             for i, group in itertools.groupby(terms, key=lambda term: term[0][depth])]
-    for part in parts[1:]:
-        parts[0] += part
-    return parts[0]
+    # summed as they come, so one group's product is alive at a time
+    groups = itertools.groupby(terms, key=lambda term: term[0][depth])
+    i, group = next(groups)
+    total = x[i] * _horner(list(group), x, depth + 1)
+    for i, group in groups:
+        total += x[i] * _horner(list(group), x, depth + 1)
+    return total
 
 
 def form_batch(terms, x: np.ndarray) -> np.ndarray:
@@ -48,16 +53,21 @@ def eval_f_batch(gvv: np.ndarray, beta, v: np.ndarray) -> np.ndarray:
     return f
 
 
-def sectional_batch(r2, g2, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sectional curvature R2(w) / G2(w) of span{U, V} per column, w = U^V; dim >= 2."""
-    # w_(ij) = U_i V_j - U_j V_i in the itertools.combinations order of R2, G2
-    pairs = list(itertools.combinations(range(len(u)), 2))
+def wedge_batch(pairs, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bivector columns w_(ij) = U_i V_j - U_j V_i of w = U^V, one row per
+    (i, j) of ``pairs`` (the ``itertools.combinations`` order of R2, G2)."""
     w = np.empty((len(pairs), u.shape[1]), dtype=np.result_type(u, v))
     scratch = np.empty_like(w[0])
     for t, (i, j) in enumerate(pairs):
         np.multiply(u[i], v[j], out=w[t])
         w[t] -= np.multiply(u[j], v[i], out=scratch)
-    return form_batch(r2, w) / form_batch(g2, w)
+    return w
+
+
+def sectional_batch(r2, w: np.ndarray, g2w: np.ndarray) -> np.ndarray:
+    """Sectional curvature K^g = R2(w) / G2(w) per column of the bivectors w,
+    given ``g2w`` = G2(w)."""
+    return form_batch(r2, w) / g2w
 
 
 def correction_batch(a, c, v: np.ndarray, F: np.ndarray) -> np.ndarray:

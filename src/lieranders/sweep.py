@@ -9,12 +9,16 @@ an explicit unsigned 64-bit array: numpy would cast a list holding a seed of
 Each sweep compiles its structure once with
 :func:`lieranders.flagcurv.compile_randers`, the route exact flags take too;
 the compile reads the curvature and the bivector forms from the integer
-tables kept with the metric and builds no ``Fraction`` table.  The kernels
-read each form's rounded monomials; only the draw uses a float Gram matrix,
-one product per block of V and of U, and its g(V, V) gives F too.  The sweep
-is column-major from the draw on: each candidate block is one Philox fill,
-transposed once into contiguous (dim, n) columns of V and of U, and every
-kernel reads those columns as they are.
+tables kept with the metric and builds no ``Fraction`` table.  What a sweep
+reads that does not depend on Q, the float Gram matrix, the rounded ``R2``
+and ``G2`` monomials and the bivector index pairs, is built once per
+(algebra, metric) and freed with the metric's tables (``_space_inputs``).
+The sweep is column-major from the draw on: each candidate block is a
+Philox fill of V's rows, transposed once into contiguous (dim, n) columns,
+then one of U's rows, read only into the bivector columns w = U^V.  The draw measures each plane once,
+as G2(w), and the kernels read those columns as they are: K^g = R2(w) / G2(w)
+divides by the very G2(w) the rejection tested, and the draw's g(V, V)
+gives F too.
 
 This module and :mod:`lieranders.kernels` are the only ones that import
 numpy, and only the ``sweep`` command loads them: ``import lieranders`` and
@@ -23,8 +27,10 @@ the exact commands run without numpy.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +46,10 @@ _SEED_BOUND = 2**64
 # K^F and K^g share their sign when both lie within SIGN_TOL of the largest
 # of 1, |K^F| and |K^g|.
 SIGN_TOL = 1e-12
+
+# A drawn flag is kept when g(V, V) > MIN_GVV and G2(U^V) > MIN_G2.
+MIN_GVV = 1e-6
+MIN_G2 = 1e-8
 
 
 def _is_int(value) -> bool:
@@ -84,8 +94,58 @@ def signs_agree(k_f, k_g):
 
 
 def dense_gram(metric: MetricTensor) -> np.ndarray:
-    """The Gram matrix as floats."""
-    return np.array(metric.gram, dtype=float)
+    """The Gram matrix as floats, each entry one int / int of the metric's
+    Gram numerators (correctly rounded, so the bits of ``float(Fraction)``)."""
+    nums, d = metric._gram_numerators
+    return np.array([x / d for x in nums]).reshape(metric.dim, metric.dim)
+
+
+@dataclass(frozen=True, eq=False)
+class _SpaceInputs:
+    """What a sweep of one (algebra, metric) pair reads that does not depend
+    on Q: the read-only float Gram matrix, the rounded, sorted ``R2`` and
+    ``G2`` monomials and the bivector index pairs (i, j), i < j."""
+
+    gram: np.ndarray
+    r2: tuple
+    g2: tuple
+    pairs: tuple
+
+
+def _space_inputs(r: RandersStructure) -> _SpaceInputs:
+    """The sweep inputs of r's (algebra, metric), built on first use and kept
+    in the tables the metric keeps for the algebra, so freed with them.
+
+    Raises LieRandersError when no drawn flag can pass the rejection test:
+    on the cube [-1, 1]^n, G2(U^V) <= g(U,U) g(V,V) <= (sum |G_ij|)^2,
+    decided exactly on the Gram numerators.
+    """
+    space = r.metric._tables(r.algebra)
+    inputs = space.sweep_inputs
+    if inputs is None:
+        nums, d = space.gram
+        bound = Fraction(sum(map(abs, nums)), d)
+        cube = f"on [-1, 1]^{r.dim}"
+        if bound <= MIN_GVV:
+            raise LieRandersError(
+                f"sweep: no drawn flag has g(V,V) > {MIN_GVV}: "
+                f"{cube}, g(V,V) <= sum |G_ij| = {bound}"
+            )
+        if bound * bound <= MIN_G2:
+            raise LieRandersError(
+                f"sweep: no drawn flag has G2(U^V) > {MIN_G2}: "
+                f"{cube}, G2(U^V) <= (sum |G_ij|)^2 = {bound * bound}"
+            )
+        gram = dense_gram(r.metric)
+        gram.setflags(write=False)
+        _, _, g2, r2 = space.compile_base
+        inputs = space.sweep_inputs = _SpaceInputs(
+            gram=gram,
+            r2=tuple(sorted(r2.rounded())),
+            g2=tuple(sorted(g2.rounded())),
+            pairs=tuple(itertools.combinations(range(r.dim), 2)),
+        )
+    return inputs
 
 
 @dataclass
@@ -102,43 +162,47 @@ class SweepResult:
         return len(self.k_g)
 
 
-def _draw_flags(
-    gram: np.ndarray, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u, g(V, V)) of ``n_samples`` seeded flags, near-degenerate ones
-    rejected; v and u are contiguous (dim, n) columns.
+def _uniform_rows(rng: np.random.Generator, want: int, dim: int) -> np.ndarray:
+    """(want, dim) draws of ``uniform(-1, 1)``, bit for bit: ``random()``
+    scaled in place."""
+    x = rng.random((want, dim))
+    x *= 2.0
+    x -= 1.0
+    return x
 
-    Each candidate block is one ``make_rng(seed, stream=3).random((2, want,
-    dim))`` scaled in place to [-1, 1): the bits of ``uniform(-1, 1)`` for
-    the V block, then the U block, in stream order.  V and U are transposed
-    once each into separate columns, so a result that keeps V never pins U.
-    A flag is kept when g(V,V) > 1e-6 and g(U,U) g(V,V) - g(U,V)^2 > 1e-8;
-    the product G v serves both g(V,V) and g(U,V).  A block with no rejected
-    row is kept whole; blocks with rejected rows are compacted on their
-    columns and joined.
+
+def _draw_flags(
+    inputs: _SpaceInputs, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(v, w, g(V, V), G2(w)) of ``n_samples`` seeded flags, near-degenerate
+    ones rejected; v and the bivectors w = U^V are contiguous (dim, n) and
+    (dim (dim - 1) / 2, n) columns.
+
+    Each candidate block is two ``make_rng(seed, stream=3).random((want,
+    dim))`` fills scaled in place to [-1, 1): the bits of ``uniform(-1, 1)``
+    for the V rows, then the U rows, in stream order.  V is copied once into
+    its columns; U is read only into w and freed as soon as w exists.  A
+    flag is kept when g(V,V) > MIN_GVV and G2(w) > MIN_G2; G2(w) is
+    g(U,U) g(V,V) - g(U,V)^2 evaluated on w, and one product G v gives
+    g(V,V).  A block with no rejected row is kept whole; blocks with
+    rejected rows are compacted on their columns and joined.
     """
+    gram, g2, pairs = inputs.gram, inputs.g2, inputs.pairs
     dim = len(gram)
     rng = make_rng(seed, stream=3)
     blocks = []
     want = n_samples
     while want or not blocks:  # n_samples = 0 draws one empty block
-        cand = rng.random((2, want, dim))
-        cand *= 2.0
-        cand -= 1.0
-        v, u = cand[0].T.copy(), cand[1].T.copy()
-        gv = gram @ v
-        vv = np.einsum("kn,kn->n", v, gv)
-        uv = np.einsum("kn,kn->n", u, gv)
-        uu = np.einsum("kn,kn->n", u, np.matmul(gram, u, out=gv))
-        # the Gram determinant g(U,U) g(V,V) - g(U,V)^2, in place
-        uu *= vv
-        uv *= uv
-        uu -= uv
-        good = (vv > 1e-6) & (uu > 1e-8)
+        v = _uniform_rows(rng, want, dim).T.copy()
+        w = kernels.wedge_batch(pairs, _uniform_rows(rng, want, dim).T, v)
+        vv = np.einsum("kn,kn->n", v, gram @ v)
+        g2w = kernels.form_batch(g2, w)
+        columns = (v, w, vv, g2w)
+        good = (vv > MIN_GVV) & (g2w > MIN_G2)
         if not good.all():
-            v, u, vv = (np.compress(good, x, axis=-1) for x in (v, u, vv))
-        blocks.append((v, u, vv))
-        want -= len(vv)
+            columns = tuple(np.compress(good, x, axis=-1) for x in columns)
+        blocks.append(columns)
+        want -= len(columns[2])
     if len(blocks) == 1:
         return blocks[0]
     return tuple(np.concatenate(column, axis=-1) for column in zip(*blocks))
@@ -150,12 +214,15 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     Flags are drawn from the counter-based Philox stream keyed by ``seed``,
     so the same seed and the same ``n_samples`` give the same rows.  Rows do
     depend on ``n_samples``: V and U are drawn as separate ``(want, dim)``
-    halves of each candidate block, so a shorter sweep is not a prefix of a
-    longer one.
+    fills of each candidate block, so a shorter sweep is not a prefix of a
+    longer one.  K^g = R2(w) / G2(w) reads the bivectors w = U^V and the
+    G2(w) the draw's rejection tested; U itself is never kept.
     ``n_samples = 0`` gives empty columns.  Raises LieRandersError when
     ``n_samples`` is not a non-negative integer, when ``seed`` is not an
-    integer in [0, 2**64) (bools are neither), and below dimension 2, where
-    no flag plane exists; NotDouglas when Q is not g-orthogonal to [g, g].
+    integer in [0, 2**64) (bools are neither), below dimension 2, where
+    no flag plane exists, and when the metric is so small that no drawn
+    flag can pass the rejection test (see ``_space_inputs``); NotDouglas
+    when Q is not g-orthogonal to [g, g].
     """
     if not _is_int(n_samples) or n_samples < 0:
         raise LieRandersError(
@@ -166,9 +233,11 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     if dim < 2:
         raise LieRandersError(f"sweep needs dimension >= 2 for a flag plane; got {dim}")
     compiled = compile_randers(r)
-    v, u, gvv = _draw_flags(dense_gram(r.metric), int(n_samples), seed)
+    inputs = _space_inputs(r)
+    v, w, gvv, g2w = _draw_flags(inputs, int(n_samples), seed)
+    k_g = kernels.sectional_batch(inputs.r2, w, g2w)
+    del w, g2w
     f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), v)
-    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), u, v)
     correction = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), v, f)
     # k_f = gvv / f**2 * k_g + correction, in place and in that order
     k_f = f * f

@@ -33,6 +33,7 @@ def run(argv, capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DENSE = "tests/golden/dense_case2.json"
 HYPER = "tests/golden/case2_hyper.json"
+TINY = "tests/golden/tiny_metric.json"  # the case-2 algebra under 1e-6 I
 DENSE_Q = "1/16,0,-1/8,-1/4"
 
 
@@ -378,6 +379,22 @@ def test_sweep_rejects_dimension_one(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert "dimension >= 2" in err and "got 1" in err
+
+
+def test_sweep_no_flag_can_pass_exit_code(capsys):
+    # 1e-6 I passes ``check``, but G2(U^V) <= (4e-6)^2 < 1e-8 on every
+    # candidate, so the draw would never end; the CI step asserts the same
+    argv = ["sweep", "--file", TINY, "--Q", "0,0,0,0", "--samples", "5", "--seed", "1"]
+    assert run(["check", TINY], capsys)[0] == cli.EXIT_OK
+    for extra in ([], ["--csv"]):
+        with deadline(10):
+            code, out, err = run(argv + extra, capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == (
+            "error: sweep: no drawn flag has G2(U^V) > 1e-08: "
+            "on [-1, 1]^4, G2(U^V) <= (sum |G_ij|)^2 = 1/62500000000\n"
+        )
 
 
 @pytest.mark.parametrize("samples", ["0", "-3", "x"])

@@ -61,6 +61,13 @@ STRUCTURES = {
 }
 
 
+def k_g_columns(r2, g2, u, v):
+    """K^g of the library kernels on the (dim, n) columns u, v: the bivector
+    columns w = U^V, G2(w) as the draw evaluates it, then R2(w) / G2(w)."""
+    w = kernels.wedge_batch(list(itertools.combinations(range(len(u)), 2)), u, v)
+    return kernels.sectional_batch(r2, w, kernels.form_batch(g2, w))
+
+
 def kernel_columns(r, V, U):
     """(F, K^g, correction, K^F) of the library kernels at the rows of V, U,
     passed as contiguous (dim, n) columns as the sweep draws them."""
@@ -68,7 +75,7 @@ def kernel_columns(r, V, U):
     v, u = np.ascontiguousarray(V.T), np.ascontiguousarray(U.T)
     gvv = np.einsum("kn,kn->n", v, dense_gram(r.metric) @ v)
     f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), v)
-    k_g = kernels.sectional_batch(compiled.r2.rounded(), compiled.g2.rounded(), u, v)
+    k_g = k_g_columns(compiled.r2.rounded(), compiled.g2.rounded(), u, v)
     corr = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), v, f)
     return f, k_g, corr, gvv / f**2 * k_g + corr
 
@@ -144,6 +151,38 @@ def test_kernels_match_dense_oracle(setup):
         assert (np.abs(x - y) <= TOL * big).all(), name
 
 
+@pytest.mark.parametrize("name", ["case2-identity", "case4-dense", "solv5-dense"])
+def test_kernels_do_not_write_into_their_inputs(name):
+    # on read-only columns, any in-place operation on an input raises; so
+    # does one on a result that is an input's view, which form_batch returns
+    # for a lone unit term x_k, so each kernel also gets such a term
+    r = STRUCTURES[name]()
+    compiled = compile_randers(r)
+    rng = np.random.Generator(np.random.Philox(key=[23, r.dim]))
+    v, u = rng.uniform(-1, 1, size=(2, r.dim, 64))
+    w = kernels.wedge_batch(list(itertools.combinations(range(r.dim), 2)), u, v)
+    gvv = np.einsum("kn,kn->n", v, dense_gram(r.metric) @ v)
+    g2w = kernels.form_batch(compiled.g2.rounded(), w)
+    columns = (v, u, w, gvv, g2w)
+    before = [x.copy() for x in columns]
+    for x in columns:
+        x.setflags(write=False)
+    lone = [((1,), 1.0)]
+    assert np.shares_memory(kernels.form_batch(lone, v), v)
+    np.testing.assert_array_equal(kernels.wedge_batch([(0, 1)], u, v)[0], w[0])
+    for terms, x in itertools.product([compiled.gq.rounded(), compiled.c.rounded(), lone], (v, w)):
+        kernels.form_batch(terms, x)
+    for beta in (compiled.gq.rounded(), lone):
+        f = kernels.eval_f_batch(gvv, beta, v)
+        f.setflags(write=False)
+        for a, c in ((compiled.a.rounded(), compiled.c.rounded()), (lone, lone)):
+            kernels.correction_batch(a, c, v, f)
+    for r2 in (compiled.r2.rounded(), lone):
+        kernels.sectional_batch(r2, w, g2w)
+    for x, want in zip(columns, before):
+        np.testing.assert_array_equal(x, want)
+
+
 def test_form_batch_takes_terms_in_any_order():
     # x_0 (x_0 + 3 x_1 + 2 x_2 + 4 x_3) - x_1^2 on integer columns, exact in
     # floats; unsorted, the last indices 0, 2, 1, 3 would pass for one slice
@@ -170,7 +209,7 @@ def test_compiled_forms_are_exact(setup):
         assert forms == [k_g, t1, cubic1 - cubic2]
         # the library kernels on Fraction columns with exact coefficients
         v, u = obj(flag.v)[:, None], obj(flag.u)[:, None]
-        assert kernels.sectional_batch(r2, g2, u, v)[0] == k_g
+        assert k_g_columns(r2, g2, u, v)[0] == k_g
         assert kernels.form_batch(quad, v)[0] == t1
         assert kernels.form_batch(cubic, v)[0] == cubic1 - cubic2
 

@@ -2,15 +2,24 @@
 
 The draw is checked against ``oracle_draw``, which draws V and U as two
 ``uniform(-1, 1)`` row blocks and takes each g(., .) of the rejection test
-as a three-operand einsum; ``run_sweep`` fills both blocks in one Philox
-call, works on their transposed columns, shares one Gram product between
-g(V,V) and g(U,V) and must keep exactly the same flags, both when it keeps a
-candidate block whole and when it compacts one.
+as a three-operand einsum, rejecting on the Lagrange determinant
+g(U,U) g(V,V) - g(U,V)^2; ``run_sweep`` fills both blocks with
+``random()``, keeps V's transposed columns and U only as the bivectors
+w = U^V, rejects on G2(w), the same number in exact arithmetic, and must keep
+exactly the same flags, both when it keeps a candidate block whole and when
+it compacts one.  The per-space inputs (float Gram matrix, rounded ``R2``
+and ``G2`` monomials, index pairs) are checked for sharing, lifetime and
+bits.
 """
 
+import gc
+import itertools
+import json
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +35,20 @@ from lieranders import (
 from lieranders.classify import reproduce_theorem
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.flagcurv import compile_randers
-from lieranders.sweep import _draw_flags, dense_gram, run_sweep
+from lieranders.definition import load_definition
+from lieranders.sweep import _draw_flags, _space_inputs, dense_gram, run_sweep
 
-from conftest import deadline, dense_metric, douglas_q, fr
+from conftest import (
+    deadline,
+    dense_metric,
+    douglas_q,
+    fr,
+    random_rational_vector,
+    spd_metric,
+)
+from kernel_oracles import dense_forms
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -110,11 +130,11 @@ def test_sweep_rejects_dimension_one():
 
 
 def oracle_draw(gram, n, seed):
-    """(V, U, g(V,V), candidates drawn) of the draw, each g(., .) as
-    einsum("ni,ij,nj->n")."""
+    """(V, U, g(V,V), g(U,U) g(V,V) - g(U,V)^2, candidates drawn) of the
+    draw, each g(., .) as einsum("ni,ij,nj->n")."""
     dim = len(gram)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
-    vs, us, gvs, filled, drawn = [], [], [], 0, 0
+    vs, us, gvs, dets, filled, drawn = [], [], [], [], 0, 0
     while filled < n:
         drawn += n - filled
         v = rng.uniform(-1.0, 1.0, size=(n - filled, dim))
@@ -122,12 +142,20 @@ def oracle_draw(gram, n, seed):
         gv = np.einsum("ni,ij,nj->n", v, gram, v)
         gu = np.einsum("ni,ij,nj->n", u, gram, u)
         guv = np.einsum("ni,ij,nj->n", v, gram, u)
-        good = (gv > 1e-6) & (gu * gv - guv**2 > 1e-8)
+        det = gu * gv - guv**2
+        good = (gv > 1e-6) & (det > 1e-8)
         vs.append(v[good])
         us.append(u[good])
         gvs.append(gv[good])
+        dets.append(det[good])
         filled += int(good.sum())
-    return np.concatenate(vs), np.concatenate(us), np.concatenate(gvs), drawn
+    return (*map(np.concatenate, (vs, us, gvs, dets)), drawn)
+
+
+def oracle_wedge(U, V):
+    """Rows of w = U^V, w_(ij) = U_i V_j - U_j V_i in combinations order."""
+    i, j = zip(*itertools.combinations(range(U.shape[1]), 2))
+    return U[:, i] * V[:, j] - U[:, j] * V[:, i]
 
 
 def small_metric(n):
@@ -152,26 +180,35 @@ def test_draw_matches_einsum_oracle(metric, n):
     # compacted blocks joined (rejecting)
     r = DRAW_STRUCTURES[metric]()
     gram = dense_gram(r.metric)
-    compiled = compile_randers(r)
-    r2, g2 = compiled.r2.rounded(), compiled.g2.rounded()
+    inputs = _space_inputs(r)
+    dense_g2 = dense_forms(compile_randers(r))[1]
     for seed in (0, 7, 2024):
-        v, u, gvv = _draw_flags(gram, n, seed)
-        oracle_v, oracle_u, oracle_gvv, drawn = oracle_draw(gram, n, seed)
+        v, w, gvv, g2w = _draw_flags(inputs, n, seed)
+        oracle_v, oracle_u, oracle_gvv, oracle_det, drawn = oracle_draw(gram, n, seed)
         if metric == "rejecting":
             assert drawn > n and (n < 5000 or drawn > 1.5 * n)
         else:
             assert drawn == n
-        # separate contiguous (dim, n) columns
-        assert v.flags.c_contiguous and u.flags.c_contiguous and not np.shares_memory(v, u)
+        # separate contiguous (dim, n) columns of V and of w
+        assert v.flags.c_contiguous and w.flags.c_contiguous and not np.shares_memory(v, w)
         np.testing.assert_array_equal(v.T, oracle_v)
-        np.testing.assert_array_equal(u.T, oracle_u)
+        oracle_w = oracle_wedge(oracle_u, oracle_v)
+        np.testing.assert_array_equal(w.T, oracle_w)
         # the summation order differs, so g(V,V) may move by an ulp
         np.testing.assert_allclose(gvv, oracle_gvv, rtol=1e-15, atol=0)
+        # G2(w) is the monomial kernel on the oracle's w, the dense G2 as an
+        # einsum within rounding, and the Lagrange determinant the oracle
+        # rejects on within its cancellation: g(U,U) g(V,V) <= (sum |G_ij|)^2
+        oracle_w = np.ascontiguousarray(oracle_w.T)
+        np.testing.assert_array_equal(g2w, kernels.form_batch(inputs.g2, oracle_w))
+        np.testing.assert_allclose(
+            g2w, np.einsum("kn,kn->n", oracle_w, dense_g2 @ oracle_w), rtol=1e-12, atol=0
+        )
+        assert (np.abs(g2w - oracle_det) <= 1e-12 * np.abs(gram).sum() ** 2).all()
+        # K^g divides by the G2(w) the rejection tested
         res = run_sweep(r, n, seed)
         np.testing.assert_array_equal(res.v, oracle_v)
-        np.testing.assert_array_equal(
-            res.k_g, kernels.sectional_batch(r2, g2, oracle_u.T.copy(), oracle_v.T.copy())
-        )
+        np.testing.assert_array_equal(res.k_g, kernels.sectional_batch(inputs.r2, oracle_w, g2w))
 
 
 def test_sweep_memory_per_flag(structure):
@@ -226,3 +263,116 @@ def test_sweep_numpy_integer_sample_count(structure):
     a = run_sweep(structure, n_samples=np.int64(9), seed=3)
     b = run_sweep(structure, n_samples=9, seed=3)
     np.testing.assert_array_equal(a.v, b.v)
+
+
+def scaled_identity(dim, scale):
+    return MetricTensor(gram=tuple(
+        tuple(Fraction(scale) * (i == j) for j in range(dim)) for i in range(dim)
+    ))
+
+
+ABELIAN2 = LieAlgebra.from_brackets(2, ("X", "Y"), {})
+
+
+@pytest.mark.parametrize("algebra, scale, message", [
+    # sum |G_ij| = 4e-6 passes g(V,V); its square, 1.6e-11, fails G2(U^V)
+    (catalog(2), "1/1000000",
+     r"sweep: no drawn flag has G2\(U\^V\) > 1e-08: on \[-1, 1\]\^4, "
+     r"G2\(U\^V\) <= \(sum \|G_ij\|\)\^2 = 1/62500000000$"),
+    # 1e-4 / 4 I: (sum |G_ij|)^2 = 1e-8 exactly, not above the float 1e-8
+    (catalog(2), "1/40000",
+     r"G2\(U\^V\) <= \(sum \|G_ij\|\)\^2 = 1/100000000$"),
+    (ABELIAN2, "1/10000000",
+     r"sweep: no drawn flag has g\(V,V\) > 1e-06: on \[-1, 1\]\^2, "
+     r"g\(V,V\) <= sum \|G_ij\| = 1/5000000$"),
+])
+def test_sweep_that_no_flag_can_pass_raises(algebra, scale, message):
+    # the draw would reject every candidate and never end
+    r = make_randers(algebra, scaled_identity(algebra.dim, scale), (0,) * algebra.dim)
+    with deadline(10), pytest.raises(LieRandersError, match=message):
+        run_sweep(r, n_samples=5, seed=1)
+    with deadline(10), pytest.raises(LieRandersError, match=message):
+        run_sweep(r, n_samples=0, seed=1)
+
+
+def test_sweep_just_inside_the_bound_draws():
+    # (sum |G_ij|)^2 = 4e-8 > 1e-8: G2(U^V) = 2.5e-9 |U^V|^2 passes when
+    # |U^V|^2 > 4, which some candidates reach
+    r = make_randers(catalog(2), scaled_identity(4, "1/20000"), fr(0, 0, 0, 0))
+    with deadline(30):
+        res = run_sweep(r, n_samples=2, seed=1)
+    assert len(res) == 2 and res.sign_match.all()
+
+
+def dense_case2_metric():
+    return load_definition(str(GOLDEN / "dense_case2.json")).metric
+
+
+def spd_metrics():
+    # P^T P + I on seeded rational P, dimensions 2-5
+    rng = np.random.default_rng(22)
+    return [
+        spd_metric([random_rational_vector(rng, dim) for _ in range(dim)])
+        for dim in (2, 3, 4, 4, 5)
+    ]
+
+
+@pytest.mark.parametrize("metric", [dense_case2_metric(), *spd_metrics()],
+                         ids=["dense_case2", *(f"spd{k}" for k in range(5))])
+def test_float_gram_is_float_of_each_fraction(metric):
+    want = [[float(x).hex() for x in row] for row in metric.gram]
+    assert [[x.hex() for x in row] for row in dense_gram(metric).tolist()] == want
+    abelian = LieAlgebra.from_brackets(metric.dim, tuple(f"e{i}" for i in range(metric.dim)), {})
+    r = make_randers(abelian, metric, (0,) * metric.dim)
+    gram = _space_inputs(r).gram
+    assert [[x.hex() for x in row] for row in gram.tolist()] == want
+    assert not gram.flags.writeable
+
+
+def test_space_inputs_are_shared_per_space():
+    algebra, metric = catalog(2), dense_metric(4)
+    q = douglas_q(algebra, metric)
+    a = make_randers(algebra, metric, q)
+    b = make_randers(algebra, metric, tuple(x / 2 for x in q))
+    inputs = _space_inputs(a)
+    assert _space_inputs(b) is inputs
+    run_sweep(b, n_samples=4, seed=1)
+    assert _space_inputs(a) is inputs
+    # an equal but distinct metric keeps tables, so inputs, of its own
+    twin = make_randers(algebra, MetricTensor(gram=metric.gram), q)
+    other = _space_inputs(twin)
+    assert other is not inputs
+    np.testing.assert_array_equal(other.gram, inputs.gram)
+    assert (other.r2, other.g2, other.pairs) == (inputs.r2, inputs.g2, inputs.pairs)
+    compiled = compile_randers(a)
+    assert inputs.r2 == tuple(sorted(compiled.r2.rounded()))
+    assert inputs.g2 == tuple(sorted(compiled.g2.rounded()))
+    assert inputs.pairs == tuple(itertools.combinations(range(4), 2))
+
+
+def test_space_inputs_are_freed_with_their_metric():
+    algebra, metric = catalog(2), dense_metric(4)
+    r = make_randers(algebra, metric, douglas_q(algebra, metric))
+    run_sweep(r, n_samples=4, seed=1)
+    inputs = weakref.ref(_space_inputs(r))
+    tables = weakref.ref(metric._tables(algebra))
+    gc.collect()
+    assert inputs() is not None
+    del r, metric
+    gc.collect()
+    assert inputs() is None and tables() is None
+
+
+@pytest.mark.parametrize("metric", DRAW_STRUCTURES)
+def test_second_sweep_is_bit_identical_to_the_first(metric):
+    # the first sweep of a fresh metric builds the space's inputs, the
+    # second reads them
+    r = DRAW_STRUCTURES[metric]()
+    space = r.metric._tables(r.algebra)
+    assert space.sweep_inputs is None
+    first = run_sweep(r, n_samples=1000, seed=9)
+    assert space.sweep_inputs is not None
+    second = run_sweep(r, n_samples=1000, seed=9)
+    for name in ("v", "k_g", "k_f", "correction", "sign_match"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.tobytes() == b.tobytes() and a.shape == b.shape, name
