@@ -14,7 +14,6 @@ bits.
 
 import gc
 import itertools
-import json
 import tracemalloc
 import warnings
 import weakref
@@ -33,9 +32,9 @@ from lieranders import (
     make_randers,
 )
 from lieranders.classify import reproduce_theorem
+from lieranders.definition import load_definition
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.flagcurv import compile_randers
-from lieranders.definition import load_definition
 from lieranders.sweep import _draw_flags, _space_inputs, dense_gram, run_sweep
 
 from conftest import (
