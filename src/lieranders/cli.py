@@ -40,7 +40,7 @@ from .errors import (
     NormTooLarge,
     NotDouglas,
 )
-from .flagcurv import Flag, flag_curvature_simplified
+from .flagcurv import Flag, compile_randers
 from .hypercomplex import verify_hyper_hermitian, verify_hypercomplex
 from .randers import make_randers
 from .riemann import MetricTensor, identity_metric
@@ -200,7 +200,7 @@ def cmd_flag(args, out) -> int:
     v = parse_rationals(args.v, algebra.dim, "--V")
     u = parse_rationals(args.u, algebra.dim, "--U")
     structure = make_randers(algebra, metric, q)
-    result = flag_curvature_simplified(structure, Flag(v=v, u=u))
+    result = compile_randers(structure).flag(Flag(v=v, u=u))
     print(
         _echo(["flag", *source, "--Q", args.q, "--V", args.v, "--U", args.u]),
         file=out,
@@ -374,11 +374,13 @@ _HANDLERS = {
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """``--Q -1/2,0`` as ``--Q=-1/2,0`` (also ``--V``, ``--U``): argparse takes
-    "-1/2,0" for an option, as it takes any "-" token but a lone number."""
+    """``--Q -1/2,0`` as ``--Q=-1/2,0``, and ``--Q -.5,0`` as ``--Q=-.5,0``
+    (also ``--V``, ``--U``): argparse takes "-1/2,0" for an option, as it
+    takes any "-" token but a lone number."""
     out = []
     for token in argv:
-        if out and out[-1] in ("--Q", "--V", "--U") and token[:1] == "-" and token[1:2].isdigit():
+        digits = token[1:3].removeprefix(".")
+        if out and out[-1] in ("--Q", "--V", "--U") and token[:1] == "-" and digits[:1].isdigit():
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -2,10 +2,11 @@
 
 Each kernel takes its flags as contiguous (dim, n) columns, one row per
 coordinate, as the sweep draws them: V as ``v``, and the plane as its
-bivector columns w = U^V (:func:`wedge_batch`, built once by the draw, which
-reads G2(w) from them for its rejection test).  Each compiled form it is
-given, g(Q, .), ``R2`` on w (K^g = R2(w) / G2(w)), ``A`` and ``C``, is
-evaluated as its ``IntegerForm.rounded()`` monomials with
+bivector columns w = U^V (:func:`wedge_batch`, one row per index pair i < j
+in ``itertools.combinations`` order, the order of the compiled ``R2`` and
+``G2``; the draw reads G2(w) from them for its rejection test).  Each
+compiled form it is given, g(Q, .), ``R2`` on w (K^g = R2(w) / G2(w)),
+``A`` and ``C``, is evaluated as its ``IntegerForm.rounded()`` monomials with
 :func:`form_batch`: the cost is proportional to the nonzero terms, and no
 dense table is built.  No kernel transposes, copies or writes into its
 inputs.
@@ -53,12 +54,13 @@ def eval_f_batch(gvv: np.ndarray, beta, v: np.ndarray) -> np.ndarray:
     return f
 
 
-def wedge_batch(pairs, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def wedge_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bivector columns w_(ij) = U_i V_j - U_j V_i of w = U^V, one row per
-    (i, j) of ``pairs`` (the ``itertools.combinations`` order of R2, G2)."""
-    w = np.empty((len(pairs), u.shape[1]), dtype=np.result_type(u, v))
+    i < j in ``itertools.combinations`` order (the order of R2 and G2)."""
+    dim = len(u)
+    w = np.empty((dim * (dim - 1) // 2, u.shape[1]), dtype=np.result_type(u, v))
     scratch = np.empty_like(w[0])
-    for t, (i, j) in enumerate(pairs):
+    for t, (i, j) in enumerate(itertools.combinations(range(dim), 2)):
         np.multiply(u[i], v[j], out=w[t])
         w[t] -= np.multiply(u[j], v[i], out=scratch)
     return w

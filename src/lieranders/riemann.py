@@ -251,8 +251,7 @@ class _SpaceTables:
     as nested tuples, the Douglas subspace as a frozen ``Subspace``, the
     compile base's forms as ``IntegerForm``s over read-only terms and the
     forms of each basis direction (``direction``) as tuples.  The
-    connection is kept in lowest terms.  ``sweep_inputs`` holds what a
-    float sweep of the space reads.  ``MetricTensor._tables`` holds one
+    connection is kept in lowest terms.  ``MetricTensor._tables`` holds one
     per algebra; the holder keeps the algebra and the metric's Gram
     numerators but not the metric, so the tables are freed with their
     metric.
@@ -263,9 +262,6 @@ class _SpaceTables:
         self.gram = metric._gram_numerators
         self.inverse_gram = metric._inverse_gram_numerators
         self._directions = {}  # basis index i -> (A_i, T_i); see direction
-        # the float inputs of a sweep of the space, built by lieranders.sweep
-        # (this module does not import numpy)
-        self.sweep_inputs = None
 
     @cached_property
     def connection(self) -> tuple[tuple[int, ...], int]:

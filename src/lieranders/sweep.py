@@ -9,16 +9,15 @@ an explicit unsigned 64-bit array: numpy would cast a list holding a seed of
 Each sweep compiles its structure once with
 :func:`lieranders.flagcurv.compile_randers`, the route exact flags take too;
 the compile reads the curvature and the bivector forms from the integer
-tables kept with the metric and builds no ``Fraction`` table.  What a sweep
-reads that does not depend on Q, the float Gram matrix, the rounded ``R2``
-and ``G2`` monomials and the bivector index pairs, is built once per
-(algebra, metric) and freed with the metric's tables (``_space_inputs``).
+tables kept with the metric and builds no ``Fraction`` table.  A sweep keeps
+no state of its own: each call builds the float Gram matrix and rounds the
+compiled ``R2`` and ``G2`` monomials afresh.
 The sweep is column-major from the draw on: each candidate block is a
 Philox fill of V's rows, transposed once into contiguous (dim, n) columns,
-then one of U's rows, read only into the bivector columns w = U^V.  The draw measures each plane once,
-as G2(w), and the kernels read those columns as they are: K^g = R2(w) / G2(w)
-divides by the very G2(w) the rejection tested, and the draw's g(V, V)
-gives F too.
+then one of U's rows, read only into the bivector columns w = U^V.  The draw
+measures each plane once, as G2(w), and the kernels read those columns as
+they are: K^g = R2(w) / G2(w) divides by the very G2(w) the rejection
+tested, and the draw's g(V, V) gives F too.
 
 This module and :mod:`lieranders.kernels` are the only ones that import
 numpy, and only the ``sweep`` command loads them: ``import lieranders`` and
@@ -27,7 +26,6 @@ the exact commands run without numpy.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +41,7 @@ from .riemann import MetricTensor
 # Philox takes the seed as one unsigned 64-bit key word.
 _SEED_BOUND = 2**64
 
-# K^F and K^g share their sign when both lie within SIGN_TOL of the largest
-# of 1, |K^F| and |K^g|.
+# K^F and K^g share their sign when both lie within SIGN_TOL of zero.
 SIGN_TOL = 1e-12
 
 # A drawn flag is kept when g(V, V) > MIN_GVV and G2(U^V) > MIN_G2.
@@ -75,22 +72,10 @@ def signs_agree(k_f, k_g):
     """Whether K^F and K^g share their sign, elementwise on floats or arrays.
 
     They do when np.sign gives the same value, or when both lie within
-    ``SIGN_TOL * max(1, |k_f|, |k_g|)`` of zero, the maximum taken over
-    finite magnitudes only, so an infinite value agrees only with a value of
-    its own sign.  NaN agrees with nothing.  The tolerance is evaluated only
-    where the signs differ.
+    ``SIGN_TOL`` of zero.  NaN agrees with nothing, and an infinite value
+    only with a value of its own sign.
     """
-    k_f, k_g = np.asarray(k_f), np.asarray(k_g)
-    agree = np.asarray(np.sign(k_f) == np.sign(k_g))
-    differ = ~agree
-    if differ.any():
-        abs_f, abs_g = np.abs(k_f[differ]), np.abs(k_g[differ])
-        scale = np.maximum(abs_f, abs_g)
-        # an infinite value lies within no finite tolerance, so 1 can stand in for it
-        scale[np.isinf(scale)] = 1.0
-        tol = SIGN_TOL * np.maximum(1.0, scale)
-        agree[differ] = (abs_f <= tol) & (abs_g <= tol)
-    return agree
+    return (np.sign(k_f) == np.sign(k_g)) | (np.maximum(np.abs(k_f), np.abs(k_g)) <= SIGN_TOL)
 
 
 def dense_gram(metric: MetricTensor) -> np.ndarray:
@@ -100,52 +85,25 @@ def dense_gram(metric: MetricTensor) -> np.ndarray:
     return np.array([x / d for x in nums]).reshape(metric.dim, metric.dim)
 
 
-@dataclass(frozen=True, eq=False)
-class _SpaceInputs:
-    """What a sweep of one (algebra, metric) pair reads that does not depend
-    on Q: the read-only float Gram matrix, the rounded, sorted ``R2`` and
-    ``G2`` monomials and the bivector index pairs (i, j), i < j."""
-
-    gram: np.ndarray
-    r2: tuple
-    g2: tuple
-    pairs: tuple
-
-
-def _space_inputs(r: RandersStructure) -> _SpaceInputs:
-    """The sweep inputs of r's (algebra, metric), built on first use and kept
-    in the tables the metric keeps for the algebra, so freed with them.
-
-    Raises LieRandersError when no drawn flag can pass the rejection test:
-    on the cube [-1, 1]^n, G2(U^V) <= g(U,U) g(V,V) <= (sum |G_ij|)^2,
-    decided exactly on the Gram numerators.
-    """
-    space = r.metric._tables(r.algebra)
-    inputs = space.sweep_inputs
-    if inputs is None:
-        nums, d = space.gram
-        bound = Fraction(sum(map(abs, nums)), d)
-        cube = f"on [-1, 1]^{r.dim}"
-        if bound <= MIN_GVV:
-            raise LieRandersError(
-                f"sweep: no drawn flag has g(V,V) > {MIN_GVV}: "
-                f"{cube}, g(V,V) <= sum |G_ij| = {bound}"
-            )
-        if bound * bound <= MIN_G2:
-            raise LieRandersError(
-                f"sweep: no drawn flag has G2(U^V) > {MIN_G2}: "
-                f"{cube}, G2(U^V) <= (sum |G_ij|)^2 = {bound * bound}"
-            )
-        gram = dense_gram(r.metric)
-        gram.setflags(write=False)
-        _, _, g2, r2 = space.compile_base
-        inputs = space.sweep_inputs = _SpaceInputs(
-            gram=gram,
-            r2=tuple(sorted(r2.rounded())),
-            g2=tuple(sorted(g2.rounded())),
-            pairs=tuple(itertools.combinations(range(r.dim), 2)),
+def _check_flags_can_pass(metric: MetricTensor) -> None:
+    """LieRandersError when no drawn flag can pass the rejection test: on the
+    cube [-1, 1]^n, G2(U^V) <= g(U,U) g(V,V) <= (sum |G_ij|)^2, decided
+    exactly in integers on the Gram numerators."""
+    nums, d = metric._gram_numerators
+    total = sum(map(abs, nums))  # sum |G_ij| = total / d
+    cube = f"on [-1, 1]^{metric.dim}"
+    p, q = MIN_GVV.as_integer_ratio()
+    if total * q <= p * d:
+        raise LieRandersError(
+            f"sweep: no drawn flag has g(V,V) > {MIN_GVV}: "
+            f"{cube}, g(V,V) <= sum |G_ij| = {Fraction(total, d)}"
         )
-    return inputs
+    p, q = MIN_G2.as_integer_ratio()
+    if total * total * q <= p * d * d:
+        raise LieRandersError(
+            f"sweep: no drawn flag has G2(U^V) > {MIN_G2}: "
+            f"{cube}, G2(U^V) <= (sum |G_ij|)^2 = {Fraction(total, d) ** 2}"
+        )
 
 
 @dataclass
@@ -172,11 +130,12 @@ def _uniform_rows(rng: np.random.Generator, want: int, dim: int) -> np.ndarray:
 
 
 def _draw_flags(
-    inputs: _SpaceInputs, n_samples: int, seed: int
+    gram: np.ndarray, g2, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(v, w, g(V, V), G2(w)) of ``n_samples`` seeded flags, near-degenerate
     ones rejected; v and the bivectors w = U^V are contiguous (dim, n) and
-    (dim (dim - 1) / 2, n) columns.
+    (dim (dim - 1) / 2, n) columns.  ``gram`` is the float Gram matrix and
+    ``g2`` the rounded ``G2`` monomials.
 
     Each candidate block is two ``make_rng(seed, stream=3).random((want,
     dim))`` fills scaled in place to [-1, 1): the bits of ``uniform(-1, 1)``
@@ -187,14 +146,13 @@ def _draw_flags(
     g(V,V).  A block with no rejected row is kept whole; blocks with
     rejected rows are compacted on their columns and joined.
     """
-    gram, g2, pairs = inputs.gram, inputs.g2, inputs.pairs
     dim = len(gram)
     rng = make_rng(seed, stream=3)
     blocks = []
     want = n_samples
     while want or not blocks:  # n_samples = 0 draws one empty block
         v = _uniform_rows(rng, want, dim).T.copy()
-        w = kernels.wedge_batch(pairs, _uniform_rows(rng, want, dim).T, v)
+        w = kernels.wedge_batch(_uniform_rows(rng, want, dim).T, v)
         vv = np.einsum("kn,kn->n", v, gram @ v)
         g2w = kernels.form_batch(g2, w)
         columns = (v, w, vv, g2w)
@@ -221,8 +179,8 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     ``n_samples`` is not a non-negative integer, when ``seed`` is not an
     integer in [0, 2**64) (bools are neither), below dimension 2, where
     no flag plane exists, and when the metric is so small that no drawn
-    flag can pass the rejection test (see ``_space_inputs``); NotDouglas
-    when Q is not g-orthogonal to [g, g].
+    flag can pass the rejection test (``_check_flags_can_pass``);
+    NotDouglas when Q is not g-orthogonal to [g, g].
     """
     if not _is_int(n_samples) or n_samples < 0:
         raise LieRandersError(
@@ -233,9 +191,10 @@ def run_sweep(r: RandersStructure, n_samples: int, seed: int) -> SweepResult:
     if dim < 2:
         raise LieRandersError(f"sweep needs dimension >= 2 for a flag plane; got {dim}")
     compiled = compile_randers(r)
-    inputs = _space_inputs(r)
-    v, w, gvv, g2w = _draw_flags(inputs, int(n_samples), seed)
-    k_g = kernels.sectional_batch(inputs.r2, w, g2w)
+    _check_flags_can_pass(r.metric)
+    gram = dense_gram(r.metric)
+    v, w, gvv, g2w = _draw_flags(gram, compiled.g2.rounded(), int(n_samples), seed)
+    k_g = kernels.sectional_batch(compiled.r2.rounded(), w, g2w)
     del w, g2w
     f = kernels.eval_f_batch(gvv, compiled.gq.rounded(), v)
     correction = kernels.correction_batch(compiled.a.rounded(), compiled.c.rounded(), v, f)

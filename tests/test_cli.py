@@ -434,7 +434,10 @@ def test_bad_rational_names_token(capsys, token):
     ["flag", "--case", "3", "--Q=-1/2,0,0,0", "--V=-1,0,0,0", "--U=-0,1,0,0"],
     ["sweep", "--case", "4", "--Q=-9/10,0,0,0", "--samples", "20", "--seed", "3"],
     ["sweep", "--case", "4", "--Q=-9/10,0,0,0", "--samples", "20", "--seed", "3", "--csv"],
-], ids=["classify", "flag", "sweep", "sweep-csv"])
+    ["classify", "--case", "3", "--Q=-.5,0,0,0"],
+    ["flag", "--case", "3", "--Q=1/2,0,0,0", "--V=-.5,1,0,0", "--U=0,1,0,0"],
+    ["flag", "--case", "3", "--Q=1/2,0,0,0", "--V=1,0,0,0", "--U=-.5,1,0,0"],
+], ids=["classify", "flag", "sweep", "sweep-csv", "Q-decimal", "V-decimal", "U-decimal"])
 def test_vector_starting_with_minus(capsys, argv):
     # "--Q -1/2,0,0,0" reads as "--Q=-1/2,0,0,0", so the "--Q -1/2,0,0,0"
     # of the echo line can be pasted back

@@ -1,5 +1,6 @@
 """Flag curvature: U-map, the compiled route, the oracle routes, signs."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -313,6 +314,10 @@ def test_sign_analysis_without_flags_is_rejected(algebra, q, reason):
         (math.inf, 1.0, True),
         (-math.inf, -1e-20, True),
         (math.inf, float("nan"), False),
+        # a magnitude above 1 puts the other value's sign to the test
+        (1e3, -5e-13, False),
+        (np.nextafter(1.0, 2.0), -1e-13, False),
+        (-1e3, 0.0, False),
     ],
 )
 def test_signs_agree_edge_values(k_f, k_g, agree):
@@ -346,6 +351,11 @@ SIGN_EDGES = [
               1e3, math.inf, math.nan]
 ]
 sign_values = st.one_of(st.sampled_from(SIGN_EDGES), st.floats())
+
+
+def test_signs_agree_matches_oracle_on_every_edge_pair():
+    k_f, k_g = (np.array(col) for col in zip(*itertools.product(SIGN_EDGES, repeat=2)))
+    np.testing.assert_array_equal(signs_agree(k_f, k_g), oracle_signs_agree(k_f, k_g))
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,16 +7,15 @@ g(U,U) g(V,V) - g(U,V)^2; ``run_sweep`` fills both blocks with
 ``random()``, keeps V's transposed columns and U only as the bivectors
 w = U^V, rejects on G2(w), the same number in exact arithmetic, and must keep
 exactly the same flags, both when it keeps a candidate block whole and when
-it compacts one.  The per-space inputs (float Gram matrix, rounded ``R2``
-and ``G2`` monomials, index pairs) are checked for sharing, lifetime and
-bits.
+it compacts one.  The float Gram matrix is checked for its bits, and the
+exact bound check, which refuses a metric no drawn flag can pass, at both
+sides of each bound.
 """
 
-import gc
 import itertools
+import math
 import tracemalloc
 import warnings
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +34,14 @@ from lieranders.classify import reproduce_theorem
 from lieranders.definition import load_definition
 from lieranders.errors import LieRandersError, NotDouglas
 from lieranders.flagcurv import compile_randers
-from lieranders.sweep import _draw_flags, _space_inputs, dense_gram, run_sweep
+from lieranders.sweep import (
+    MIN_G2,
+    MIN_GVV,
+    _check_flags_can_pass,
+    _draw_flags,
+    dense_gram,
+    run_sweep,
+)
 
 from conftest import (
     deadline,
@@ -179,10 +185,11 @@ def test_draw_matches_einsum_oracle(metric, n):
     # compacted blocks joined (rejecting)
     r = DRAW_STRUCTURES[metric]()
     gram = dense_gram(r.metric)
-    inputs = _space_inputs(r)
-    dense_g2 = dense_forms(compile_randers(r))[1]
+    compiled = compile_randers(r)
+    g2, r2 = compiled.g2.rounded(), compiled.r2.rounded()
+    dense_g2 = dense_forms(compiled)[1]
     for seed in (0, 7, 2024):
-        v, w, gvv, g2w = _draw_flags(inputs, n, seed)
+        v, w, gvv, g2w = _draw_flags(gram, g2, n, seed)
         oracle_v, oracle_u, oracle_gvv, oracle_det, drawn = oracle_draw(gram, n, seed)
         if metric == "rejecting":
             assert drawn > n and (n < 5000 or drawn > 1.5 * n)
@@ -199,7 +206,7 @@ def test_draw_matches_einsum_oracle(metric, n):
         # einsum within rounding, and the Lagrange determinant the oracle
         # rejects on within its cancellation: g(U,U) g(V,V) <= (sum |G_ij|)^2
         oracle_w = np.ascontiguousarray(oracle_w.T)
-        np.testing.assert_array_equal(g2w, kernels.form_batch(inputs.g2, oracle_w))
+        np.testing.assert_array_equal(g2w, kernels.form_batch(g2, oracle_w))
         np.testing.assert_allclose(
             g2w, np.einsum("kn,kn->n", oracle_w, dense_g2 @ oracle_w), rtol=1e-12, atol=0
         )
@@ -207,7 +214,7 @@ def test_draw_matches_einsum_oracle(metric, n):
         # K^g divides by the G2(w) the rejection tested
         res = run_sweep(r, n, seed)
         np.testing.assert_array_equal(res.v, oracle_v)
-        np.testing.assert_array_equal(res.k_g, kernels.sectional_batch(inputs.r2, oracle_w, g2w))
+        np.testing.assert_array_equal(res.k_g, kernels.sectional_batch(r2, oracle_w, g2w))
 
 
 def test_sweep_memory_per_flag(structure):
@@ -303,6 +310,42 @@ def test_sweep_just_inside_the_bound_draws():
     assert len(res) == 2 and res.sign_match.all()
 
 
+def root_bounds(x: Fraction, digits: int = 30) -> tuple[Fraction, Fraction]:
+    """(lo, hi), hi - lo = 10**-digits, with lo^2 <= x < hi^2."""
+    m = math.isqrt(x.numerator * x.denominator * 10 ** (2 * digits))
+    return Fraction(m, x.denominator * 10**digits), Fraction(m + 1, x.denominator * 10**digits)
+
+
+G2_ROOT_BELOW, G2_ROOT_ABOVE = root_bounds(Fraction(MIN_G2))
+
+
+@pytest.mark.parametrize("total, fails", [
+    (Fraction(MIN_GVV), "g(V,V)"),
+    # passes g(V,V); its square, ~1e-12, fails G2(U^V)
+    (Fraction(MIN_GVV) + Fraction(1, 10**30), "G2(U^V)"),
+    (G2_ROOT_BELOW, "G2(U^V)"),
+    (G2_ROOT_ABOVE, None),
+], ids=["gvv-at", "gvv-above", "g2-below", "g2-above"])
+def test_bound_check_decides_as_the_fractions(total, fails):
+    # the check alone: a draw on a metric just above a bound runs for seconds
+    assert G2_ROOT_BELOW**2 < Fraction(MIN_G2) < G2_ROOT_ABOVE**2
+    assert (total <= MIN_GVV) == (fails == "g(V,V)")
+    assert (total * total <= MIN_G2) == (fails is not None)
+    metric = scaled_identity(2, total / 2)  # sum |G_ij| = total
+    message = {
+        "g(V,V)": "sweep: no drawn flag has g(V,V) > 1e-06: "
+                  f"on [-1, 1]^2, g(V,V) <= sum |G_ij| = {total}",
+        "G2(U^V)": "sweep: no drawn flag has G2(U^V) > 1e-08: "
+                   f"on [-1, 1]^2, G2(U^V) <= (sum |G_ij|)^2 = {total * total}",
+    }.get(fails)
+    if message is None:
+        _check_flags_can_pass(metric)
+    else:
+        with pytest.raises(LieRandersError) as exc:
+            _check_flags_can_pass(metric)
+        assert str(exc.value) == message
+
+
 def dense_case2_metric():
     return load_definition(str(GOLDEN / "dense_case2.json")).metric
 
@@ -321,56 +364,14 @@ def spd_metrics():
 def test_float_gram_is_float_of_each_fraction(metric):
     want = [[float(x).hex() for x in row] for row in metric.gram]
     assert [[x.hex() for x in row] for row in dense_gram(metric).tolist()] == want
-    abelian = LieAlgebra.from_brackets(metric.dim, tuple(f"e{i}" for i in range(metric.dim)), {})
-    r = make_randers(abelian, metric, (0,) * metric.dim)
-    gram = _space_inputs(r).gram
-    assert [[x.hex() for x in row] for row in gram.tolist()] == want
-    assert not gram.flags.writeable
-
-
-def test_space_inputs_are_shared_per_space():
-    algebra, metric = catalog(2), dense_metric(4)
-    q = douglas_q(algebra, metric)
-    a = make_randers(algebra, metric, q)
-    b = make_randers(algebra, metric, tuple(x / 2 for x in q))
-    inputs = _space_inputs(a)
-    assert _space_inputs(b) is inputs
-    run_sweep(b, n_samples=4, seed=1)
-    assert _space_inputs(a) is inputs
-    # an equal but distinct metric keeps tables, so inputs, of its own
-    twin = make_randers(algebra, MetricTensor(gram=metric.gram), q)
-    other = _space_inputs(twin)
-    assert other is not inputs
-    np.testing.assert_array_equal(other.gram, inputs.gram)
-    assert (other.r2, other.g2, other.pairs) == (inputs.r2, inputs.g2, inputs.pairs)
-    compiled = compile_randers(a)
-    assert inputs.r2 == tuple(sorted(compiled.r2.rounded()))
-    assert inputs.g2 == tuple(sorted(compiled.g2.rounded()))
-    assert inputs.pairs == tuple(itertools.combinations(range(4), 2))
-
-
-def test_space_inputs_are_freed_with_their_metric():
-    algebra, metric = catalog(2), dense_metric(4)
-    r = make_randers(algebra, metric, douglas_q(algebra, metric))
-    run_sweep(r, n_samples=4, seed=1)
-    inputs = weakref.ref(_space_inputs(r))
-    tables = weakref.ref(metric._tables(algebra))
-    gc.collect()
-    assert inputs() is not None
-    del r, metric
-    gc.collect()
-    assert inputs() is None and tables() is None
 
 
 @pytest.mark.parametrize("metric", DRAW_STRUCTURES)
 def test_second_sweep_is_bit_identical_to_the_first(metric):
-    # the first sweep of a fresh metric builds the space's inputs, the
+    # the first sweep of a fresh metric fills the metric's exact tables, the
     # second reads them
     r = DRAW_STRUCTURES[metric]()
-    space = r.metric._tables(r.algebra)
-    assert space.sweep_inputs is None
     first = run_sweep(r, n_samples=1000, seed=9)
-    assert space.sweep_inputs is not None
     second = run_sweep(r, n_samples=1000, seed=9)
     for name in ("v", "k_g", "k_f", "correction", "sign_match"):
         a, b = getattr(first, name), getattr(second, name)
