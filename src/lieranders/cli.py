@@ -12,8 +12,9 @@ command runs without numpy.
 Exit codes: 0 success, 1 failed verification, 2 usage (among them a
 ``--samples`` below 1 or a ``--seed`` outside [0, 2**64)), 3 bad definition or
 argument parse, 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
-flag/plane, 7 other validation error (among them a ``--file`` algebra that
-fails the Jacobi identity), 141 (128 + SIGPIPE), silently, on a closed stdout.
+flag/plane, 7 other validation error (among them a ``--file`` or
+``hyper-verify`` algebra that fails the Jacobi identity), 141 (128 +
+SIGPIPE), silently, on a closed stdout.
 """
 
 from __future__ import annotations
@@ -120,15 +121,22 @@ def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
     ]
 
 
+def _load_lie_definition(path):
+    """The definition file at ``path``; LieRandersError, naming each defect
+    triple as ``check`` does, unless its algebra satisfies Jacobi."""
+    defn = load_definition(path)
+    violations = defn.algebra.jacobi_check()
+    if violations:
+        raise LieRandersError("\n".join(jacobi_lines(defn.algebra, violations)))
+    return defn
+
+
 def _load_space(args) -> tuple[LieAlgebra, MetricTensor, list[str]]:
     """The space of ``--file``, which must satisfy Jacobi, else catalog
     ``--case``, with the option that names it (``--file PATH`` or ``--case
     N``) for the echo line."""
     if args.file:
-        defn = load_definition(args.file)
-        violations = defn.algebra.jacobi_check()
-        if violations:
-            raise LieRandersError("\n".join(jacobi_lines(defn.algebra, violations)))
+        defn = _load_lie_definition(args.file)
         return defn.algebra, defn.metric, ["--file", args.file]
     algebra = catalog(args.case)
     return algebra, identity_metric(algebra.dim), ["--case", str(args.case)]
@@ -298,7 +306,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_hyper_verify(args, out) -> int:
-    defn = load_definition(args.file)
+    defn = _load_lie_definition(args.file)
     print(_echo(["hyper-verify", args.file]), file=out)
     if defn.hypercomplex is None:
         raise DefinitionError("file has no 'hypercomplex' section")

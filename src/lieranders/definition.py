@@ -13,8 +13,9 @@ structurally lossless:
       "hypercomplex": [J1, J2, J3]              # optional, three matrices
     }
 
-Unspecified bracket pairs are zero.  Parse errors name the offending field
-(and the line for JSON syntax errors).
+Unspecified bracket pairs are zero.  The labels name the basis vectors in
+every report, so they must be distinct and non-empty.  Parse errors name
+the offending field (and the line for JSON syntax errors).
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ def parse_definition(text: str) -> DefinitionFile:
     if type(dim) is not int or dim < 1:  # JSON true/false are bools, not integers
         raise DefinitionError(f"dim: expected a positive integer, got {dim!r}")
     labels = raw.get("labels", [f"e{i}" for i in range(dim)])
-    if not isinstance(labels, list) or len(labels) != dim or not all(
-        isinstance(s, str) for s in labels
+    if (
+        not isinstance(labels, list)
+        or len(labels) != dim
+        or not all(isinstance(s, str) and s for s in labels)
+        or len(set(labels)) != dim
     ):
-        raise DefinitionError(f"labels: expected {dim} strings")
+        raise DefinitionError(f"labels: expected {dim} distinct non-empty strings")
 
     brackets: dict[tuple[int, int], AlgebraVector] = {}
     entries = raw.get("brackets", [])

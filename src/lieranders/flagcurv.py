@@ -13,12 +13,13 @@ into integer forms of symmetric monomials over one denominator each:
 *Curvatures of left invariant metrics on Lie groups*, Adv. Math. 21, 1976),
 the Gram form, g(Q,.), ``A`` and ``C``.  ``R2``, ``G2`` and the Gram form
 depend only on the algebra and the metric and are read from the tables the
-metric keeps, as are ``A`` and ``C`` at each basis direction of Q; a
-compile contracts those with Q's numerators.  Exact flags, the float flag
-(each exact integer ratio rounded once), the sign certificate and sweeps
-all read these coefficients; F is the only inexact step, and no array is
-built here: sweeps read each form's monomials, ``IntegerForm.rounded()``,
-each coefficient rounded once.
+metric keeps.  g(Q,.), ``A`` and ``C`` are linear in Q: the same tables
+keep all three at each basis direction e_i, and a compile is one
+contraction of that per-direction table with Q's numerators.  Exact flags,
+the float flag (each exact integer ratio rounded once), the sign
+certificate and sweeps all read these coefficients; F is the only inexact
+step, and no array is built here: sweeps read each form's monomials,
+``IntegerForm.rounded()``, each coefficient rounded once.
 :func:`sign_certificate` restricts ``A`` and ``C`` to the Douglas subspace
 exactly.  The Deng-Hou U-map route (:func:`flag_curvature_deng_hou`), which
 raises the U-map through the inverse Gram matrix, is the oracle.
@@ -112,51 +113,42 @@ class CompiledRanders:
 def compile_randers(r: RandersStructure) -> CompiledRanders:
     """Compile a Douglas-type structure into its exact integer forms.
 
-    The Q-independent tables are read from the metric's memo
-    (``MetricTensor._tables``): the Gram numerators, the compile base (the
-    Gram, ``G2`` and ``R2`` forms, R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and
-    G2_(ij)(kl) = g_ik g_jl - g_il g_jk, shared by every compile of the
-    space with read-only terms) and, per basis direction e_i with q_i != 0,
-    the tensors A_i and T_i of ``_SpaceTables.direction``.  As
+    The Q-independent forms are read from the metric's memo
+    (``MetricTensor._tables``), shared by every compile of the space with
+    read-only terms: the compile base (the Gram, ``G2`` and ``R2`` forms,
+    R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l) and
+    G2_(ij)(kl) = g_ik g_jl - g_il g_jk) and, per basis direction e_i, the
+    forms g(e_i, .), A_i and T_i of ``_SpaceTables.directions``.  As
     nabla_u v = [u,v]/2 + U(u,v), with U the Deng-Hou U-map, and Q is
     g-orthogonal to [g, g]:
 
         A(V) = g([Q,V],V) = g(nabla_V V, Q):  A_ij = sum_m Gamma_ij^m g(e_m, Q),
         C(V) = 2 g(U(V, nabla_V V), Q):       C_aij = 2 sum_m A_am Gamma_ij^m,
 
-    with nabla_{e_i} e_j = sum_m Gamma_ij^m e_m.  Both are linear in Q, so a
-    compile is one contraction of Q's numerators q_i: g(e_m, Q),
-    A = sum_i q_i A_i and C = sum_i q_i T_i, keeping the nonzero monomials.
-    The Douglas test is one integer dot of the same numerators per lowered
+    with nabla_{e_i} e_j = sum_m Gamma_ij^m e_m.  g(Q, .), A and C are
+    linear in Q, so a compile is one contraction of Q's numerators q_i with
+    the direction forms: each form is sum_i q_i times its form at e_i,
+    keeping the nonzero monomials, over its denominator times Q's.  The
+    Douglas test is one integer dot of the same numerators per lowered
     [g, g] row; raises NotDouglas, with its exact evidence, when Q is not
     g-orthogonal to [g, g].
     """
-    n = r.dim
     space = r.metric._tables(r.algebra)
     q, dq = xl.common_denominator(r.q_field)
     if any(sum(map(mul, q, row)) for row in space.derived_lowered[0]):
         require_douglas(r)  # raises, with the evidence
-    _, gram, g2, r2 = space.compile_base
-    g, dg = space.gram
-    dgam = space.connection[1]
-    gq = [sum(map(mul, q, g[m::n])) for m in range(n)]  # g(e_m, Q) over dq * dg
-    quad, cubic = {}, {}
-    for i, qi in enumerate(q):
+    gram, g2, r2 = space.compile_base
+    sums = ({}, {}, {})  # g(Q, .), A and C
+    for qi, forms in zip(q, space.directions):
         if qi:
-            a_i, t_i = space.direction(i)
-            for idx, x in a_i:
-                quad[idx] = quad.get(idx, 0) + qi * x
-            for idx, x in t_i:
-                cubic[idx] = cubic.get(idx, 0) + qi * x
-    return CompiledRanders(
-        dim=n,
-        gram=gram,
-        gq=IntegerForm({(m,): x for m, x in enumerate(gq) if x}, dq * dg),
-        r2=r2,
-        g2=g2,
-        a=IntegerForm({idx: x for idx, x in quad.items() if x}, dgam * dq * dg),
-        c=IntegerForm({idx: x for idx, x in cubic.items() if x}, dgam * dgam * dq * dg),
+            for total, form in zip(sums, forms):
+                for idx, x in form.terms.items():
+                    total[idx] = total.get(idx, 0) + qi * x
+    gq, a, c = (  # each form has one denominator in every direction
+        IntegerForm({idx: x for idx, x in total.items() if x}, form.d * dq)
+        for total, form in zip(sums, space.directions[0])
     )
+    return CompiledRanders(dim=r.dim, gram=gram, gq=gq, r2=r2, g2=g2, a=a, c=c)
 
 
 def u_map(

@@ -21,16 +21,17 @@ Q-independent tables of each algebra it is used with
 (``MetricTensor._tables``): the connection numerators in lowest terms (built
 from the lowered structure constants, which are not kept), the curvature
 entries, the lowered [g, g] basis, the Douglas subspace (its g-complement)
-and what ``flagcurv.compile_randers`` reads with the Gram numerators: the
-compile base (the nonzero connection rows and the Gram and bivector forms
-as ``IntegerForm``s of symmetric monomials, symmetrised once) and, per
-basis direction e_i, the forms A and C at Q = e_i, which a compile
-contracts with Q.  Each is built once, on first use, and stored as tuples
-(the Douglas subspace as a frozen ``Subspace`` of tuples, the forms' terms
-as read-only mappings); the holder keeps no reference to the metric, so
-the tables are freed with it.  The memo is the one exact source of the
-connection and the curvature: ``levi_civita`` is the ``Fraction`` form of
-its connection numerators, and ``sectional_curvature``
+and the two tables ``flagcurv.compile_randers`` reads, each a tuple of
+read-only ``IntegerForm``s of symmetric monomials: the compile base (the
+Gram and bivector forms) and, per basis direction e_i, the Q-linear forms
+g(e_i, .), A_i and T_i (g(Q, .), A and C at Q = e_i), which a compile
+contracts with Q, all built at once from the nonzero connection rows.
+Each table is built once, on first use, and stored as
+tuples (the Douglas subspace as a frozen ``Subspace`` of tuples, the
+forms' terms as read-only mappings); the holder keeps no reference to the
+metric, so the tables are freed with it.  The memo is the one exact source
+of the connection and the curvature: ``levi_civita`` is the ``Fraction``
+form of its connection numerators, and ``sectional_curvature``
 K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) sums its curvature
 entries.  The curvature sum has one integer core, ``_curvature_numerators``:
 ``curvature_tensor`` turns its output into a ``Fraction`` table, and the
@@ -214,11 +215,21 @@ class IntegerForm(NamedTuple):
 
     Every compiled form is stored as symmetric monomials: each index tuple
     is sorted and carries one nonzero numerator, the sum of the terms of its
-    permutations (``_symmetrised``).
+    permutations (``symmetric``).
     """
 
     terms: dict
     d: int
+
+    @classmethod
+    def symmetric(cls, terms, d: int) -> IntegerForm:
+        """The form over ``d`` of the (index tuple, num) pairs ``terms`` as
+        read-only symmetric monomials: {sorted index tuple: sum of the nums of
+        its permutations}, zero sums left out."""
+        sums = defaultdict(int)
+        for idx, num in terms:
+            sums[tuple(sorted(idx))] += num
+        return cls(MappingProxyType({idx: x for idx, x in sums.items() if x}), d)
 
     def at(self, x) -> int:
         """Numerator (over ``d``) of the form at the integer point ``x``."""
@@ -235,22 +246,13 @@ class IntegerForm(NamedTuple):
         return [(idx, num / d) for idx, num in self.terms.items()]
 
 
-def _symmetrised(terms) -> dict:
-    """{sorted index tuple: sum of the nums of its permutations} of the
-    (index tuple, num) pairs ``terms``, zero sums left out."""
-    sums = defaultdict(int)
-    for idx, num in terms:
-        sums[tuple(sorted(idx))] += num
-    return {idx: x for idx, x in sums.items() if x}
-
-
 class _SpaceTables:
     """The exact tables of one (algebra, metric) pair that do not depend on Q.
 
     Each is built on integer numerators the first time it is read and kept
-    as nested tuples, the Douglas subspace as a frozen ``Subspace``, the
-    compile base's forms as ``IntegerForm``s over read-only terms and the
-    forms of each basis direction (``direction``) as tuples.  The
+    as nested tuples, the Douglas subspace as a frozen ``Subspace``, and
+    the forms of the compile base and of each basis direction
+    (``directions``) as ``IntegerForm``s over read-only terms.  The
     connection is kept in lowest terms.  ``MetricTensor._tables`` holds one
     per algebra; the holder keeps the algebra and the metric's Gram
     numerators but not the metric, so the tables are freed with their
@@ -261,7 +263,6 @@ class _SpaceTables:
         self.algebra = algebra
         self.gram = metric._gram_numerators
         self.inverse_gram = metric._inverse_gram_numerators
-        self._directions = {}  # basis index i -> (A_i, T_i); see direction
 
     @cached_property
     def connection(self) -> tuple[tuple[int, ...], int]:
@@ -322,23 +323,19 @@ class _SpaceTables:
         return Subspace(n, xl.nullspace(rows, n))
 
     @cached_property
-    def compile_base(self) -> tuple[tuple, IntegerForm, IntegerForm, IntegerForm]:
-        """The Q-independent part of every ``flagcurv.compile_randers`` of the space.
+    def compile_base(self) -> tuple[IntegerForm, IntegerForm, IntegerForm]:
+        """The Q-independent forms of every ``flagcurv.compile_randers`` of the space.
 
-        First the nonzero connection rows ((i, j), (Gamma_ij^m)_m), over the
-        connection's denominator, which ``direction`` reads; then the Gram
-        form on V and the bivector forms ``G2``, ``R2`` on
-        w_(ij) = U_i V_j - U_j V_i, i < j, each an ``IntegerForm`` of
-        symmetric monomials over one denominator.  Every compile of the
-        space shares these forms, so their terms are read-only.
+        The Gram form on V and the bivector forms ``G2``, ``R2`` on
+        w_(ij) = U_i V_j - U_j V_i, i < j, each a read-only ``IntegerForm``
+        of symmetric monomials over one denominator, shared by every compile
+        of the space.
 
         G2_(ij)(kl) = g_ik g_jl - g_il g_jk and R2_(ij)(kl) = -g(R(e_i,e_j)e_k, e_l),
         so that K^g = w^T R2 w / w^T G2 w.
         """
         n = self.algebra.dim
         rn = range(n)
-        gam, _ = self.connection
-        rows = ((divmod(ij // n, n), gam[ij : ij + n]) for ij in range(0, n**3, n))
         g, dg = self.gram
         pairs = list(itertools.combinations(rn, 2))
         pos = {pair: t for t, pair in enumerate(pairs)}
@@ -356,44 +353,44 @@ class _SpaceTables:
         ]
         gram = [((a, b), g[a * n + b]) for a in rn for b in rn]
         return (
-            tuple((ij, row) for ij, row in rows if any(row)),
-            *(
-                IntegerForm(MappingProxyType(_symmetrised(terms)), d)
-                for terms, d in ((gram, dg), (g2, dg * dg), (r2, d_r * dg))
-            ),
+            IntegerForm.symmetric(gram, dg),
+            IntegerForm.symmetric(g2, dg * dg),
+            IntegerForm.symmetric(r2, d_r * dg),
         )
 
-    def direction(self, i: int) -> tuple[tuple, tuple]:
-        """(A_i, T_i): A and C at Q = e_i as symmetric monomials, tuples of
-        (index tuple, num), built the first time a compile reads direction i.
+    @cached_property
+    def directions(self) -> tuple[tuple[IntegerForm, IntegerForm, IntegerForm], ...]:
+        """(g(e_i, .), A_i, T_i) per basis direction e_i: g(Q, .), A and C at
+        Q = e_i, as read-only ``IntegerForm``s of symmetric monomials.
 
         With Gamma the connection numerators over dgam and g the Gram
-        numerators over dg, A_i,ab = sum_m Gamma_ab^m g_im over dgam * dg and
-        T_i,abc = 2 sum_m A_i,am Gamma_bc^m over dgam^2 * dg.  A and C are
-        linear in Q: A = sum_i q_i A_i and C = sum_i q_i T_i.
+        numerators over dg, g(e_i, .) has the terms g_im over dg,
+        A_i,ab = sum_m Gamma_ab^m g_im over dgam * dg and
+        T_i,abc = 2 sum_m A_i,am Gamma_bc^m over dgam^2 * dg, each sum over
+        the nonzero rows of Gamma.  All three are linear in Q:
+        g(Q, .) = sum_i q_i g(e_i, .), A = sum_i q_i A_i, C = sum_i q_i T_i.
         """
-        forms = self._directions.get(i)
-        if forms is None:
-            n = self.algebra.dim
-            rows = self.compile_base[0]
-            gi = self.gram[0][i * n : (i + 1) * n]  # g(e_i, e_m)
-            quad = []
-            twice = [[0] * n for _ in range(n)]  # 2 A_i,am, row a
-            for (a, b), row in rows:
-                x = sum(map(mul, row, gi))
-                if x:
-                    quad.append(((a, b), x))
-                    twice[a][b] = 2 * x
+        n = self.algebra.dim
+        gam, dgam = self.connection
+        g, dg = self.gram
+        rows = [
+            (divmod(ij // n, n), row)
+            for ij in range(0, n**3, n)
+            if any(row := gam[ij : ij + n])
+        ]
+        out = []
+        for i in range(n):
+            gi = g[i * n : (i + 1) * n]  # g(e_i, e_m)
+            quad = [(ab, x) for ab, row in rows if (x := sum(map(mul, row, gi)))]
             cubic = [
-                ((a, b, c), x)
-                for a, arow in enumerate(twice)
-                if any(arow)
-                for (b, c), row in rows
-                if (x := sum(map(mul, arow, row)))
+                ((a, *bc), 2 * x * row[m]) for (a, m), x in quad for bc, row in rows if row[m]
             ]
-            forms = tuple(tuple(_symmetrised(terms).items()) for terms in (quad, cubic))
-            self._directions[i] = forms
-        return forms
+            out.append((
+                IntegerForm.symmetric([((m,), x) for m, x in enumerate(gi)], dg),
+                IntegerForm.symmetric(quad, dgam * dg),
+                IntegerForm.symmetric(cubic, dgam * dgam * dg),
+            ))
+        return tuple(out)
 
 
 def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTable:

@@ -281,6 +281,12 @@ def symmetrised(terms):
     return {idx: x for idx, x in sums.items() if x}
 
 
+def polynomial(form):
+    """The exact coefficients of a library ``IntegerForm``, by stored index
+    tuple: compared with ``symmetrised`` oracle forms."""
+    return {idx: Fraction(num, form.d) for idx, num in form.terms.items()}
+
+
 def oracle_correction_forms(r):
     """(A, C) of the Randers structure ``r`` by the pair loop, in Fractions,
     unsymmetrised and with zeros left out: A_ij = sum_m Gamma_ij^m g(e_m, Q)

@@ -34,6 +34,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DENSE = "tests/golden/dense_case2.json"
 HYPER = "tests/golden/case2_hyper.json"
 TINY = "tests/golden/tiny_metric.json"  # the case-2 algebra under 1e-6 I
+NON_LIE_HYPER = "tests/golden/nonlie_hyper.json"  # fails Jacobi, holds a hypercomplex triple
 DENSE_Q = "1/16,0,-1/8,-1/4"
 
 
@@ -515,6 +516,39 @@ def test_file_failing_jacobi_is_rejected(tmp_path, capsys, argv):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert err == "error: " + NON_JACOBI_REPORT
+
+
+def test_hyper_verify_file_failing_jacobi_is_rejected(capsys):
+    # [X,W] = Z and [Y,Z] = Z with a signed-permutation triple that passes
+    # every hypercomplex axiom: only the Jacobi gate can reject the file
+    code, out, _ = run(["check", NON_LIE_HYPER], capsys)
+    assert code == 1 and "hypercomplex: ok\n" in out
+    code, out, err = run(["hyper-verify", NON_LIE_HYPER], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: jacobi identity: FAIL (1 triple(s))\n  (X,Y,W): defect Z\n"
+
+
+@pytest.mark.parametrize(
+    "labels", [["X", "X", "X", "X"], ["X", "Y", "", "W"]], ids=["repeated", "empty"]
+)
+def test_check_rejects_ambiguous_labels(tmp_path, capsys, labels):
+    # case 3's brackets; classify would print "nabla_X Q = -1/2*X" three times
+    doc = {
+        "dim": 4,
+        "labels": labels,
+        "brackets": [
+            {"i": 0, "j": 1, "coeffs": ["0", "1", "0", "0"]},
+            {"i": 0, "j": 2, "coeffs": ["0", "0", "1", "0"]},
+            {"i": 0, "j": 3, "coeffs": ["0", "0", "0", "1"]},
+        ],
+    }
+    path = write_doc(tmp_path, "labels.json", doc)
+    for argv in (["check", path], ["classify", "--file", path, "--Q", "1/2,0,0,0"]):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_DEFINITION
+        assert out == ""
+        assert err == "error: labels: expected 4 distinct non-empty strings\n"
 
 
 def test_case_skips_jacobi_gate(monkeypatch, capsys):

@@ -50,7 +50,13 @@ from conftest import (
     fr,
     random_flag_pair,
 )
-from exact_oracles import oracle_correction_forms, oracle_inner, sparse_entries, symmetrised
+from exact_oracles import (
+    oracle_correction_forms,
+    oracle_inner,
+    polynomial,
+    sparse_entries,
+    symmetrised,
+)
 from flag_oracles import bracket_terms
 from kernel_oracles import dense_forms
 
@@ -193,11 +199,6 @@ def test_sign_certificate_holds_on_random_structures(case):
 def test_compiled_values_equal_oracles_random(case):
     r, flag = case
     assert_exact(r, compile_randers(r), flag)
-
-
-def polynomial(form):
-    """The exact coefficients of a compiled form, by stored index tuple."""
-    return {idx: Fraction(num, form.d) for idx, num in form.terms.items()}
 
 
 @settings(max_examples=60, deadline=None)

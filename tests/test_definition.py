@@ -1,5 +1,6 @@
 """Definition file parsing, serialization and the exact round trip."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,18 @@ def test_save_and_load(tmp_path):
 def test_default_labels():
     defn = parse_definition('{"dim": 2, "brackets": []}')
     assert defn.algebra.labels == ("e0", "e1")
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["X", "X", "X", "X"], ["X", "Y", "Z", "X"], ["X", "", "Z", "W"]],
+    ids=["all-repeated", "one-repeated", "empty"],
+)
+def test_labels_must_be_distinct_and_non_empty(labels):
+    # evidence names basis vectors by label: "nabla_X Q = -1/2*X" must be unambiguous
+    text = CASE4_TEXT.replace('["X", "Y", "Z", "W"]', json.dumps(labels))
+    with pytest.raises(DefinitionError, match=r"^labels: expected 4 distinct non-empty strings$"):
+        parse_definition(text)
 
 
 def test_reversed_orientation_consistent():

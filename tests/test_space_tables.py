@@ -2,18 +2,20 @@
 
 ``MetricTensor._tables(algebra)`` builds the Q-independent tables of a space
 once, on integer numerators: the connection (in lowest terms) and curvature
-numerators, the lowered [g, g] basis, the Douglas subspace and the compile
-base: the nonzero connection rows and the Gram, ``G2`` and ``R2`` forms,
-and, per basis direction a compile reads, the tensors ``A_i`` and ``T_i``.
-Each is checked with ``==`` against the ``Fraction`` oracles in
-``exact_oracles``, the forms as polynomials; the memo must be shared by
-every reader and every compile, separate for distinct algebra objects,
-immutable, and freed with its metric.
+numerators, the lowered [g, g] basis, the Douglas subspace, the compile
+base (the Gram, ``G2`` and ``R2`` forms) and the direction table: per basis
+direction e_i, the forms g(e_i, .), ``A_i`` and ``T_i`` of g(Q, .), A and C
+at Q = e_i, which a compile contracts with Q.  Each is checked with ``==``
+against the ``Fraction`` oracles in ``exact_oracles``, the forms as
+polynomials; the memo must be shared by every reader and every compile,
+separate for distinct algebra objects, immutable, and freed with its metric.
 """
 
 import gc
 import math
+import random
 import weakref
+from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -40,10 +42,12 @@ from lieranders.riemann import IntegerForm
 from conftest import SPACES, dense_metric, douglas_q, fr
 from exact_oracles import (
     oracle_bivector_forms,
+    oracle_correction_forms,
     oracle_derived_algebra,
     oracle_douglas_subspace,
     oracle_integer_curvature_tensor,
     oracle_levi_civita,
+    polynomial,
     symmetrised,
 )
 
@@ -54,7 +58,7 @@ def fractions(nums, d):
 
 def read_all(tables):
     """Every memoised table of ``tables``, by name."""
-    names = ("connection", "curvature_entries", "derived_lowered", "compile_base")
+    names = ("connection", "curvature_entries", "derived_lowered", "compile_base", "directions")
     return {name: getattr(tables, name) for name in names}
 
 
@@ -83,17 +87,12 @@ def test_memoised_tables_equal_fraction_oracles(space):
     ]
 
     # the forms are stored as symmetric monomials: compared as polynomials
-    rows, *forms = tables.compile_base
-    got = tuple({idx: Fraction(x, form.d) for idx, x in form.terms.items()} for form in forms)
-    assert got == tuple(map(symmetrised, oracle_bivector_forms(algebra, metric, curvature)))
+    forms = tables.compile_base
+    assert tuple(map(polynomial, forms)) == tuple(
+        map(symmetrised, oracle_bivector_forms(algebra, metric, curvature))
+    )
     assert all(all(form.terms.values()) for form in forms)
     assert all(idx == tuple(sorted(idx)) for form in forms for idx in form.terms)
-    gamma = [x for gi in conn.gamma for gij in gi for x in gij]
-    d = tables.connection[1]
-    assert {ij: fractions(row, d) for ij, row in rows} == {
-        (i, j): gamma[(i * n + j) * n : (i * n + j + 1) * n]
-        for i in range(n) for j in range(n) if any(gamma[(i * n + j) * n : (i * n + j + 1) * n])
-    }
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -161,20 +160,57 @@ def test_memo_values_are_tuples(space):
 
 
 @pytest.mark.parametrize("space", SPACES)
+def test_direction_table_equals_fraction_oracles(space):
+    # directions[i] is (g(e_i, .), A_i, T_i): g(Q, .), A and C at Q = e_i,
+    # built for every basis direction; A and C are linear in Q, so the pair
+    # loop at a valid multiple t e_i, divided by t, gives them
+    algebra, metric = SPACES[space]()
+    n = algebra.dim
+    directions = metric._tables(algebra).directions
+    assert type(directions) is tuple and len(directions) == n
+    for i, forms in enumerate(directions):
+        assert type(forms) is tuple and len(forms) == 3
+        t = Fraction(1, 2 + math.ceil(metric.gram[i][i]))
+        e_i = xl.basis_vector(n, i)
+        quad, cubic = oracle_correction_forms(make_randers(algebra, metric, xl.vec_scale(t, e_i)))
+        assert tuple(map(polynomial, forms)) == (
+            {(m,): x for m, x in enumerate(metric.gram[i]) if x},
+            symmetrised({idx: x / t for idx, x in quad.items()}),
+            symmetrised({idx: x / t for idx, x in cubic.items()}),
+        )
+        for form in forms:
+            assert type(form) is IntegerForm and type(form.terms) is MappingProxyType
+            assert all(idx == tuple(sorted(idx)) and x for idx, x in form.terms.items())
+
+
+@pytest.mark.parametrize("space", SPACES)
 def test_direction_tensors_are_built_per_nonzero_q_coordinate(space):
-    # A_i and T_i are A and C at Q = e_i, built on first use for q_i != 0 only,
-    # kept as tuples of sorted, nonzero monomials and reused by later compiles
+    # a compile's g(Q, .), A and C are sum_i q_i times the direction forms,
+    # one term per nonzero coordinate q_i, over the forms' denominator times
+    # Q's; the table is built once and read by every compile of the space
     algebra, metric = SPACES[space]()
     tables = metric._tables(algebra)
-    q = douglas_q(algebra, metric)
-    compile_randers(make_randers(algebra, metric, q))
-    assert set(tables._directions) == {i for i, x in enumerate(q) if x}
-    kept = dict(tables._directions)
-    compile_randers(make_randers(algebra, metric, tuple(x / 3 for x in q)))
-    assert all(tables.direction(i) is forms for i, forms in kept.items())
-    for forms in kept.values():
-        assert type(forms) is tuple and all(type(terms) is tuple for terms in forms)
-        assert all(idx == tuple(sorted(idx)) and x for terms in forms for idx, x in terms)
+    rng = random.Random(space)
+    basis = douglas_subspace(algebra, metric).basis
+    mixes = [[Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in basis] for _ in range(4)]
+    qs = [douglas_q(algebra, metric), *basis] + [
+        tuple(sum((t * b[i] for t, b in zip(mix, basis)), Fraction(0)) for i in range(algebra.dim))
+        for mix in mixes
+    ]
+    directions = tables.directions
+    for q in qs:
+        q = tuple(x / (1 + math.ceil(metric.inner(q, q))) for x in q)
+        compiled = compile_randers(make_randers(algebra, metric, q))
+        assert tables.directions is directions
+        dq = xl.common_denominator(q)[1]
+        for k, name in enumerate(("gq", "a", "c")):
+            form = getattr(compiled, name)
+            want = defaultdict(Fraction)
+            for qi, forms in zip(q, directions):
+                for idx, x in polynomial(forms[k]).items():
+                    want[idx] += qi * x
+            assert polynomial(form) == {idx: x for idx, x in want.items() if x}
+            assert all(form.terms.values()) and form.d == directions[0][k].d * dq
 
 
 @pytest.mark.parametrize("space", ["case2-identity", "case2-dense", "solv5-dense"])
