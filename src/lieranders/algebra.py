@@ -2,9 +2,10 @@
 
 A ``LieAlgebra`` stores c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k as
 Fractions.  It is frozen, so its derived algebra and the integer numerators
-of its structure constants are computed once, on first use.  The
-four-dimensional catalog used throughout (cases 1-4, plus the abelian case 0)
-is exposed through :func:`catalog`.
+of its structure constants are computed once, on first use; the numerators
+keep the same nested rows c[i][j][k], over one denominator, and ``bracket``
+sums over them.  The four-dimensional catalog used throughout (cases 1-4,
+plus the abelian case 0) is exposed through :func:`catalog`.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ class LieAlgebra:
 
     def __post_init__(self):
         n = self.dim
+        if n < 1:
+            raise DimensionMismatch(f"a Lie algebra needs dimension >= 1; got {n}")
         if len(self.labels) != n:
             raise DimensionMismatch("need one label per basis vector")
         if len(self.structure) != n or any(
@@ -152,18 +155,11 @@ class LieAlgebra:
         return tuple(self.basis_vector(i) for i in range(self.dim))
 
     @cached_property
-    def _structure_numerators(self) -> tuple[tuple[int, ...], int]:
-        # c_ijk as flat integer numerators (index (i*n + j)*n + k) over one
-        # denominator, shared by the bracket and the exact tables
+    def _structure_numerators(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
+        # c[i][j][k] as integer numerators over one denominator, in the same
+        # nested rows as ``structure``; read by the bracket and the exact tables
         nums, d = xl.common_denominator(x for ci in self.structure for cij in ci for x in cij)
-        return tuple(nums), d
-
-    @cached_property
-    def _structure_nonzeros(self) -> tuple[tuple[int, int, int, int], ...]:
-        # sparse (i, j, k, numerator) view of the structure tensor; brackets are hot
-        n = self.dim
-        nums, _ = self._structure_numerators
-        return tuple((t // (n * n), t // n % n, t % n, x) for t, x in enumerate(nums) if x)
+        return xl.nested(nums, self.dim, 3), d
 
     @cached_property
     def _derived(self) -> Subspace:
@@ -177,17 +173,22 @@ class LieAlgebra:
     def bracket(self, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
         """Bilinear extension of the structure constants; exact on exact input.
 
-        Summed in Python ints over the structure numerators and the
-        numerators of ``u`` and ``v``; one ``Fraction`` per coordinate.
+        [u, v] = sum_ij u_i v_j c[i][j], summed in Python ints over the rows
+        of the structure numerators and the numerators of ``u`` and ``v``;
+        one ``Fraction`` per coordinate.
         """
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("bracket operands must match the algebra dimension")
         (un, du), (vn, dv) = map(xl.common_denominator, (u, v))
+        c, dc = self._structure_numerators
         out = [0] * self.dim
-        for i, j, k, c in self._structure_nonzeros:
-            if un[i] and vn[j]:
-                out[k] += un[i] * vn[j] * c
-        d = self._structure_numerators[1] * du * dv
+        for a, ci in zip(un, c):
+            if a:
+                for b, cij in zip(vn, ci):
+                    if b:
+                        for k, x in enumerate(cij):
+                            out[k] += a * b * x
+        d = dc * du * dv
         return tuple(Fraction(x, d) if x else _ZERO for x in out)
 
     def jacobi_check(self) -> list[tuple[int, int, int, AlgebraVector]]:

@@ -83,20 +83,19 @@ def _nabla(
     """nabla_{e_i} v = sum_j v_j gamma_ij^k e_k for each v of ``vectors``, as
     out[v][i][k] over one denominator: Python ints from the vectors'
     numerators and the integer Koszul table kept with the metric."""
-    n, rn = algebra.dim, range(algebra.dim)
+    n = algebra.dim
     gamma, d = metric._tables(algebra).connection
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch(f"vectors must have the algebra dimension {n}")
     nums, dv = xl.common_denominator(x for v in vectors for x in v)
     out = []
-    for s in range(0, len(nums), n):
-        v = [(j, x) for j, x in enumerate(nums[s : s + n]) if x]
-        derivs = [[0] * n for _ in rn]
-        for i, deriv in enumerate(derivs):
-            for j, x in v:
-                row = (i * n + j) * n
-                for k in rn:
-                    deriv[k] += x * gamma[row + k]
+    for v in xl.nested(nums, n, 2):
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        derivs = [[0] * n for _ in gamma]
+        for deriv, gi in zip(derivs, gamma):
+            for j, x in nonzero:
+                for k, y in enumerate(gi[j]):
+                    deriv[k] += x * y
         out.append(derivs)
     return out, d * dv
 

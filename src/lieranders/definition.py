@@ -14,8 +14,10 @@ structurally lossless:
     }
 
 Unspecified bracket pairs are zero.  The labels name the basis vectors in
-every report, so they must be distinct and non-empty.  Parse errors name
-the offending field (and the line for JSON syntax errors).
+every report, so they must be distinct identifiers (``str.isidentifier``):
+no whitespace, no leading digit and none of the characters ``+ - * / , ( ) =``
+that evidence is written with.  Parse errors name the offending field (and
+the line for JSON syntax errors).
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ def parse_definition(text: str) -> DefinitionFile:
         or len(set(labels)) != dim
     ):
         raise DefinitionError(f"labels: expected {dim} distinct non-empty strings")
+    for k, label in enumerate(labels):
+        if not label.isidentifier():
+            raise DefinitionError(f"labels[{k}]: {label!r} is not an identifier")
 
     brackets: dict[tuple[int, int], AlgebraVector] = {}
     entries = raw.get("brackets", [])

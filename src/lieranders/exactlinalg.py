@@ -73,6 +73,16 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
     return [x.numerator * (d // q) for x, q in zip(values, dens)], d
 
 
+def nested(values: Sequence, n: int, depth: int) -> tuple:
+    """The row-major flat ``values`` as nested tuples, ``depth`` levels deep,
+    each inner level ``n`` long: the one reader of the flat order in which
+    tables are passed to ``common_denominator``."""
+    rows = tuple(values)
+    for _ in range(depth - 1):
+        rows = tuple([rows[s : s + n] for s in range(0, len(rows), n)])
+    return rows
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 

@@ -12,30 +12,31 @@ g-transpose of ad_v, and the curvature operator is
 
     R(u,v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w.
 
-The inner product, the connection table and the curvature table are summed
-in Python ints: each input table is written as integer numerators over its
-least common denominator (``exactlinalg.common_denominator``), and one
-``Fraction`` is built per output entry.  A ``MetricTensor`` computes the
-numerators of its Gram and inverse Gram matrices once, and keeps the
-Q-independent tables of each algebra it is used with
+The inner product, the connection table and the curvature table are summed in
+Python ints: each input table is written as integer numerators over its least
+common denominator (``exactlinalg.common_denominator``), kept in the nested
+rows of the tensor it is (c[i][j][k], g[i][j], gamma[i][j][k]) and read by
+index, and one ``Fraction`` is built per output entry.  A ``MetricTensor``
+computes the numerators of its Gram and inverse Gram matrices once, and keeps
+the Q-independent tables of each algebra it is used with
 (``MetricTensor._tables``): the connection numerators in lowest terms (built
 from the lowered structure constants, which are not kept), the curvature
-entries, the lowered [g, g] basis, the Douglas subspace (its g-complement)
-and the two tables ``flagcurv.compile_randers`` reads, each a tuple of
-read-only ``IntegerForm``s of symmetric monomials: the compile base (the
-Gram and bivector forms) and, per basis direction e_i, the Q-linear forms
-g(e_i, .), A_i and T_i (g(Q, .), A and C at Q = e_i), which a compile
-contracts with Q, all built at once from the nonzero connection rows.
-Each table is built once, on first use, and stored as
-tuples (the Douglas subspace as a frozen ``Subspace`` of tuples, the
-forms' terms as read-only mappings); the holder keeps no reference to the
-metric, so the tables are freed with it.  The memo is the one exact source
-of the connection and the curvature: ``levi_civita`` is the ``Fraction``
-form of its connection numerators, and ``sectional_curvature``
-K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) sums its curvature
-entries.  The curvature sum has one integer core, ``_curvature_numerators``:
-``curvature_tensor`` turns its output into a ``Fraction`` table, and the
-memo reads it straight into sparse integer entries.
+entries, the lowered [g, g] basis, the Douglas subspace (its g-complement) and
+the two tables ``flagcurv.compile_randers`` reads, each a tuple of read-only
+``IntegerForm``s of symmetric monomials: the compile base (the Gram and
+bivector forms) and, per basis direction e_i, the Q-linear forms g(e_i, .),
+A_i and T_i (g(Q, .), A and C at Q = e_i), which a compile contracts with Q,
+all built at once from the nonzero connection rows.  Each table is built once,
+on first use, and stored as tuples (the Douglas subspace as a frozen
+``Subspace`` of tuples, the forms' terms as read-only mappings); the holder
+keeps no reference to the metric, so the tables are freed with it.  The memo
+is the one exact source of the connection and the curvature: ``levi_civita``
+is the ``Fraction`` form of its connection numerators, and
+``sectional_curvature`` K(u,v) = g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2)
+sums its curvature entries.  The curvature sum has one integer core,
+``_curvature_numerators``, on the connection and structure rows:
+``curvature_tensor`` turns its output into a ``Fraction`` table, and the memo
+reads it straight into sparse integer entries.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class MetricTensor:
 
     def __post_init__(self):
         n = len(self.gram)
+        if n < 1:
+            raise DimensionMismatch("a metric needs dimension >= 1; got an empty gram matrix")
         if any(len(row) != n for row in self.gram):
             raise DimensionMismatch("gram matrix must be square")
         self._gram_numerators  # TypeError unless every entry is an int or a Fraction
@@ -86,15 +89,15 @@ class MetricTensor:
         return xl.spd_inverse(self.gram)
 
     @cached_property
-    def _gram_numerators(self) -> tuple[tuple[int, ...], int]:
-        # G as flat integer numerators (index i*n + j) over one denominator
+    def _gram_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        # g[i][j] as integer numerators over one denominator, in the rows of ``gram``
         nums, d = xl.common_denominator(x for row in self.gram for x in row)
-        return tuple(nums), d
+        return xl.nested(nums, self.dim, 2), d
 
     @cached_property
-    def _inverse_gram_numerators(self) -> tuple[tuple[int, ...], int]:
+    def _inverse_gram_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         nums, d = xl.common_denominator(x for row in self.inverse_gram for x in row)
-        return tuple(nums), d
+        return xl.nested(nums, self.dim, 2), d
 
     @cached_property
     def _spaces(self) -> dict[int, _SpaceTables]:
@@ -122,8 +125,7 @@ class MetricTensor:
             raise DimensionMismatch("inner product operands must match the metric")
         (un, du), (vn, dv) = map(xl.common_denominator, (u, v))
         g, dg = self._gram_numerators
-        n = self.dim
-        total = sum(a * g[i * n + j] * b for i, a in enumerate(un) if a for j, b in enumerate(vn))
+        total = sum(a * sum(map(mul, gi, vn)) for a, gi in zip(un, g) if a)
         return Fraction(total, du * dv * dg)
 
 
@@ -152,12 +154,9 @@ def levi_civita(algebra: LieAlgebra, metric: MetricTensor) -> ConnectionTable:
     Jacobi identity holding (see ``LieAlgebra.jacobi_check``); the formula is
     only meaningful then.
     """
-    n = algebra.dim
-    rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
-    nums, d = metric._tables(algebra).connection
-    entries = [Fraction(x, d) if x else _ZERO for x in nums]
+    gam, d = metric._tables(algebra).connection
     gamma = tuple(
-        tuple(tuple(entries[ij : ij + n]) for ij in rows[i * n : (i + 1) * n]) for i in range(n)
+        tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in gi) for gi in gam
     )
     return ConnectionTable(gamma=gamma)
 
@@ -174,22 +173,19 @@ class CurvatureTable:
 
 
 def _curvature_numerators(
-    algebra: LieAlgebra, gam: Sequence[int], dg: int
+    algebra: LieAlgebra, G: Sequence[Sequence[Sequence[int]]], dg: int
 ) -> tuple[dict[tuple[int, int], list[list[int]]], int]:
     """R(e_i, e_j) e_k for i < j on integer numerators over one denominator.
 
-    ``gam`` holds the connection numerators G_ij^k (flat index
-    (i*n + j)*n + k) over ``dg``; with c_ij^k the structure constants,
+    ``G`` holds the connection numerators as rows, G[i][j][k] = G_ij^k over
+    ``dg``; with C[i][j][m] = c_ij^m the structure numerators,
     R(e_i, e_j) e_k = sum_m (G_jk^m G_im^l - G_ik^m G_jm^l - c_ij^m G_mk^l) e_l.
     Returns {(i, j): rows} with rows[k][l] the e_l numerator, and the
     denominator.  R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0.
     """
     n = algebra.dim
     rn = range(n)
-    c, dc = algebra._structure_numerators
-    # numerator rows: G[i][j] of gamma[i][j] over dg, C[i][j] of [e_i, e_j] over dc
-    G = [[gam[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
-    C = [[c[(i * n + j) * n : (i * n + j + 1) * n] for j in rn] for i in rn]
+    C, dc = algebra._structure_numerators
     out = {}
     for i in rn:
         for j in range(i + 1, n):
@@ -265,27 +261,21 @@ class _SpaceTables:
         self.inverse_gram = metric._inverse_gram_numerators
 
     @cached_property
-    def connection(self) -> tuple[tuple[int, ...], int]:
-        # Koszul in index form: 2 gamma_ijk = c_ijk - c_jki + c_kij, k raised by G^-1,
-        # with c_ijk = g([e_i, e_j], e_k) at flat index (i*n + j)*n + k
-        n = self.algebra.dim
-        rn = range(n)
-        rows = range(0, n**3, n)  # flat offset (i*n + j)*n of each (i, j) row
+    def connection(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
+        # gamma[i][j][k] with nabla_{e_i} e_j = sum_k gamma_ijk e_k, rows over one
+        # denominator.  Koszul in index form: 2 gamma_ijk = c_ijk - c_jki + c_kij,
+        # with c_ijk = g([e_i, e_j], e_k), and k raised by G^-1
+        rn = range(self.algebra.dim)
         c, d = self.algebra._structure_numerators
         g, dg = self.gram
-        c = [sum(c[ij + m] * g[m * n + k] for m in rn) for ij in rows for k in rn]
-        two = [
-            c[(i * n + j) * n + k] - c[(j * n + k) * n + i] + c[(k * n + i) * n + j]
-            for i in rn
-            for j in rn
-            for k in rn
-        ]
         h, dh = self.inverse_gram
-        two = [sum(two[ij + k] * h[k * n + l] for k in rn) for ij in rows for l in rn]
+        low = [[[sum(c[i][j][m] * g[m][k] for m in rn) for k in rn] for j in rn] for i in rn]
+        two = [[[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in rn] for j in rn] for i in rn]
+        raised = [[[sum(row[k] * h[k][l] for k in rn) for l in rn] for row in ti] for ti in two]
         # dividing out gcd(d, numerators) leaves the least common denominator
         d = 2 * d * dg * dh
-        k = math.gcd(d, *two)
-        return tuple(x // k for x in two), d // k
+        k = math.gcd(d, *(x for ri in raised for row in ri for x in row))
+        return tuple(tuple(tuple(x // k for x in row) for row in ri) for ri in raised), d // k
 
     @cached_property
     def curvature_entries(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
@@ -304,14 +294,11 @@ class _SpaceTables:
     @cached_property
     def derived_lowered(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         # G b for each basis vector b of [g, g], so that g(Q, b) = Q . (G b)
-        n = self.algebra.dim
-        rn = range(n)
         basis = self.algebra.derived_algebra().basis
         b, db = xl.common_denominator(x for v in basis for x in v)
         g, dg = self.gram
         rows = tuple(
-            tuple(sum(g[i * n + k] * b[s + k] for k in rn) for i in rn)
-            for s in range(0, len(b), n)
+            tuple(sum(map(mul, gi, bs)) for gi in g) for bs in xl.nested(b, self.algebra.dim, 2)
         )
         return rows, db * dg
 
@@ -341,17 +328,17 @@ class _SpaceTables:
         pos = {pair: t for t, pair in enumerate(pairs)}
         d_r, entries = self.curvature_entries
         r2 = [
-            ((pos[i, j], pos[k, m]), -x * g[l * n + m])
+            ((pos[i, j], pos[k, m]), -x * g[l][m])
             for i, j, k, l, x in entries
             for m in range(k + 1, n)
-            if g[l * n + m]
+            if g[l][m]
         ]
         g2 = [
-            ((s, t), g[i * n + k] * g[j * n + l] - g[i * n + l] * g[j * n + k])
+            ((s, t), g[i][k] * g[j][l] - g[i][l] * g[j][k])
             for s, (i, j) in enumerate(pairs)
             for t, (k, l) in enumerate(pairs)
         ]
-        gram = [((a, b), g[a * n + b]) for a in rn for b in rn]
+        gram = [((a, b), g[a][b]) for a in rn for b in rn]
         return (
             IntegerForm.symmetric(gram, dg),
             IntegerForm.symmetric(g2, dg * dg),
@@ -370,17 +357,11 @@ class _SpaceTables:
         the nonzero rows of Gamma.  All three are linear in Q:
         g(Q, .) = sum_i q_i g(e_i, .), A = sum_i q_i A_i, C = sum_i q_i T_i.
         """
-        n = self.algebra.dim
         gam, dgam = self.connection
         g, dg = self.gram
-        rows = [
-            (divmod(ij // n, n), row)
-            for ij in range(0, n**3, n)
-            if any(row := gam[ij : ij + n])
-        ]
+        rows = [((i, j), row) for i, gi in enumerate(gam) for j, row in enumerate(gi) if any(row)]
         out = []
-        for i in range(n):
-            gi = g[i * n : (i + 1) * n]  # g(e_i, e_m)
+        for gi in g:  # g(e_i, e_m) = g[i][m]
             quad = [(ab, x) for ab, row in rows if (x := sum(map(mul, row, gi)))]
             cubic = [
                 ((a, *bc), 2 * x * row[m]) for (a, m), x in quad for bc, row in rows if row[m]
@@ -402,7 +383,7 @@ def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTab
     """
     n = algebra.dim
     gam, dg = xl.common_denominator(x for gi in conn.gamma for gij in gi for x in gij)
-    rows, d = _curvature_numerators(algebra, gam, dg)
+    rows, d = _curvature_numerators(algebra, xl.nested(gam, n, 3), dg)
     zero = (xl.zero_vector(n),) * n
     r = [[zero] * n for _ in range(n)]
     for (i, j), rij in rows.items():

@@ -81,16 +81,16 @@ def signs_agree(k_f, k_g):
 def dense_gram(metric: MetricTensor) -> np.ndarray:
     """The Gram matrix as floats, each entry one int / int of the metric's
     Gram numerators (correctly rounded, so the bits of ``float(Fraction)``)."""
-    nums, d = metric._gram_numerators
-    return np.array([x / d for x in nums]).reshape(metric.dim, metric.dim)
+    g, d = metric._gram_numerators
+    return np.array([[x / d for x in row] for row in g])
 
 
 def _check_flags_can_pass(metric: MetricTensor) -> None:
     """LieRandersError when no drawn flag can pass the rejection test: on the
     cube [-1, 1]^n, G2(U^V) <= g(U,U) g(V,V) <= (sum |G_ij|)^2, decided
     exactly in integers on the Gram numerators."""
-    nums, d = metric._gram_numerators
-    total = sum(map(abs, nums))  # sum |G_ij| = total / d
+    g, d = metric._gram_numerators
+    total = sum(abs(x) for row in g for x in row)  # sum |G_ij| = total / d
     cube = f"on [-1, 1]^{metric.dim}"
     p, q = MIN_GVV.as_integer_ratio()
     if total * q <= p * d:

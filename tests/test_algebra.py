@@ -124,6 +124,15 @@ def test_float_structure_constants_rejected_at_construction():
         LieAlgebra(dim=2, labels=("a", "b"), structure=(((0, 0), (1.5, 0)), ((-1.5, 0), (0, 0))))
 
 
+def test_dimension_zero_rejected_at_construction():
+    # the exact tables need at least one basis vector
+    message = r"^a Lie algebra needs dimension >= 1; got 0$"
+    with pytest.raises(DimensionMismatch, match=message):
+        LieAlgebra.from_brackets(0, [], {})
+    with pytest.raises(DimensionMismatch, match=message):
+        LieAlgebra(dim=0, labels=(), structure=())
+
+
 def test_self_bracket_rejected():
     with pytest.raises(ValueError):
         LieAlgebra.from_brackets(2, ("a", "b"), {(0, 0): fr(1, 0)})

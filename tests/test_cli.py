@@ -35,6 +35,7 @@ DENSE = "tests/golden/dense_case2.json"
 HYPER = "tests/golden/case2_hyper.json"
 TINY = "tests/golden/tiny_metric.json"  # the case-2 algebra under 1e-6 I
 NON_LIE_HYPER = "tests/golden/nonlie_hyper.json"  # fails Jacobi, holds a hypercomplex triple
+BAD_LABEL = "tests/golden/bad_label.json"  # case 3 with the label "1/2*X" for Y
 DENSE_Q = "1/16,0,-1/8,-1/4"
 
 
@@ -549,6 +550,14 @@ def test_check_rejects_ambiguous_labels(tmp_path, capsys, labels):
         assert code == cli.EXIT_DEFINITION
         assert out == ""
         assert err == "error: labels: expected 4 distinct non-empty strings\n"
+
+
+def test_check_rejects_a_label_that_is_not_an_identifier(capsys):
+    # evidence would print "1/2*1/2*X" for half the second basis vector
+    code, out, err = run(["check", BAD_LABEL], capsys)
+    assert code == cli.EXIT_DEFINITION
+    assert out == ""
+    assert err == "error: labels[1]: '1/2*X' is not an identifier\n"
 
 
 def test_case_skips_jacobi_gate(monkeypatch, capsys):

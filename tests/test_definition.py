@@ -84,6 +84,33 @@ def test_labels_must_be_distinct_and_non_empty(labels):
         parse_definition(text)
 
 
+@pytest.mark.parametrize(
+    "k, label",
+    [
+        (1, "1/2*X"),
+        (1, "X "),
+        (2, "Y Z"),
+        (3, "2"),
+        (0, "-X"),
+        (2, "X+Y"),
+        (1, "X,Y"),
+        (3, "f(X)"),
+        (0, "X=Y"),
+    ],
+    ids=["operator", "trailing-space", "inner-space", "digit", "minus", "plus", "comma",
+         "parens", "equals"],
+)
+def test_labels_must_be_identifiers(k, label):
+    # evidence is written as "1/2*X + Y": a label "1/2*X" would print as
+    # "1/2*1/2*X", and a label "2" as "1/2*2"
+    labels = ["X", "Y", "Z", "W"]
+    labels[k] = label
+    text = CASE4_TEXT.replace('["X", "Y", "Z", "W"]', json.dumps(labels))
+    with pytest.raises(DefinitionError) as exc:
+        parse_definition(text)
+    assert str(exc.value) == f"labels[{k}]: {label!r} is not an identifier"
+
+
 def test_reversed_orientation_consistent():
     # giving (j, i) with the negated coefficients is accepted
     text = """

@@ -30,7 +30,7 @@ from lieranders import (
     sectional_curvature,
 )
 from lieranders import exactlinalg as xl
-from lieranders.errors import DegeneratePlane
+from lieranders.errors import DegeneratePlane, DimensionMismatch
 from lieranders.sweep import make_rng
 
 from conftest import (
@@ -83,6 +83,14 @@ def test_metric_validation():
     with pytest.raises(ValueError):
         MetricTensor(gram=mat([[1, 2], [2, 1]]))  # indefinite
     MetricTensor(gram=mat([[2, 1], [1, 1]]))  # fine
+
+
+def test_dimension_zero_metric_rejected():
+    message = r"^a metric needs dimension >= 1; got an empty gram matrix$"
+    with pytest.raises(DimensionMismatch, match=message):
+        MetricTensor(gram=())
+    with pytest.raises(DimensionMismatch, match=message):
+        identity_metric(0)
 
 
 def test_int_gram_metric_is_exact():

@@ -7,8 +7,10 @@ base (the Gram, ``G2`` and ``R2`` forms) and the direction table: per basis
 direction e_i, the forms g(e_i, .), ``A_i`` and ``T_i`` of g(Q, .), A and C
 at Q = e_i, which a compile contracts with Q.  Each is checked with ``==``
 against the ``Fraction`` oracles in ``exact_oracles``, the forms as
-polynomials; the memo must be shared by every reader and every compile,
-separate for distinct algebra objects, immutable, and freed with its metric.
+polynomials, and the integer structure, Gram and connection tables as nested
+rows of ints, the tensors they are; the memo must be shared by every reader
+and every compile, separate for distinct algebra objects, immutable, and
+freed with its metric.
 """
 
 import gc
@@ -56,6 +58,16 @@ def fractions(nums, d):
     return [Fraction(x, d) for x in nums]
 
 
+def rows_over(table, d, n, depth):
+    """The integer ``table`` over ``d`` as nested tuples of Fractions; each of
+    its ``depth`` levels must be an ``n``-tuple and each entry an int."""
+    if depth == 0:
+        assert type(table) is int
+        return Fraction(table, d)
+    assert type(table) is tuple and len(table) == n
+    return tuple(rows_over(x, d, n, depth - 1) for x in table)
+
+
 def read_all(tables):
     """Every memoised table of ``tables``, by name."""
     names = ("connection", "curvature_entries", "derived_lowered", "compile_base", "directions")
@@ -70,8 +82,12 @@ def test_memoised_tables_equal_fraction_oracles(space):
     assert tables.gram == metric._gram_numerators
     assert tables.inverse_gram == metric._inverse_gram_numerators
 
+    # the integer tables keep the nested rows of the tensors they are
+    assert rows_over(*algebra._structure_numerators, n, 3) == algebra.structure
+    assert rows_over(*metric._gram_numerators, n, 2) == metric.gram
+    assert rows_over(*metric._inverse_gram_numerators, n, 2) == metric.inverse_gram
     conn = oracle_levi_civita(algebra, metric)
-    assert fractions(*tables.connection) == [x for gi in conn.gamma for gij in gi for x in gij]
+    assert rows_over(*tables.connection, n, 3) == conn.gamma
 
     curvature = oracle_integer_curvature_tensor(algebra, conn)
     d, entries = tables.curvature_entries
@@ -98,8 +114,8 @@ def test_memoised_tables_equal_fraction_oracles(space):
 @pytest.mark.parametrize("space", SPACES)
 def test_connection_is_in_lowest_terms(space):
     algebra, metric = SPACES[space]()
-    nums, d = metric._tables(algebra).connection
-    assert math.gcd(d, *nums) == 1
+    gamma, d = metric._tables(algebra).connection
+    assert math.gcd(d, *(x for gi in gamma for row in gi for x in row)) == 1
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -140,7 +156,7 @@ def test_readers_return_the_memo(space):
     conn = levi_civita(algebra, metric)
     assert metric._tables(algebra) is tables and list(metric._spaces) == [id(algebra)]
     assert all(getattr(tables, name) is value for name, value in before.items())
-    assert [x for gi in conn.gamma for gij in gi for x in gij] == fractions(*tables.connection)
+    assert rows_over(*tables.connection, n, 3) == conn.gamma
 
 
 @pytest.mark.parametrize("space", SPACES)
