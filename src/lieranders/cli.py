@@ -5,16 +5,25 @@ Rational inputs are comma lists of "p/q" strings; floats are printed with 12
 significant digits (``%.12g``).  Reports carry no timestamps, so output is
 byte-identical for fixed inputs and seed.
 
-Only the sweep path (``cmd_sweep``, ``write_sweep_rows`` and the ``--seed``
-type) imports :mod:`lieranders.sweep` and, through it, numpy; every other
+Each handler imports the library modules it uses, so a command loads only
+what it runs.  ``--version`` loads ``errors`` alone.  ``catalog``,
+``theorem`` and ``classify --case`` load ``algebra``, ``exactlinalg``,
+``riemann``, ``randers`` and ``classify``; ``flag`` adds ``flagcurv``.
+``check`` and ``hyper-verify`` load ``definition``, ``hypercomplex``,
+``algebra``, ``exactlinalg`` and ``riemann``, and ``--file`` adds
+``definition`` and ``hypercomplex`` to a command.  Only the sweep path
+(``cmd_sweep``, ``write_sweep_rows`` and the ``--seed`` type) imports
+:mod:`lieranders.sweep` and, through it, ``kernels`` and numpy; every other
 command runs without numpy.
 
 Exit codes: 0 success, 1 failed verification, 2 usage (among them a
 ``--samples`` below 1 or a ``--seed`` outside [0, 2**64)), 3 bad definition or
-argument parse, 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
+argument parse (among them a rational with a decimal exponent above 4300 in
+magnitude), 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
 flag/plane, 7 other validation error (among them a ``--file`` or
-``hyper-verify`` algebra that fails the Jacobi identity), 141 (128 +
-SIGPIPE), silently, on a closed stdout.
+``hyper-verify`` algebra that fails the Jacobi identity, and memory
+exhausted, as by a sweep too large to allocate), 141 (128 + SIGPIPE),
+silently, on a closed stdout.
 """
 
 from __future__ import annotations
@@ -23,28 +32,16 @@ import argparse
 import os
 import shlex
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .algebra import LieAlgebra, catalog, format_combination
-from .classify import (
-    classify_randers,
-    douglas_subspace,
-    expected_theorem_reports,
-    reproduce_theorem,
-)
-from .definition import DefinitionError, load_definition
 from .errors import (
+    DefinitionError,
     DegeneratePlane,
     DimensionMismatch,
     LieRandersError,
     NormTooLarge,
     NotDouglas,
 )
-from .flagcurv import Flag, compile_randers
-from .hypercomplex import verify_hyper_hermitian, verify_hypercomplex
-from .randers import make_randers
-from .riemann import MetricTensor, identity_metric
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,17 +65,13 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def parse_rationals(text: str, dim: int, what: str) -> tuple[Fraction, ...]:
+def parse_rationals(text: str, dim: int, what: str) -> tuple:
+    from .exactlinalg import parse_rational
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise DefinitionError(f"{what}: expected {dim} comma-separated rationals")
-    values = []
-    for p in parts:
-        try:
-            values.append(Fraction(p))
-        except (ValueError, ZeroDivisionError):
-            raise DefinitionError(f"{what}: bad rational {p!r}") from None
-    return tuple(values)
+    return tuple(parse_rational(p, what) for p in parts)
 
 
 def positive_int(text: str) -> int:
@@ -110,8 +103,10 @@ def _echo(args_list: list[str]) -> str:
     return "# lieranders " + shlex.join(args_list)
 
 
-def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
+def jacobi_lines(algebra, violations) -> list[str]:
     """The Jacobi verdict of ``check``, then one line per defect triple."""
+    from .algebra import format_combination
+
     if not violations:
         return ["jacobi identity: ok"]
     labels = algebra.labels
@@ -124,6 +119,8 @@ def jacobi_lines(algebra: LieAlgebra, violations) -> list[str]:
 def _load_lie_definition(path):
     """The definition file at ``path``; LieRandersError, naming each defect
     triple as ``check`` does, unless its algebra satisfies Jacobi."""
+    from .definition import load_definition
+
     defn = load_definition(path)
     violations = defn.algebra.jacobi_check()
     if violations:
@@ -131,10 +128,13 @@ def _load_lie_definition(path):
     return defn
 
 
-def _load_space(args) -> tuple[LieAlgebra, MetricTensor, list[str]]:
-    """The space of ``--file``, which must satisfy Jacobi, else catalog
-    ``--case``, with the option that names it (``--file PATH`` or ``--case
-    N``) for the echo line."""
+def _load_space(args) -> tuple:
+    """(algebra, metric, option) of ``--file``, which must satisfy Jacobi,
+    else of catalog ``--case``, with the option that names it (``--file
+    PATH`` or ``--case N``) for the echo line."""
+    from .algebra import catalog
+    from .riemann import identity_metric
+
     if args.file:
         defn = _load_lie_definition(args.file)
         return defn.algebra, defn.metric, ["--file", args.file]
@@ -143,6 +143,10 @@ def _load_space(args) -> tuple[LieAlgebra, MetricTensor, list[str]]:
 
 
 def cmd_catalog(args, out) -> int:
+    from .algebra import catalog
+    from .classify import douglas_subspace
+    from .riemann import identity_metric
+
     print(_echo(["catalog"]), file=out)
     for case_id in range(5):
         algebra = catalog(case_id)
@@ -163,6 +167,9 @@ def cmd_catalog(args, out) -> int:
 
 
 def cmd_theorem(args, out) -> int:
+    from .algebra import catalog
+    from .classify import expected_theorem_reports, reproduce_theorem
+
     print(_echo(["theorem"]), file=out)
     expected = expected_theorem_reports()
     computed = reproduce_theorem()
@@ -190,6 +197,9 @@ def cmd_theorem(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
+    from .classify import classify_randers
+    from .randers import make_randers
+
     algebra, metric, source = _load_space(args)
     q = parse_rationals(args.q, algebra.dim, "--Q")
     structure = make_randers(algebra, metric, q)
@@ -203,6 +213,9 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_flag(args, out) -> int:
+    from .flagcurv import Flag, compile_randers
+    from .randers import make_randers
+
     algebra, metric, source = _load_space(args)
     q = parse_rationals(args.q, algebra.dim, "--Q")
     v = parse_rationals(args.v, algebra.dim, "--V")
@@ -245,6 +258,7 @@ def write_sweep_rows(result, out) -> None:
 
 
 def cmd_sweep(args, out) -> int:
+    from .randers import make_randers
     from .sweep import run_sweep
 
     algebra, metric, source = _load_space(args)
@@ -271,6 +285,9 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    from .definition import load_definition
+    from .hypercomplex import verify_hyper_hermitian, verify_hypercomplex
+
     defn = load_definition(args.file)
     print(_echo(["check", args.file]), file=out)
     failures = 0
@@ -306,6 +323,8 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_hyper_verify(args, out) -> int:
+    from .hypercomplex import verify_hyper_hermitian, verify_hypercomplex
+
     defn = _load_lie_definition(args.file)
     print(_echo(["hyper-verify", args.file]), file=out)
     if defn.hypercomplex is None:
@@ -424,6 +443,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except (DimensionMismatch, LieRandersError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy's MemoryError names the refused allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -29,13 +29,9 @@ from pathlib import Path
 
 from . import exactlinalg as xl
 from .algebra import AlgebraVector, LieAlgebra
-from .errors import LieRandersError
+from .errors import DefinitionError, LieRandersError
 from .hypercomplex import ComplexStructureTriple
 from .riemann import MetricTensor, identity_metric
-
-
-class DefinitionError(LieRandersError):
-    """Definition file is syntactically or structurally invalid."""
 
 
 @dataclass
@@ -50,10 +46,7 @@ class DefinitionFile:
 def _scalar(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DefinitionError(f"{where}: expected integer or 'p/q' string, got {value!r}")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DefinitionError(f"{where}: invalid rational {value!r} ({exc})") from exc
+    return xl.parse_rational(str(value), where)
 
 
 def _vector(values, dim: int, where: str) -> AlgebraVector:

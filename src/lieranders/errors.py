@@ -5,6 +5,10 @@ class LieRandersError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class DefinitionError(LieRandersError):
+    """Definition file or command-line value is syntactically or structurally invalid."""
+
+
 class DimensionMismatch(LieRandersError):
     """Operands have incompatible dimensions."""
 

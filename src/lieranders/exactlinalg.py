@@ -13,11 +13,31 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch
+from .errors import DefinitionError, DimensionMismatch
 
 Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+
+# Largest decimal exponent a parsed rational may carry: Python's default limit
+# on int <-> str digits.  Fraction("1e-9999999") builds 10**9999999 first,
+# which takes seconds, and could not be printed anyway.
+MAX_EXPONENT = 4300
+
+
+def parse_rational(token: str, where: str) -> Fraction:
+    """``Fraction(token)``: "p/q", an integer or a decimal.  Anything else, or
+    a decimal exponent beyond ``MAX_EXPONENT`` in magnitude, is a
+    DefinitionError that names ``where``."""
+    _, e, exponent = token.lower().rpartition("e")
+    try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise DefinitionError(
+                f"{where}: bad rational {token!r} (exponent above {MAX_EXPONENT} in magnitude)"
+            )
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise DefinitionError(f"{where}: bad rational {token!r}") from None
 
 
 def _refuse(x) -> TypeError:

@@ -6,10 +6,12 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import lieranders.sweep
 from lieranders import LieAlgebra, cli, make_randers
 from lieranders.definition import DefinitionFile, save_definition
 from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutation_triples
@@ -60,6 +62,7 @@ def test_theorem_passes(capsys):
 
 def test_theorem_detects_mismatch(monkeypatch, capsys):
     # negative control: perturb the expected table
+    from lieranders import classify
     from lieranders.classify import expected_theorem_reports
 
     def perturbed():
@@ -67,7 +70,7 @@ def test_theorem_detects_mismatch(monkeypatch, capsys):
         reports[1].berwald = reports[1].douglas  # wrong on purpose
         return reports
 
-    monkeypatch.setattr(cli, "expected_theorem_reports", perturbed)
+    monkeypatch.setattr(classify, "expected_theorem_reports", perturbed)
     code, out, _ = run(["theorem"], capsys)
     assert code == 1
     assert "MISMATCH" in out
@@ -429,6 +432,33 @@ def test_bad_rational_names_token(capsys, token):
     code, _, err = run(["classify", "--case", "2", "--Q", f"0,{token},0,0"], capsys)
     assert code == cli.EXIT_DEFINITION
     assert err == f"error: --Q: bad rational '{token}'\n"
+
+
+def test_huge_decimal_exponent_rejected_at_once(tmp_path, capsys):
+    # Fraction("1e-9999999") alone builds 10**9999999, in about 10 s
+    doc = {"dim": 2, "brackets": [], "Q": ["1e-9999999", "0"]}
+    for argv, err in [
+        (["classify", "--case", "2", "--Q", "0,0,1e-9999999,0"],
+         "error: --Q: bad rational '1e-9999999' (exponent above 4300 in magnitude)\n"),
+        (["check", write_doc(tmp_path, "tiny_q.json", doc)],
+         "error: Q[0]: bad rational '1e-9999999' (exponent above 4300 in magnitude)\n"),
+    ]:
+        t0 = time.perf_counter()
+        code, out, got = run(argv, capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out, got) == (cli.EXIT_DEFINITION, "", err)
+
+
+def test_memory_error_is_a_validation_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(lieranders.sweep, "run_sweep", refuse)
+    argv = ["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "2", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: Unable to allocate 745. TiB for an array\n"
 
 
 @pytest.mark.parametrize("argv", [

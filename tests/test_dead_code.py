@@ -1,7 +1,7 @@
 """No dead code in the library.
 
-Every module-level function or class of ``src/lieranders`` and every
-non-dunder method must be referred to outside its own definition, by code
+Every module-level class and non-dunder function of ``src/lieranders`` and
+every non-dunder method must be referred to outside its own definition, by code
 in ``src/lieranders`` or ``perfbench/``, or be in ``lieranders.__all__``.
 Tests do not count as callers, so a helper that only the tests use belongs
 in ``tests/``.  There is no allowlist.
@@ -43,17 +43,24 @@ def references(node):
     return names
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """(qualified name, bare name, node) of every module-level function and
-    class and every non-dunder method."""
+    """(qualified name, bare name, node) of every module-level class and
+    non-dunder function and every non-dunder method: the interpreter calls a
+    dunder, as it calls a module's ``__getattr__``."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, kinds):
+        if isinstance(node, kinds) and not (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_dunder(node.name)
+        ):
             yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(
+                    item.name
                 ):
                     yield f"{node.name}.{item.name}", item.name, item
 

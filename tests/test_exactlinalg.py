@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lieranders import exactlinalg as xl
-from lieranders.errors import DimensionMismatch
+from lieranders.errors import DefinitionError, DimensionMismatch
 
 from conftest import mat
 
@@ -16,6 +16,21 @@ RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         xl.as_fraction(0.5)
+
+
+def test_parse_rational_bounds_the_decimal_exponent():
+    assert xl.parse_rational("1e4300", "x") == 10**4300
+    assert xl.parse_rational("-2.5E-4300", "x") == Fraction(-25, 10**4301)
+    assert xl.parse_rational(" 3/4 ", "x") == Fraction(3, 4)
+    for token in ["1e4301", "1e-9999999", "1e+1_000_000"]:
+        with pytest.raises(DefinitionError) as exc:
+            xl.parse_rational(token, "x")
+        assert str(exc.value) == f"x: bad rational {token!r} (exponent above 4300 in magnitude)"
+    # an exponent too long for int() is refused as malformed
+    for token in ["1/0", "x", "1/2/3", "1e", "e5", "1.5/2", "1e" + "9" * 5000]:
+        with pytest.raises(DefinitionError) as exc:
+            xl.parse_rational(token, "x")
+        assert str(exc.value) == f"x: bad rational {token!r}"
 
 
 def test_rref_canonical_form():

@@ -1,11 +1,14 @@
-"""The exact commands run without numpy; only the sweep loads it.
+"""The exact commands run without numpy, and each command loads only the
+library modules it runs; only the sweep loads numpy.
 
 Each probe is a fresh interpreter with ``src`` on ``PYTHONPATH``: the test
-process itself has numpy loaded already (``conftest`` imports
-``lieranders.sweep``).  The probe imports ``lieranders`` and
-``lieranders.cli``, runs ``cli.main`` on the golden inputs with stdout
-captured, and reports ``"numpy" in sys.modules``.  The sweep probe shows
-that the check can see numpy when it is loaded.
+process itself has numpy and every module loaded already (``conftest``
+imports ``lieranders.sweep``).  The probe imports ``lieranders`` and
+``lieranders.cli``, runs ``cli.main`` on the golden inputs in turn with
+stdout captured, and reports ``"numpy" in sys.modules`` and the
+``lieranders`` modules loaded so far, after the imports and after each
+command.  The sweep probe shows that the check can see numpy when it is
+loaded.
 """
 
 import ast
@@ -25,7 +28,11 @@ DENSE_Q = "1/16,0,-1/8,-1/4"
 
 PROBE = r"""
 import contextlib, io, json, sys
-import lieranders, lieranders.cli
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "lieranders")
+import lieranders
+package = loaded()
+import lieranders.cli
 after_import = "numpy" in sys.modules
 runs = []
 for argv in json.loads(sys.argv[1]):
@@ -35,9 +42,9 @@ for argv in json.loads(sys.argv[1]):
             code = lieranders.cli.main(argv)
         except SystemExit as exc:  # --version exits through argparse
             code = exc.code
-    runs.append([code, out.getvalue()])
-print(json.dumps({"after_import": after_import, "after_runs": "numpy" in sys.modules,
-                  "runs": runs}))
+    runs.append([code, out.getvalue(), loaded()])
+print(json.dumps({"package": package, "after_import": after_import,
+                  "after_runs": "numpy" in sys.modules, "runs": runs}))
 """
 
 # (argv, expected stdout): the golden files, as the CI console-script step
@@ -69,7 +76,7 @@ def probe(argvs):
 
 def test_exact_commands_run_without_numpy():
     got = probe([argv for argv, _ in EXACT])
-    for (argv, want), (code, out) in zip(EXACT, got["runs"]):
+    for (argv, want), (code, out, _) in zip(EXACT, got["runs"]):
         if want.endswith(".txt"):
             want = (GOLDEN / want).read_text()
         assert (code, out) == (0, want), argv
@@ -77,9 +84,46 @@ def test_exact_commands_run_without_numpy():
     assert got["after_runs"] is False
 
 
+def test_each_command_loads_only_what_it_runs():
+    got = probe([argv for argv, _ in EXACT])
+    assert got["package"] == ["lieranders"]
+    # the module sets accumulate over the runs, in the order of EXACT
+    after = {" ".join(argv[:2]): set(modules)
+             for (argv, _), (*_, modules) in zip(EXACT, got["runs"])}
+    assert after["--version"] == {"lieranders", "lieranders.cli", "lieranders.errors"}
+    unused = {"lieranders.definition", "lieranders.hypercomplex", "lieranders.sweep"}
+    for command in ("catalog", "theorem", "classify --case"):
+        assert not after[command] & (unused | {"lieranders.flagcurv"}), command
+    assert not after["flag --case"] & unused
+    assert "lieranders.flagcurv" in after["flag --case"]
+
+
+STAR = r"""
+import importlib, json, sys
+import lieranders
+namespace = {}
+exec("from lieranders import *", namespace)
+same = [name for name in lieranders.__all__
+        if namespace.get(name) is getattr(
+            importlib.import_module("lieranders." + lieranders._HOME[name]), name)]
+print(json.dumps({"bound": sorted(set(namespace) - {"__builtins__"}), "same": same}))
+"""
+
+
+def test_star_import_binds_every_exported_name():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", STAR], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert len(lieranders.__all__) == 47
+    assert got["bound"] == sorted(lieranders.__all__)
+    assert got["same"] == lieranders.__all__
+
+
 def test_sweep_loads_numpy():
     got = probe([["sweep", "--case", "2", "--Q", "0,0,1/2,0", "--samples", "3", "--seed", "1"]])
-    [(code, out)] = got["runs"]
+    [(code, out, _)] = got["runs"]
     assert code == 0 and out.splitlines()[-1].endswith("/3")
     assert got["after_import"] is False
     assert got["after_runs"] is True
