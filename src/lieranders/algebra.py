@@ -1,11 +1,14 @@
 """Lie algebras given by exact structure constants, and their basic invariants.
 
 A ``LieAlgebra`` stores c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k as
-Fractions.  It is frozen, so its derived algebra and the integer numerators
-of its structure constants are computed once, on first use; the numerators
-keep the same nested rows c[i][j][k], over one denominator, and ``bracket``
-sums over them.  The four-dimensional catalog used throughout (cases 1-4,
-plus the abelian case 0) is exposed through :func:`catalog`.
+ints or Fractions: anything else, here, in ``from_brackets`` or in a
+``Subspace``, is a TypeError from ``exactlinalg.common_denominator``.  It is
+frozen, so its derived algebra and the integer numerators of its structure
+constants (``exactlinalg.integer_rows``, the same nested rows c[i][j][k]
+over one denominator) are computed once, on first use; ``bracket`` and
+``jacobi_check`` sum over them.  The four-dimensional catalog used
+throughout (cases 1-4, plus the abelian case 0) is exposed through
+:func:`catalog`.
 """
 
 from __future__ import annotations
@@ -26,33 +29,33 @@ _ZERO = Fraction(0)
 CATALOG_LABELS = ("X", "Y", "Z", "W")
 
 # bracket tables for the four non-abelian cases, as {(i, j): coefficient vector}
-_CATALOG_BRACKETS: dict[int, dict[tuple[int, int], tuple[Fraction, ...]]] = {
+_CATALOG_BRACKETS: dict[int, dict[tuple[int, int], tuple[int | Fraction, ...]]] = {
     0: {},
     # [Y,Z]=W, [Z,W]=Y, [W,Y]=Z, X central
     1: {
-        (1, 2): xl.vec([0, 0, 0, 1]),
-        (2, 3): xl.vec([0, 1, 0, 0]),
-        (3, 1): xl.vec([0, 0, 1, 0]),
+        (1, 2): (0, 0, 0, 1),
+        (2, 3): (0, 1, 0, 0),
+        (3, 1): (0, 0, 1, 0),
     },
     # [X,Z]=X, [Y,Z]=Y, [X,W]=Y, [Y,W]=-X
     2: {
-        (0, 2): xl.vec([1, 0, 0, 0]),
-        (1, 2): xl.vec([0, 1, 0, 0]),
-        (0, 3): xl.vec([0, 1, 0, 0]),
-        (1, 3): xl.vec([-1, 0, 0, 0]),
+        (0, 2): (1, 0, 0, 0),
+        (1, 2): (0, 1, 0, 0),
+        (0, 3): (0, 1, 0, 0),
+        (1, 3): (-1, 0, 0, 0),
     },
     # [X,Y]=Y, [X,Z]=Z, [X,W]=W
     3: {
-        (0, 1): xl.vec([0, 1, 0, 0]),
-        (0, 2): xl.vec([0, 0, 1, 0]),
-        (0, 3): xl.vec([0, 0, 0, 1]),
+        (0, 1): (0, 1, 0, 0),
+        (0, 2): (0, 0, 1, 0),
+        (0, 3): (0, 0, 0, 1),
     },
     # [X,Y]=Y, [X,Z]=Z/2, [X,W]=W/2, [Z,W]=Y/2
     4: {
-        (0, 1): xl.vec([0, 1, 0, 0]),
-        (0, 2): xl.vec(["0", "0", "1/2", "0"]),
-        (0, 3): xl.vec(["0", "0", "0", "1/2"]),
-        (2, 3): xl.vec(["0", "1/2", "0", "0"]),
+        (0, 1): (0, 1, 0, 0),
+        (0, 2): (0, 0, Fraction(1, 2), 0),
+        (0, 3): (0, 0, 0, Fraction(1, 2)),
+        (2, 3): (0, Fraction(1, 2), 0, 0),
     },
 }
 
@@ -67,9 +70,7 @@ class Subspace:
     def __post_init__(self):
         if any(len(v) != self.ambient_dim for v in self.basis):
             raise DimensionMismatch(f"basis vectors must have length {self.ambient_dim}")
-        bad = [x for v in self.basis for x in v if not isinstance(x, (int, Fraction))]
-        if bad:
-            raise xl._refuse(bad[0])
+        xl.common_denominator(x for v in self.basis for x in v)  # TypeError unless exact
         # in rref, checked without arithmetic: rows lead with 1s, alone in their
         # columns and in increasing columns (so no row is zero)
         leads = [next((j for j, x in enumerate(v) if x), None) for v in self.basis]
@@ -137,7 +138,8 @@ class LieAlgebra:
         """Build from a {(i, j): coefficient vector} table; missing pairs are zero."""
         c = [[list(xl.zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
-            v = xl.vec(coeffs)
+            nums, d = xl.common_denominator(coeffs)
+            v = tuple(Fraction(x, d) for x in nums)
             if len(v) != dim:
                 raise DimensionMismatch(f"bracket ({i},{j}) has {len(v)} coefficients")
             if i == j and not xl.vec_is_zero(v):
@@ -158,8 +160,7 @@ class LieAlgebra:
     def _structure_numerators(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
         # c[i][j][k] as integer numerators over one denominator, in the same
         # nested rows as ``structure``; read by the bracket and the exact tables
-        nums, d = xl.common_denominator(x for ci in self.structure for cij in ci for x in cij)
-        return xl.nested(nums, self.dim, 3), d
+        return xl.integer_rows(self.structure, 3)
 
     @cached_property
     def _derived(self) -> Subspace:
@@ -194,16 +195,23 @@ class LieAlgebra:
     def jacobi_check(self) -> list[tuple[int, int, int, AlgebraVector]]:
         """All basis triples violating the Jacobi identity, with their defects.
 
-        Empty result means the structure constants define a Lie algebra.
+        Empty result means the structure constants define a Lie algebra.  The
+        defect of (i, j, k) has the components
+        sum_m (c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l), summed in
+        Python ints over the structure numerators.
         """
+        c, d = self._structure_numerators
+        rn = range(self.dim)
         violations = []
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            total = xl.zero_vector(self.dim)
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket(self.basis_vector(a), self.basis_vector(b))
-                total = xl.vec_add(total, self.bracket(inner, self.basis_vector(c)))
-            if not xl.vec_is_zero(total):
-                violations.append((i, j, k, total))
+        for i, j, k in itertools.combinations(rn, 3):
+            total = [0] * self.dim
+            for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                for x, cm in zip(c[a][b], c):
+                    if x:
+                        for l, y in enumerate(cm[e]):
+                            total[l] += x * y
+            if any(total):
+                violations.append((i, j, k, tuple(Fraction(x, d * d) for x in total)))
         return violations
 
     def derived_algebra(self) -> Subspace:

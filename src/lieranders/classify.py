@@ -87,9 +87,9 @@ def _nabla(
     gamma, d = metric._tables(algebra).connection
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch(f"vectors must have the algebra dimension {n}")
-    nums, dv = xl.common_denominator(x for v in vectors for x in v)
+    rows, dv = xl.integer_rows(vectors, 2)
     out = []
-    for v in xl.nested(nums, n, 2):
+    for v in rows:
         nonzero = [(j, x) for j, x in enumerate(v) if x]
         derivs = [[0] * n for _ in gamma]
         for deriv, gi in zip(derivs, gamma):

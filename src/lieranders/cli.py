@@ -19,11 +19,12 @@ command runs without numpy.
 Exit codes: 0 success, 1 failed verification, 2 usage (among them a
 ``--samples`` below 1 or a ``--seed`` outside [0, 2**64)), 3 bad definition or
 argument parse (among them a rational with a decimal exponent above 4300 in
-magnitude), 4 invalid Randers norm, 5 not Douglas type, 6 degenerate
-flag/plane, 7 other validation error (among them a ``--file`` or
-``hyper-verify`` algebra that fails the Jacobi identity, and memory
-exhausted, as by a sweep too large to allocate), 141 (128 + SIGPIPE),
-silently, on a closed stdout.
+magnitude, and a literal, a definition file's JSON integer too, with a run of
+more than 4300 digits, quoted by a short excerpt), 4 invalid Randers norm,
+5 not Douglas type, 6 degenerate flag/plane, 7 other validation error (among
+them a ``--file`` or ``hyper-verify`` algebra that fails the Jacobi identity,
+and memory exhausted, as by a sweep too large to allocate), 141
+(128 + SIGPIPE), silently, on a closed stdout.
 """
 
 from __future__ import annotations

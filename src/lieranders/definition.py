@@ -17,12 +17,15 @@ Unspecified bracket pairs are zero.  The labels name the basis vectors in
 every report, so they must be distinct identifiers (``str.isidentifier``):
 no whitespace, no leading digit and none of the characters ``+ - * / , ( ) =``
 that evidence is written with.  Parse errors name the offending field (and
-the line for JSON syntax errors).
+the line for JSON syntax errors) and quote at most an excerpt of its value:
+a JSON integer too long for int() (over 4300 digits) is kept as text, which
+that field then refuses as it refuses any literal with such a run of digits.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -43,9 +46,19 @@ class DefinitionFile:
     metric_given: bool
 
 
+def _json_int(text: str) -> int | str:
+    """A JSON integer, or its text when int() refuses it (over 4300 digits)."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _scalar(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DefinitionError(f"{where}: expected integer or 'p/q' string, got {value!r}")
+        raise DefinitionError(
+            f"{where}: expected integer or 'p/q' string, got {reprlib.repr(value)}"
+        )
     return xl.parse_rational(str(value), where)
 
 
@@ -63,7 +76,7 @@ def _matrix(rows, dim: int, where: str):
 
 def parse_definition(text: str) -> DefinitionFile:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise DefinitionError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -71,7 +84,7 @@ def parse_definition(text: str) -> DefinitionFile:
 
     dim = raw.get("dim")
     if type(dim) is not int or dim < 1:  # JSON true/false are bools, not integers
-        raise DefinitionError(f"dim: expected a positive integer, got {dim!r}")
+        raise DefinitionError(f"dim: expected a positive integer, got {reprlib.repr(dim)}")
     labels = raw.get("labels", [f"e{i}" for i in range(dim)])
     if (
         not isinstance(labels, list)
@@ -95,7 +108,9 @@ def parse_definition(text: str) -> DefinitionFile:
         i, j = entry.get("i"), entry.get("j")
         for name, idx in (("i", i), ("j", j)):
             if type(idx) is not int or not 0 <= idx < dim:
-                raise DefinitionError(f"{where}.{name}: {idx!r} is not an index in 0..{dim - 1}")
+                raise DefinitionError(
+                    f"{where}.{name}: {reprlib.repr(idx)} is not an index in 0..{dim - 1}"
+                )
         coeffs = _vector(entry.get("coeffs"), dim, f"{where}.coeffs")
         key, val = ((i, j), coeffs) if i <= j else ((j, i), xl.vec_scale(-1, coeffs))
         if key in brackets and brackets[key] != val:

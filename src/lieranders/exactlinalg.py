@@ -1,39 +1,55 @@
 """Exact rational linear algebra on small dense matrices.
 
-Matrices are tuples of row tuples.  The eliminations take ints and
-``fractions.Fraction``s and compute in Fractions, so results are exact; a
-float or a string raises TypeError.  Sizes are tiny (typically 4x4), so
+Matrices are tuples of row tuples.  ``common_denominator`` is the one
+exactness gate: every exact constructor and elimination passes its input
+through it, and anything but an int or a ``fractions.Fraction`` (a float, a
+string, a ``Decimal``) raises TypeError.  ``integer_rows`` gates a nested
+table and keeps its numerators in the table's rows; the eliminations run on
+them in Fractions, so results are exact.  Sizes are tiny (typically 4x4), so
 Gauss-Jordan elimination is all we need, and one elimination
 (``spd_inverse``) both decides positive definiteness and gives the inverse.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+import reprlib
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DefinitionError, DimensionMismatch
 
-Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
-# Largest decimal exponent a parsed rational may carry: Python's default limit
-# on int <-> str digits.  Fraction("1e-9999999") builds 10**9999999 first,
-# which takes seconds, and could not be printed anyway.
+_ZERO = Fraction(0)
+
+# Largest decimal exponent, and longest run of digits, a parsed rational may
+# carry: Python's default limit on int <-> str digits.  Fraction("1e-9999999")
+# builds 10**9999999 first, which takes seconds, and could not be printed
+# anyway; Fraction("0.000...1") builds 10**(digits) before int() refuses them.
 MAX_EXPONENT = 4300
+# a run of digits as Fraction() reads it: underscores only between digits
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 
 def parse_rational(token: str, where: str) -> Fraction:
-    """``Fraction(token)``: "p/q", an integer or a decimal.  Anything else, or
-    a decimal exponent beyond ``MAX_EXPONENT`` in magnitude, is a
+    """``Fraction(token)``: "p/q", an integer or a decimal.  Anything else, a
+    decimal exponent beyond ``MAX_EXPONENT`` in magnitude, or a run of more
+    than ``MAX_EXPONENT`` digits (quoted by a bounded excerpt), is a
     DefinitionError that names ``where``."""
     _, e, exponent = token.lower().rpartition("e")
     try:
         if e and abs(int(exponent)) > MAX_EXPONENT:
             raise DefinitionError(
                 f"{where}: bad rational {token!r} (exponent above {MAX_EXPONENT} in magnitude)"
+            )
+        if any(len(run) - run.count("_") > MAX_EXPONENT for run in _DIGIT_RUN.findall(token)):
+            raise DefinitionError(
+                f"{where}: bad rational {reprlib.repr(token)} (a run of more than "
+                f"{MAX_EXPONENT} digits)"
             )
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -42,24 +58,6 @@ def parse_rational(token: str, where: str) -> Fraction:
 
 def _refuse(x) -> TypeError:
     return TypeError(f"refusing to coerce {type(x).__name__} {x!r} to an exact rational")
-
-
-def as_fraction(x: Scalar) -> Fraction:
-    """Coerce to Fraction, rejecting floats to protect exactness."""
-    if isinstance(x, float):
-        raise _refuse(x)
-    return Fraction(x)
-
-
-def _fraction(x: int | Fraction) -> Fraction:
-    """A Fraction as it is, an int as a Fraction; anything else raises TypeError."""
-    if isinstance(x, (int, Fraction)):
-        return x if isinstance(x, Fraction) else Fraction(x)
-    raise _refuse(x)
-
-
-def vec(values: Iterable[Scalar]) -> Vector:
-    return tuple(as_fraction(v) for v in values)
 
 
 def zero_vector(n: int) -> Vector:
@@ -93,14 +91,18 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
     return [x.numerator * (d // q) for x, q in zip(values, dens)], d
 
 
-def nested(values: Sequence, n: int, depth: int) -> tuple:
-    """The row-major flat ``values`` as nested tuples, ``depth`` levels deep,
-    each inner level ``n`` long: the one reader of the flat order in which
-    tables are passed to ``common_denominator``."""
-    rows = tuple(values)
+def integer_rows(table: Sequence, depth: int) -> tuple[tuple, int]:
+    """``common_denominator`` of a table ``depth`` levels deep: ``(rows, d)``,
+    its numerators over the least common denominator ``d`` nested as tuples
+    exactly as ``table`` is (c[i][j][k] at depth 3, g[i][j] at depth 2)."""
+    levels = [table]
     for _ in range(depth - 1):
-        rows = tuple([rows[s : s + n] for s in range(0, len(rows), n)])
-    return rows
+        levels.append([x for row in levels[-1] for x in row])
+    rows, d = common_denominator(levels.pop())
+    for level in reversed(levels):  # regroup innermost first, row by row
+        it = iter(rows)
+        rows = [tuple(itertools.islice(it, len(row))) for row in level]
+    return tuple(rows), d
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -151,14 +153,13 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, .
 
     Zero rows are dropped, pivots are 1, and rows come out sorted by pivot
     column, so the result is a canonical representative of the row space.
-    Rows of different lengths raise DimensionMismatch.
+    Rows of different lengths raise DimensionMismatch.  Eliminates on the
+    integer rows, d times ``rows``, which span the same space.
     """
-    work = [[_fraction(x) for x in r] for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise DimensionMismatch(f"rows must share one length; got {sorted({len(r) for r in work})}")
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatch(f"rows must share one length; got {sorted({len(r) for r in rows})}")
+    work = [[Fraction(x) if x else _ZERO for x in r] for r in integer_rows(rows, 2)[0]]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -221,11 +222,13 @@ def spd_inverse(a: Sequence[Sequence[int | Fraction]]) -> Matrix | None:
     One Gauss-Jordan elimination of [a | I] without row exchanges.  The k-th
     leading principal minor is the product of the first k pivots, so by
     Sylvester's criterion a symmetric ``a`` is positive definite exactly
-    when every pivot is positive; symmetry is the caller's to check.
+    when every pivot is positive; symmetry is the caller's to check.  It runs
+    on the integer rows: [d a | d I] reduces to [I | a^-1].
     """
     n = len(a)
-    work = [[_fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-            for i, row in enumerate(a)]
+    rows, d = integer_rows(a, 2)
+    work = [[Fraction(x) if x else _ZERO for x in row] + [Fraction(d * (i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
     for col, top in enumerate(work):
         pivot = top[col]
         if pivot <= 0:

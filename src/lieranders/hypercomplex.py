@@ -1,7 +1,9 @@
 """Verification of hypercomplex and hyper-Hermitian axioms.
 
 For left-invariant almost-complex structures the Nijenhuis tensor collapses to
-structure-constant algebra, so every check here is exact.  The module only
+structure-constant algebra, so every check here is exact: a triple or a J
+with an entry other than an int or a Fraction is a TypeError
+(``exactlinalg.common_denominator``), never a verdict in floats.  The module only
 verifies candidate structures; it ships no catalog triples as ground truth.
 Candidates can be produced by :func:`find_signed_permutation_triples`, a
 search over signed permutation matrices that decides the integrability of
@@ -34,6 +36,8 @@ class ComplexStructureTriple:
         for j in (self.j1, self.j2, self.j3):
             if len(j) != n or any(len(row) != n for row in j):
                 raise DimensionMismatch("all three matrices must be square, same size")
+        # TypeError unless every entry is an int or a Fraction
+        xl.common_denominator(x for j in self.matrices() for row in j for x in row)
 
     @property
     def dim(self) -> int:
@@ -70,6 +74,7 @@ class ComplexStructureReport:
 
 def verify_complex_structure(algebra: LieAlgebra, j: Matrix) -> ComplexStructureReport:
     """Check J^2 = -I exactly and N(e_i, e_j) = 0 on all basis pairs."""
+    xl.common_denominator(x for row in j for x in row)  # TypeError unless ints and Fractions
     n = algebra.dim
     violations = []
     square_ok = xl.mat_mul(j, j) == xl.mat_scale(-1, xl.identity_matrix(n))

@@ -14,7 +14,7 @@ g-transpose of ad_v, and the curvature operator is
 
 The inner product, the connection table and the curvature table are summed in
 Python ints: each input table is written as integer numerators over its least
-common denominator (``exactlinalg.common_denominator``), kept in the nested
+common denominator (``exactlinalg.integer_rows``), kept in the nested
 rows of the tensor it is (c[i][j][k], g[i][j], gamma[i][j][k]) and read by
 index, and one ``Fraction`` is built per output entry.  A ``MetricTensor``
 computes the numerators of its Gram and inverse Gram matrices once, and keeps
@@ -91,13 +91,11 @@ class MetricTensor:
     @cached_property
     def _gram_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         # g[i][j] as integer numerators over one denominator, in the rows of ``gram``
-        nums, d = xl.common_denominator(x for row in self.gram for x in row)
-        return xl.nested(nums, self.dim, 2), d
+        return xl.integer_rows(self.gram, 2)
 
     @cached_property
     def _inverse_gram_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        nums, d = xl.common_denominator(x for row in self.inverse_gram for x in row)
-        return xl.nested(nums, self.dim, 2), d
+        return xl.integer_rows(self.inverse_gram, 2)
 
     @cached_property
     def _spaces(self) -> dict[int, _SpaceTables]:
@@ -294,13 +292,9 @@ class _SpaceTables:
     @cached_property
     def derived_lowered(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         # G b for each basis vector b of [g, g], so that g(Q, b) = Q . (G b)
-        basis = self.algebra.derived_algebra().basis
-        b, db = xl.common_denominator(x for v in basis for x in v)
+        b, db = xl.integer_rows(self.algebra.derived_algebra().basis, 2)
         g, dg = self.gram
-        rows = tuple(
-            tuple(sum(map(mul, gi, bs)) for gi in g) for bs in xl.nested(b, self.algebra.dim, 2)
-        )
-        return rows, db * dg
+        return tuple(tuple(sum(map(mul, gi, bs)) for gi in g) for bs in b), db * dg
 
     @cached_property
     def douglas(self) -> Subspace:
@@ -382,8 +376,7 @@ def curvature_tensor(algebra: LieAlgebra, conn: ConnectionTable) -> CurvatureTab
     R(e_j, e_i) = -R(e_i, e_j), R(e_i, e_i) = 0 fill in the rest.
     """
     n = algebra.dim
-    gam, dg = xl.common_denominator(x for gi in conn.gamma for gij in gi for x in gij)
-    rows, d = _curvature_numerators(algebra, xl.nested(gam, n, 3), dg)
+    rows, d = _curvature_numerators(algebra, *xl.integer_rows(conn.gamma, 3))
     zero = (xl.zero_vector(n),) * n
     r = [[zero] * n for _ in range(n)]
     for (i, j), rij in rows.items():

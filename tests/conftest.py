@@ -38,7 +38,7 @@ def fr(*values):
 
 def mat(rows):
     """Exact matrix from rows of ints/strings/Fractions; ragged rows are rejected."""
-    m = tuple(xl.vec(row) for row in rows)
+    m = tuple(fr(*row) for row in rows)
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionMismatch("ragged matrix")
     return m

@@ -1,11 +1,12 @@
 """Fraction-at-a-time oracles for the integer-numerator exact invariants.
 
 The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
-Levi-Civita table, the curvature entries, the bivector forms, the compiled
-``A`` and ``C``, the Douglas and Berwald tests and subspaces and the
-sectional curvature in Python ints over memoised numerators.  The functions
-here compute the same values one ``Fraction`` at a time, from the frozen
-``structure`` and ``gram`` fields alone, and the two must agree with ``==``;
+Jacobi defects, the Levi-Civita table, the curvature entries, the bivector
+forms, the compiled ``A`` and ``C``, the Douglas and Berwald tests and
+subspaces and the sectional curvature in Python ints over memoised
+numerators.  The functions here compute the same values one ``Fraction`` at
+a time, from the frozen ``structure`` and ``gram`` fields alone, and the two
+must agree with ``==``;
 forms, which the library stores as symmetric monomials, are compared as
 polynomials (``symmetrised``).
 ``oracle_nabla`` and ``oracle_of`` extend a ``Fraction`` connection or
@@ -49,6 +50,19 @@ def oracle_bracket(algebra, u, v):
                     if c:
                         out[k] += ui * vj * c
     return tuple(out)
+
+
+def oracle_jacobi_check(algebra):
+    """The Jacobi defects [[e_i,e_j],e_k] + cyclic, each a sum of two brackets."""
+    violations = []
+    for i, j, k in itertools.combinations(range(algebra.dim), 3):
+        total = xl.zero_vector(algebra.dim)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = algebra.bracket(algebra.basis_vector(a), algebra.basis_vector(b))
+            total = xl.vec_add(total, algebra.bracket(inner, algebra.basis_vector(c)))
+        if not xl.vec_is_zero(total):
+            violations.append((i, j, k, total))
+    return violations
 
 
 def oracle_derived_algebra(algebra):

@@ -13,6 +13,7 @@ from lieranders import exactlinalg as xl
 from lieranders.errors import DimensionMismatch
 
 from conftest import fr
+from exact_oracles import oracle_jacobi_check
 
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 VECTORS = st.lists(RATIONALS, min_size=4, max_size=4).map(tuple)
@@ -108,6 +109,28 @@ def test_jacobi_detects_corruption():
     violations = bad.jacobi_check()
     assert violations
     assert (0, 2, 3) in [(i, j, k) for i, j, k, _ in violations]
+
+
+COEFFICIENTS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(
+        st.lists(COEFFICIENTS, min_size=n, max_size=n).map(tuple),
+        min_size=n * (n - 1) // 2,
+        max_size=n * (n - 1) // 2,
+    ),
+)))
+def test_jacobi_check_equals_bracket_oracle(case):
+    # random antisymmetric constants, mostly not a Lie algebra: the integer
+    # sums must give the bracket route's violations, defects and types alike
+    n, rows = case
+    pairs = itertools.combinations(range(n), 2)
+    algebra = LieAlgebra.from_brackets(n, [f"e{i}" for i in range(n)], dict(zip(pairs, rows)))
+    got = algebra.jacobi_check()
+    assert got == oracle_jacobi_check(algebra)
+    assert all(type(x) is Fraction for *_, defect in got for x in defect)
 
 
 def test_antisymmetry_enforced_at_construction():

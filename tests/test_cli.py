@@ -449,6 +449,28 @@ def test_huge_decimal_exponent_rejected_at_once(tmp_path, capsys):
         assert (code, out, got) == (cli.EXIT_DEFINITION, "", err)
 
 
+@pytest.mark.parametrize("text, err", [
+    ('{"dim": 4, "Q": [1%s, 0, 0, 0]}' % ("0" * 5000),
+     "error: Q[0]: bad rational '100000000000...0000000000000' (a run of more than 4300 digits)"),
+    ('{"dim": 4, "Q": ["0.%s1", "0", "0", "0"]}' % ("0" * 10**6),
+     "error: Q[0]: bad rational '0.0000000000...0000000000001' (a run of more than 4300 digits)"),
+    ('{"dim": 1%s}' % ("0" * 5000),
+     "error: dim: expected a positive integer, got '100000000000...0000000000000'"),
+    ('{"dim": 2, "brackets": [{"i": 0, "j": -1%s, "coeffs": [0, 0]}]}' % ("0" * 5000),
+     "error: brackets[0].j: '-10000000000...0000000000000' is not an index in 0..1"),
+], ids=["json-int", "decimal-digits", "dim", "index"])
+def test_over_long_digit_runs_rejected_in_one_short_line(tmp_path, capsys, text, err):
+    # json.loads would raise int()'s digit-limit ValueError (exit 7), and
+    # Fraction builds 10**1000001 for the decimal before int() refuses it
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code, out, got = run(["check", str(path)], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, got) == (cli.EXIT_DEFINITION, "", err + "\n")
+    assert len(got.encode()) < 200
+
+
 def test_memory_error_is_a_validation_error(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. TiB for an array")
@@ -498,7 +520,7 @@ def test_check_valid_file(tmp_path, capsys):
     defn = DefinitionFile(
         algebra=catalog(3),
         metric=identity_metric(4),
-        q_field=(xl.as_fraction("1/2"), xl.as_fraction(0), xl.as_fraction(0), xl.as_fraction(0)),
+        q_field=fr("1/2", 0, 0, 0),
         hypercomplex=find_signed_permutation_triples(catalog(3), identity_metric(4))[0],
         metric_given=True,
     )

@@ -1,10 +1,22 @@
 import re
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lieranders import (
+    ComplexStructureTriple,
+    Flag,
+    LieAlgebra,
+    MetricTensor,
+    Subspace,
+    identity_metric,
+    make_randers,
+    verify_complex_structure,
+)
 from lieranders import exactlinalg as xl
 from lieranders.errors import DefinitionError, DimensionMismatch
 
@@ -13,9 +25,36 @@ from conftest import mat
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
 
-def test_as_fraction_rejects_floats():
-    with pytest.raises(TypeError):
-        xl.as_fraction(0.5)
+# every constructor or elimination that takes exact input, with a 2-dimensional
+# input holding one non-rational entry ``bad``
+EXACT_ENTRY_POINTS = {
+    "LieAlgebra": lambda bad: LieAlgebra(2, ("a", "b"), (((0, 0), (bad, 0)), ((bad, 0), (0, 0)))),
+    "from_brackets": lambda bad: LieAlgebra.from_brackets(2, ("a", "b"), {(0, 1): (bad, 0)}),
+    "MetricTensor": lambda bad: MetricTensor(gram=((2, 0), (0, bad))),
+    "Subspace": lambda bad: Subspace(2, ((1, bad),)),
+    "ComplexStructureTriple": lambda bad: ComplexStructureTriple(
+        j1=((0, -1), (1, bad)), j2=((0, -1), (1, 0)), j3=((0, -1), (1, 0))
+    ),
+    "verify_complex_structure": lambda bad: verify_complex_structure(
+        LieAlgebra.from_brackets(2, ("a", "b"), {}), ((0, -1), (1, bad))
+    ),
+    "Flag": lambda bad: Flag(v=(bad, 0), u=(0, 1)),
+    "make_randers": lambda bad: make_randers(
+        LieAlgebra.from_brackets(2, ("a", "b"), {}), identity_metric(2), (bad, 0)
+    ),
+    "rref": lambda bad: xl.rref(((1, 2), (3, bad))),
+    "nullspace": lambda bad: xl.nullspace(((1, bad),), 2),
+    "spd_inverse": lambda bad: xl.spd_inverse(((2, 0), (0, bad))),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+@pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
+def test_exact_entry_points_refuse_non_rationals(entry, bad):
+    # one gate, common_denominator, refuses by type before any arithmetic
+    message = f"refusing to coerce {type(bad).__name__} {bad!r} to an exact rational"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        EXACT_ENTRY_POINTS[entry](bad)
 
 
 def test_parse_rational_bounds_the_decimal_exponent():
@@ -31,6 +70,21 @@ def test_parse_rational_bounds_the_decimal_exponent():
         with pytest.raises(DefinitionError) as exc:
             xl.parse_rational(token, "x")
         assert str(exc.value) == f"x: bad rational {token!r}"
+
+
+def test_parse_rational_bounds_digit_runs():
+    # a run of digits as Fraction reads it, underscores between digits too
+    assert xl.parse_rational("9" * 4300, "x") == int("9" * 4300)
+    assert xl.parse_rational("0." + "0" * 4299 + "1", "x") == Fraction(1, 10**4300)
+    assert xl.parse_rational("1_" * 2150 + "1", "x") == int("1" * 2151)
+    for token in ["1" * 4301, "0." + "0" * 10**6 + "1", "1/" + "7" * 4301, "1_" * 4300 + "1"]:
+        t0 = time.perf_counter()
+        with pytest.raises(DefinitionError) as exc:
+            xl.parse_rational(token, "x")
+        assert time.perf_counter() - t0 < 1.0
+        message = str(exc.value)
+        assert message.startswith("x: bad rational ")
+        assert message.endswith(" (a run of more than 4300 digits)") and len(message) < 100
 
 
 def test_rref_canonical_form():
