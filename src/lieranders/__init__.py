@@ -31,8 +31,8 @@ _SOURCES = {
         "flag_curvature_deng_hou", "flag_curvature_simplified", "sign_certificate", "u_map",
     ),
     "hypercomplex": (
-        "ComplexStructureTriple", "find_signed_permutation_triples", "nijenhuis",
-        "verify_complex_structure", "verify_hyper_hermitian", "verify_hypercomplex",
+        "ComplexStructureTriple", "find_signed_permutation_triples", "verify_complex_structure",
+        "verify_hyper_hermitian", "verify_hypercomplex",
     ),
     "randers": ("RandersStructure", "make_randers"),
     "riemann": (

@@ -5,10 +5,9 @@ ints or Fractions: anything else, here, in ``from_brackets`` or in a
 ``Subspace``, is a TypeError from ``exactlinalg.common_denominator``.  It is
 frozen, so its derived algebra and the integer numerators of its structure
 constants (``exactlinalg.integer_rows``, the same nested rows c[i][j][k]
-over one denominator) are computed once, on first use; ``bracket`` and
-``jacobi_check`` sum over them.  The four-dimensional catalog used
-throughout (cases 1-4, plus the abelian case 0) is exposed through
-:func:`catalog`.
+over one denominator) are computed once, on first use; ``bracket``,
+``jacobi_check`` and ``hypercomplex``'s Nijenhuis tensor sum over them.  The
+four-dimensional catalog (cases 1-4, plus the abelian case 0) is :func:`catalog`.
 """
 
 from __future__ import annotations
@@ -138,6 +137,8 @@ class LieAlgebra:
         """Build from a {(i, j): coefficient vector} table; missing pairs are zero."""
         c = [[list(xl.zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatch(f"bracket ({i},{j}) names an index outside 0..{dim - 1}")
             nums, d = xl.common_denominator(coeffs)
             v = tuple(Fraction(x, d) for x in nums)
             if len(v) != dim:
@@ -174,23 +175,25 @@ class LieAlgebra:
     def bracket(self, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
         """Bilinear extension of the structure constants; exact on exact input.
 
-        [u, v] = sum_ij u_i v_j c[i][j], summed in Python ints over the rows
-        of the structure numerators and the numerators of ``u`` and ``v``;
-        one ``Fraction`` per coordinate.
+        [u, v] = sum_ij u_i v_j c[i][j], summed by ``_bracket_numerators`` on
+        the numerators of ``u`` and ``v``; one ``Fraction`` per coordinate.
         """
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("bracket operands must match the algebra dimension")
         (un, du), (vn, dv) = map(xl.common_denominator, (u, v))
-        c, dc = self._structure_numerators
+        d = self._structure_numerators[1] * du * dv
+        return tuple(Fraction(x, d) if x else _ZERO for x in self._bracket_numerators(un, vn))
+
+    def _bracket_numerators(self, u, v) -> list[int]:
+        """dc [u, v] for integer ``u`` and ``v``, over the structure numerators."""
         out = [0] * self.dim
-        for a, ci in zip(un, c):
+        for a, ci in zip(u, self._structure_numerators[0]):
             if a:
-                for b, cij in zip(vn, ci):
+                for b, cij in zip(v, ci):
                     if b:
                         for k, x in enumerate(cij):
                             out[k] += a * b * x
-        d = dc * du * dv
-        return tuple(Fraction(x, d) if x else _ZERO for x in out)
+        return out
 
     def jacobi_check(self) -> list[tuple[int, int, int, AlgebraVector]]:
         """All basis triples violating the Jacobi identity, with their defects.

@@ -5,7 +5,8 @@ exactness gate: every exact constructor and elimination passes its input
 through it, and anything but an int or a ``fractions.Fraction`` (a float, a
 string, a ``Decimal``) raises TypeError.  ``integer_rows`` gates a nested
 table and keeps its numerators in the table's rows; the eliminations run on
-them in Fractions, so results are exact.  Sizes are tiny (typically 4x4), so
+them in Fractions, so results are exact, and ``mat_mul`` multiplies integer
+rows and Fraction rows alike.  Sizes are tiny (typically 4x4), so
 Gauss-Jordan elimination is all we need, and one elimination
 (``spd_inverse``) both decides positive definiteness and gives the inverse.
 """
@@ -17,6 +18,7 @@ import math
 import re
 import reprlib
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DefinitionError, DimensionMismatch
@@ -38,22 +40,22 @@ _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 def parse_rational(token: str, where: str) -> Fraction:
     """``Fraction(token)``: "p/q", an integer or a decimal.  Anything else, a
     decimal exponent beyond ``MAX_EXPONENT`` in magnitude, or a run of more
-    than ``MAX_EXPONENT`` digits (quoted by a bounded excerpt), is a
-    DefinitionError that names ``where``."""
+    than ``MAX_EXPONENT`` digits, is a DefinitionError that names ``where``
+    and quotes a token of more than 30 characters by a bounded excerpt."""
+    quoted = repr(token) if len(token) <= 30 else reprlib.repr(token)
     _, e, exponent = token.lower().rpartition("e")
     try:
         if e and abs(int(exponent)) > MAX_EXPONENT:
             raise DefinitionError(
-                f"{where}: bad rational {token!r} (exponent above {MAX_EXPONENT} in magnitude)"
+                f"{where}: bad rational {quoted} (exponent above {MAX_EXPONENT} in magnitude)"
             )
         if any(len(run) - run.count("_") > MAX_EXPONENT for run in _DIGIT_RUN.findall(token)):
             raise DefinitionError(
-                f"{where}: bad rational {reprlib.repr(token)} (a run of more than "
-                f"{MAX_EXPONENT} digits)"
+                f"{where}: bad rational {quoted} (a run of more than {MAX_EXPONENT} digits)"
             )
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise DefinitionError(f"{where}: bad rational {token!r}") from None
+        raise DefinitionError(f"{where}: bad rational {quoted}") from None
 
 
 def _refuse(x) -> TypeError:
@@ -105,14 +107,6 @@ def integer_rows(table: Sequence, depth: int) -> tuple[tuple, int]:
     return tuple(rows), d
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
@@ -136,12 +130,11 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """``a b`` in the entries' own type: integer rows give integer rows."""
+    if any(len(row) != len(b) for row in a) or len({len(row) for row in b}) > 1:
+        raise DimensionMismatch(f"mat_mul needs left rows of length {len(b)}, right rows alike")
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(vec_scale(c, row) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -239,7 +232,3 @@ def spd_inverse(a: Sequence[Sequence[int | Fraction]]) -> Matrix | None:
                 factor = row[col]
                 row[:] = [x - factor * y if y else x for x, y in zip(row, top)]
     return tuple(tuple(row[n:]) for row in work)
-
-
-def format_vector(v: Vector) -> str:
-    return "(" + ", ".join(map(str, v)) + ")"

@@ -1,13 +1,13 @@
 """Verification of hypercomplex and hyper-Hermitian axioms.
 
 For left-invariant almost-complex structures the Nijenhuis tensor collapses to
-structure-constant algebra, so every check here is exact: a triple or a J
-with an entry other than an int or a Fraction is a TypeError
-(``exactlinalg.common_denominator``), never a verdict in floats.  The module only
+structure-constant algebra, so every check here is exact: it runs in ints on
+the numerators of J (``exactlinalg.integer_rows``, a TypeError for an entry
+other than an int or a Fraction), of the Gram matrix and of the structure
+constants, and builds Fractions only for a violation's text.  The module only
 verifies candidate structures; it ships no catalog triples as ground truth.
-Candidates can be produced by :func:`find_signed_permutation_triples`, a
-search over signed permutation matrices that decides the integrability of
-each of them once.
+Candidates come from :func:`find_signed_permutation_triples`, a search over
+signed permutation matrices that decides each one's integrability once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactlinalg as xl
-from .algebra import AlgebraVector, LieAlgebra
+from .algebra import LieAlgebra
 from .errors import DimensionMismatch
 from .exactlinalg import Matrix
 from .riemann import MetricTensor
@@ -47,18 +47,9 @@ class ComplexStructureTriple:
         return (self.j1, self.j2, self.j3)
 
 
-def nijenhuis(
-    algebra: LieAlgebra, j: Matrix, u: AlgebraVector, v: AlgebraVector
-) -> AlgebraVector:
-    """N(u,v) = [u,v] + J[Ju,v] + J[u,Jv] - [Ju,Jv], on left-invariant fields."""
-    if len(j) != algebra.dim:
-        raise DimensionMismatch("J must act on the algebra")
-    ju = xl.mat_vec(j, u)
-    jv = xl.mat_vec(j, v)
-    out = algebra.bracket(u, v)
-    out = xl.vec_add(out, xl.mat_vec(j, algebra.bracket(ju, v)))
-    out = xl.vec_add(out, xl.mat_vec(j, algebra.bracket(u, jv)))
-    return xl.vec_sub(out, algebra.bracket(ju, jv))
+def _scaled_equal(ca: int, a, cb: int, b) -> bool:
+    """ca a == cb b, entry by entry, for integer matrices of one shape."""
+    return all(ca * x == cb * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 @dataclass
@@ -73,21 +64,30 @@ class ComplexStructureReport:
 
 
 def verify_complex_structure(algebra: LieAlgebra, j: Matrix) -> ComplexStructureReport:
-    """Check J^2 = -I exactly and N(e_i, e_j) = 0 on all basis pairs."""
-    xl.common_denominator(x for row in j for x in row)  # TypeError unless ints and Fractions
+    """Check J^2 = -I and N(u,v) = [u,v] + J[Ju,v] + J[u,Jv] - [Ju,Jv] = 0 on
+    basis pairs.  With J = Jn/d, c = cn/dc and bn = dc [., .] in ints,
+    J^2 = -I is Jn Jn = -d^2 I and d^2 dc N(e_a, e_b) is
+    d^2 cn[a][b] + Jn(bn(Jn e_a, e_b) + bn(e_a, Jn e_b)) - bn(Jn e_a, Jn e_b)."""
+    jn, d = xl.integer_rows(j, 2)  # TypeError unless ints and Fractions
     n = algebra.dim
+    if len(jn) != n or any(len(row) != n for row in jn):
+        raise DimensionMismatch(f"J must be {n} x {n} to act on the algebra")
+    eye = tuple(tuple(int(i == k) for k in range(n)) for i in range(n))
     violations = []
-    square_ok = xl.mat_mul(j, j) == xl.mat_scale(-1, xl.identity_matrix(n))
+    square_ok = _scaled_equal(1, xl.mat_mul(jn, jn), -d * d, eye)
     if not square_ok:
         violations.append("J^2 != -I")
+    (c, dc), bn = algebra._structure_numerators, algebra._bracket_numerators
+    cols = xl.transpose(jn)  # cols[a] = Jn e_a
+    pairs = list(itertools.combinations(range(n), 2))
+    inner = [[x + y for x, y in zip(bn(cols[a], eye[b]), bn(eye[a], cols[b]))] for a, b in pairs]
     integrable = True
-    for a, b in itertools.combinations(range(n), 2):
-        nij = nijenhuis(algebra, j, algebra.basis_vector(a), algebra.basis_vector(b))
-        if not xl.vec_is_zero(nij):
+    for (a, b), jinner in zip(pairs, xl.mat_mul(inner, cols)):  # rows Jn(...)
+        defect = [d * d * x + y - z for x, y, z in zip(c[a][b], jinner, bn(cols[a], cols[b]))]
+        if any(defect):
             integrable = False
-            violations.append(
-                f"N({algebra.labels[a]},{algebra.labels[b]}) = {xl.format_vector(nij)}"
-            )
+            text = ", ".join(str(Fraction(x, d * d * dc)) for x in defect)
+            violations.append(f"N({algebra.labels[a]},{algebra.labels[b]}) = ({text})")
     return ComplexStructureReport(square_ok=square_ok, integrable=integrable, violations=violations)
 
 
@@ -104,12 +104,12 @@ class HypercomplexReport:
 
 
 def verify_hypercomplex(algebra: LieAlgebra, triple: ComplexStructureTriple) -> HypercomplexReport:
-    """Check J1 J2 = J3 = -J2 J1, each J^2 = -I, and each Nijenhuis tensor zero."""
+    """Check J1 J2 = J3 = -J2 J1, each J^2 = -I, and each Nijenhuis tensor
+    zero; on Ji = Jni/di, d3 Jn1 Jn2 = d1 d2 Jn3 = -d3 Jn2 Jn1."""
     violations = []
-    j1, j2, j3 = triple.matrices()
-    prod12 = xl.mat_mul(j1, j2)
-    prod21 = xl.mat_mul(j2, j1)
-    quaternion_ok = prod12 == j3 and prod21 == xl.mat_scale(-1, j3)
+    (j1, d1), (j2, d2), (j3, d3) = (xl.integer_rows(j, 2) for j in triple.matrices())
+    p12, p21 = xl.mat_mul(j1, j2), xl.mat_mul(j2, j1)
+    quaternion_ok = _scaled_equal(d3, p12, d1 * d2, j3) and _scaled_equal(d3, p21, -d1 * d2, j3)
     if not quaternion_ok:
         violations.append("J1 J2 = J3 = -J2 J1 fails")
     reports = [verify_complex_structure(algebra, j) for j in triple.matrices()]
@@ -136,12 +136,13 @@ class HermitianReport:
 
 def verify_hyper_hermitian(metric: MetricTensor, triple: ComplexStructureTriple) -> HermitianReport:
     """Check g(J u, J v) = g(u, v) exactly for each J on all basis pairs."""
-    n = metric.dim
+    gn, _ = metric._gram_numerators
     flags = []
     violations = []
     for idx, j in enumerate(triple.matrices(), start=1):
-        # J^T G J = G is the basis-free statement of the isometry condition
-        ok = xl.mat_mul(xl.transpose(j), xl.mat_mul(metric.gram, j)) == metric.gram
+        # J^T G J = G, the basis-free isometry condition, is Jn^T Gn Jn = d^2 Gn
+        jn, d = xl.integer_rows(j, 2)
+        ok = _scaled_equal(1, xl.mat_mul(xl.transpose(jn), xl.mat_mul(gn, jn)), d * d, gn)
         flags.append(ok)
         if not ok:
             violations.append(f"J{idx} is not a g-isometry")
@@ -157,7 +158,6 @@ def signed_permutation_complex_candidates(dim: int) -> list[Matrix]:
     if dim % 2:
         return []
     out = []
-    indices = list(range(dim))
 
     def pairings(rest):
         if not rest:
@@ -168,12 +168,12 @@ def signed_permutation_complex_candidates(dim: int) -> list[Matrix]:
             for sub in pairings(rest[1:k] + rest[k + 1 :]):
                 yield [(first, rest[k])] + sub
 
-    for pairing in pairings(indices):
+    for pairing in pairings(list(range(dim))):
         for signs in itertools.product((1, -1), repeat=len(pairing)):
-            m = [[Fraction(0)] * dim for _ in range(dim)]
+            m = [[0] * dim for _ in range(dim)]
             for (a, b), s in zip(pairing, signs):
-                m[b][a] = Fraction(s)   # e_a -> s e_b
-                m[a][b] = Fraction(-s)  # e_b -> -s e_a
+                m[b][a] = s   # e_a -> s e_b
+                m[a][b] = -s  # e_b -> -s e_a
             out.append(tuple(tuple(row) for row in m))
     return out
 
@@ -189,15 +189,13 @@ def find_signed_permutation_triples(
     integrable candidates then gives a triple when J3 = J1 J2, itself a
     candidate since J3^2 = -I, is integrable as well.
     """
-    integrable = [
-        j
-        for j in signed_permutation_complex_candidates(algebra.dim)
-        if verify_complex_structure(algebra, j).integrable
-    ]
+    candidates = signed_permutation_complex_candidates(algebra.dim)
+    integrable = [j for j in candidates if verify_complex_structure(algebra, j).integrable]
+    known = set(integrable)
     found = []
     for j1, j2 in itertools.permutations(integrable, 2):
         j3 = xl.mat_mul(j1, j2)
-        if j3 != xl.mat_scale(-1, xl.mat_mul(j2, j1)) or j3 not in integrable:
+        if j3 not in known or not _scaled_equal(1, xl.mat_mul(j2, j1), -1, j3):
             continue
         triple = ComplexStructureTriple(j1=j1, j2=j2, j3=j3)
         if metric is not None and not verify_hyper_hermitian(metric, triple).ok:

@@ -3,8 +3,8 @@
 The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
 Jacobi defects, the Levi-Civita table, the curvature entries, the bivector
 forms, the compiled ``A`` and ``C``, the Douglas and Berwald tests and
-subspaces and the sectional curvature in Python ints over memoised
-numerators.  The functions here compute the same values one ``Fraction`` at
+subspaces, the sectional curvature, the Nijenhuis tensor and the
+hypercomplex checks in Python ints over memoised numerators.  The functions here compute the same values one ``Fraction`` at
 a time, from the frozen ``structure`` and ``gram`` fields alone, and the two
 must agree with ``==``;
 forms, which the library stores as symmetric monomials, are compared as
@@ -21,13 +21,28 @@ from operator import mul
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace, format_combination
 from lieranders.errors import DegeneratePlane, DimensionMismatch
-from lieranders.hypercomplex import (
-    ComplexStructureTriple,
-    signed_permutation_complex_candidates,
-    verify_hyper_hermitian,
-    verify_hypercomplex,
-)
+from lieranders.hypercomplex import ComplexStructureTriple, signed_permutation_complex_candidates
 from lieranders.riemann import ConnectionTable, CurvatureTable
+
+
+# Fraction vector helpers that the library, which computes on integer rows,
+# no longer keeps; tests build inputs and oracles with them
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def mat_scale(c, a):
+    return tuple(xl.vec_scale(c, row) for row in a)
+
+
+def format_vector(v):
+    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def oracle_inner(metric, u, v):
@@ -59,7 +74,7 @@ def oracle_jacobi_check(algebra):
         total = xl.zero_vector(algebra.dim)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             inner = algebra.bracket(algebra.basis_vector(a), algebra.basis_vector(b))
-            total = xl.vec_add(total, algebra.bracket(inner, algebra.basis_vector(c)))
+            total = vec_add(total, algebra.bracket(inner, algebra.basis_vector(c)))
         if not xl.vec_is_zero(total):
             violations.append((i, j, k, total))
     return violations
@@ -88,8 +103,8 @@ def oracle_levi_civita(algebra, metric):
     half = Fraction(1, 2)
     return ConnectionTable(gamma=tuple(
         tuple(
-            xl.vec_scale(half, xl.vec_sub(
-                xl.vec_sub(algebra.structure[i][j], xl.mat_vec(stars[i], e[j])),
+            xl.vec_scale(half, vec_sub(
+                vec_sub(algebra.structure[i][j], xl.mat_vec(stars[i], e[j])),
                 xl.mat_vec(stars[j], e[i]),
             ))
             for j in range(n)
@@ -116,8 +131,8 @@ def oracle_curvature_tensor(algebra, conn):
     return CurvatureTable(r=tuple(
         tuple(
             tuple(
-                xl.vec_sub(
-                    xl.vec_sub(
+                vec_sub(
+                    vec_sub(
                         oracle_nabla(conn, e[i], conn.gamma[j][k]),
                         oracle_nabla(conn, e[j], conn.gamma[i][k]),
                     ),
@@ -212,7 +227,7 @@ def oracle_berwald_subset(algebra, metric, within):
     for coeffs in xl.nullspace(tuple(rows), within.dim):
         v = xl.zero_vector(algebra.dim)
         for c, b in zip(coeffs, within.basis):
-            v = xl.vec_add(v, xl.vec_scale(c, b))
+            v = vec_add(v, xl.vec_scale(c, b))
         vectors.append(v)
     return Subspace.span(vectors, algebra.dim)
 
@@ -328,20 +343,59 @@ def oracle_correction_forms(r):
     return quad, cubic
 
 
+def oracle_nijenhuis(algebra, j, u, v):
+    """N(u,v) = [u,v] + J[Ju,v] + J[u,Jv] - [Ju,Jv] on left-invariant fields,
+    in Fractions through ``oracle_bracket`` and ``exactlinalg.mat_vec``."""
+    if len(j) != algebra.dim:
+        raise DimensionMismatch("J must act on the algebra")
+    ju = xl.mat_vec(j, u)
+    jv = xl.mat_vec(j, v)
+    out = oracle_bracket(algebra, u, v)
+    out = vec_add(out, xl.mat_vec(j, oracle_bracket(algebra, ju, v)))
+    out = vec_add(out, xl.mat_vec(j, oracle_bracket(algebra, u, jv)))
+    return vec_sub(out, oracle_bracket(algebra, ju, jv))
+
+
+def oracle_complex_report(algebra, j):
+    """(square_ok, integrable, violations) of ``verify_complex_structure``:
+    the square by a ``Fraction`` product and the defects by ``oracle_nijenhuis``
+    on the ``Fraction`` basis vectors."""
+    n = algebra.dim
+    j = tuple(tuple(Fraction(x) for x in row) for row in j)
+    violations = []
+    square_ok = xl.mat_mul(j, j) == mat_scale(-1, xl.identity_matrix(n))
+    if not square_ok:
+        violations.append("J^2 != -I")
+    integrable = True
+    for a, b in itertools.combinations(range(n), 2):
+        nij = oracle_nijenhuis(algebra, j, xl.basis_vector(n, a), xl.basis_vector(n, b))
+        if any(nij):
+            integrable = False
+            violations.append(f"N({algebra.labels[a]},{algebra.labels[b]}) = {format_vector(nij)}")
+    return square_ok, integrable, violations
+
+
 def oracle_find_signed_permutation_triples(algebra, metric=None):
     """Brute-force hypercomplex triples: every ordered pair of signed
-    permutation candidates whose (J1, J2, J1 J2) passes ``verify_hypercomplex``
-    (and ``verify_hyper_hermitian`` when a metric is given), each pair
-    checked from scratch."""
-    candidates = signed_permutation_complex_candidates(algebra.dim)
+    permutation candidates whose (J1, J2, J1 J2) satisfies the quaternion
+    relations, J^2 = -I and N = 0 for each J (``oracle_complex_report``) and,
+    when a metric is given, J^T G J = G for each J, all in ``Fraction``
+    matrices and each pair checked from scratch."""
+    candidates = [
+        tuple(tuple(Fraction(x) for x in row) for row in j)
+        for j in signed_permutation_complex_candidates(algebra.dim)
+    ]
     found = []
     for j1, j2 in itertools.permutations(candidates, 2):
-        if xl.mat_mul(j1, j2) != xl.mat_scale(-1, xl.mat_mul(j2, j1)):
+        j3 = xl.mat_mul(j1, j2)
+        if j3 != mat_scale(-1, xl.mat_mul(j2, j1)):
             continue
-        triple = ComplexStructureTriple(j1=j1, j2=j2, j3=xl.mat_mul(j1, j2))
-        if not verify_hypercomplex(algebra, triple).ok:
+        triple = (j1, j2, j3)
+        if not all(oracle_complex_report(algebra, j)[:2] == (True, True) for j in triple):
             continue
-        if metric is not None and not verify_hyper_hermitian(metric, triple).ok:
+        if metric is not None and any(
+            xl.mat_mul(xl.transpose(j), xl.mat_mul(metric.gram, j)) != metric.gram for j in triple
+        ):
             continue
-        found.append(triple)
+        found.append(ComplexStructureTriple(j1=j1, j2=j2, j3=j3))
     return found

@@ -47,7 +47,7 @@ from conftest import (
     random_rational_vector,
     sphere_directions,
 )
-from exact_oracles import oracle_ad_star, oracle_of
+from exact_oracles import mat_scale, oracle_ad_star, oracle_of, vec_add, vec_sub
 from finsler_oracles import fundamental_tensor
 from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
@@ -215,7 +215,7 @@ def test_criterion_5_sectional_curvature_oracles():
         e = alg.basis()
         for i in range(4):
             for j in range(4):
-                assert xl.vec_sub(conn.gamma[i][j], conn.gamma[j][i]) == alg.structure[i][j]
+                assert vec_sub(conn.gamma[i][j], conn.gamma[j][i]) == alg.structure[i][j]
                 for k in range(4):
                     assert (
                         METRIC.inner(conn.gamma[i][j], e[k])
@@ -229,8 +229,8 @@ def test_criterion_5_sectional_curvature_oracles():
             w = random_rational_vector(rng, 4)
             s = random_rational_vector(rng, 4)
             assert oracle_of(table, u, v, w) == xl.vec_scale(-1, oracle_of(table, v, u, w))
-            bianchi = xl.vec_add(
-                xl.vec_add(oracle_of(table, u, v, w), oracle_of(table, v, w, u)),
+            bianchi = vec_add(
+                vec_add(oracle_of(table, u, v, w), oracle_of(table, v, w, u)),
                 oracle_of(table, w, u, v),
             )
             assert xl.vec_is_zero(bianchi)
@@ -303,7 +303,7 @@ def test_criterion_8_hypercomplex_verification():
         assert xl.mat_mul(triple.j3, triple.j1) == triple.j2
 
     corrupted = ComplexStructureTriple(
-        j1=triples[0].j1, j2=triples[0].j2, j3=xl.mat_scale(-1, triples[0].j3)
+        j1=triples[0].j1, j2=triples[0].j2, j3=mat_scale(-1, triples[0].j3)
     )
     rep = verify_hypercomplex(catalog(3), corrupted)
     assert not rep.ok

@@ -13,7 +13,7 @@ from lieranders import exactlinalg as xl
 from lieranders.errors import DimensionMismatch
 
 from conftest import fr
-from exact_oracles import oracle_jacobi_check
+from exact_oracles import oracle_jacobi_check, vec_add
 
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 VECTORS = st.lists(RATIONALS, min_size=4, max_size=4).map(tuple)
@@ -63,8 +63,8 @@ def test_bracket_antisymmetry(u, v):
 @given(u=VECTORS, w=VECTORS, v=VECTORS, alpha=RATIONALS, beta=RATIONALS)
 def test_bracket_bilinearity(u, w, v, alpha, beta):
     a = catalog(1)
-    lhs = a.bracket(xl.vec_add(xl.vec_scale(alpha, u), xl.vec_scale(beta, w)), v)
-    rhs = xl.vec_add(
+    lhs = a.bracket(vec_add(xl.vec_scale(alpha, u), xl.vec_scale(beta, w)), v)
+    rhs = vec_add(
         xl.vec_scale(alpha, a.bracket(u, v)), xl.vec_scale(beta, a.bracket(w, v))
     )
     assert lhs == rhs
@@ -154,6 +154,14 @@ def test_dimension_zero_rejected_at_construction():
         LieAlgebra.from_brackets(0, [], {})
     with pytest.raises(DimensionMismatch, match=message):
         LieAlgebra(dim=0, labels=(), structure=())
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (0, 5), (2, 1)])
+def test_from_brackets_rejects_indices_outside_the_basis(pair):
+    # Python indexing would wrap -1 to the last basis vector
+    message = re.escape(f"bracket ({pair[0]},{pair[1]}) names an index outside 0..1")
+    with pytest.raises(DimensionMismatch, match=message):
+        LieAlgebra.from_brackets(2, ("a", "b"), {pair: fr(1, 0)})
 
 
 def test_self_bracket_rejected():

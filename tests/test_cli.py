@@ -17,9 +17,9 @@ from lieranders.definition import DefinitionFile, save_definition
 from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutation_triples
 from lieranders.sweep import run_sweep
 from lieranders import catalog, identity_metric
-from lieranders import exactlinalg as xl
 
 from conftest import deadline, fr
+from exact_oracles import mat_scale
 
 
 def run(argv, capsys):
@@ -38,6 +38,11 @@ HYPER = "tests/golden/case2_hyper.json"
 TINY = "tests/golden/tiny_metric.json"  # the case-2 algebra under 1e-6 I
 NON_LIE_HYPER = "tests/golden/nonlie_hyper.json"  # fails Jacobi, holds a hypercomplex triple
 BAD_LABEL = "tests/golden/bad_label.json"  # case 3 with the label "1/2*X" for Y
+# a quaternion triple P J P^-1 with fractional entries, hyper-Hermitian for
+# G = P^-T P^-1: on the abelian case 0, and on case 4, where J2 and J3 have
+# fractional Nijenhuis defects
+RATIONAL_HYPER = "tests/golden/rational_hyper.json"
+RATIONAL_NONINTEGRABLE = "tests/golden/rational_nonintegrable.json"
 DENSE_Q = "1/16,0,-1/8,-1/4"
 
 
@@ -130,6 +135,24 @@ def test_dense_file_golden(monkeypatch, capsys, argv, golden):
     monkeypatch.chdir(GOLDEN.parents[1])
     code, out, _ = run(argv, capsys)
     assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden, expected_code",
+    [
+        (["check", RATIONAL_HYPER], "rational_hyper_check.txt", 0),
+        (["hyper-verify", RATIONAL_HYPER], "rational_hyper_verify.txt", 0),
+        (["check", RATIONAL_NONINTEGRABLE], "rational_nonintegrable_check.txt", 1),
+        (["hyper-verify", RATIONAL_NONINTEGRABLE], "rational_nonintegrable_verify.txt", 1),
+    ],
+    ids=["pass-check", "pass-hyper-verify", "fail-check", "fail-hyper-verify"],
+)
+def test_rational_j_golden(monkeypatch, capsys, argv, golden, expected_code):
+    # the violation lines print the Nijenhuis defects with their denominators
+    monkeypatch.chdir(GOLDEN.parents[1])
+    code, out, _ = run(argv, capsys)
+    assert code == expected_code
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
@@ -705,7 +728,7 @@ def test_hyper_verify_pass_and_fail(tmp_path, capsys):
     bad = DefinitionFile(
         algebra=catalog(0), metric=identity_metric(4), q_field=None,
         hypercomplex=ComplexStructureTriple(
-            j1=triple.j1, j2=triple.j2, j3=xl.mat_scale(-1, triple.j3)
+            j1=triple.j1, j2=triple.j2, j3=mat_scale(-1, triple.j3)
         ),
         metric_given=False,
     )

@@ -34,6 +34,7 @@ from exact_oracles import (
     oracle_inner,
     oracle_is_berwald,
     oracle_is_douglas,
+    vec_add,
 )
 
 
@@ -90,7 +91,7 @@ def random_cases(draw):
     elif kind == "douglas":
         q = xl.zero_vector(n)
         for b in douglas_subspace(algebra, metric).basis:
-            q = xl.vec_add(q, xl.vec_scale(draw(SMALL_RATIONALS), b))
+            q = vec_add(q, xl.vec_scale(draw(SMALL_RATIONALS), b))
     else:
         q = draw(vector)
     return algebra, metric, q, draw(vector), draw(vector)

@@ -65,11 +65,40 @@ def test_parse_rational_bounds_the_decimal_exponent():
         with pytest.raises(DefinitionError) as exc:
             xl.parse_rational(token, "x")
         assert str(exc.value) == f"x: bad rational {token!r} (exponent above 4300 in magnitude)"
-    # an exponent too long for int() is refused as malformed
-    for token in ["1/0", "x", "1/2/3", "1e", "e5", "1.5/2", "1e" + "9" * 5000]:
+    for token in ["1/0", "x", "1/2/3", "1e", "e5", "1.5/2"]:
         with pytest.raises(DefinitionError) as exc:
             xl.parse_rational(token, "x")
         assert str(exc.value) == f"x: bad rational {token!r}"
+    # an exponent too long for int() is refused as malformed, quoted by an excerpt
+    with pytest.raises(DefinitionError) as exc:
+        xl.parse_rational("1e" + "9" * 5000, "x")
+    assert str(exc.value) == "x: bad rational '1e9999999999...9999999999999'"
+
+
+@pytest.mark.parametrize(
+    "token", ["1e" + "9" * 10**6, "1/" * 500000 + "1", "x" * 10**6, "1e+" + "1" * 10**6],
+    ids=["long-exponent", "slashes", "letters", "exponent-run"],
+)
+def test_parse_rational_quotes_a_bounded_excerpt(token):
+    with pytest.raises(DefinitionError) as exc:
+        xl.parse_rational(token, "Q[0]")
+    message = str(exc.value)
+    assert message.startswith("Q[0]: bad rational '" + token[:12] + "...")
+    assert len(message) < 100
+
+
+def test_parse_rational_quotes_short_tokens_whole():
+    for token in ["x" * 30, "1/2/" + "3" * 26, "a'b" * 10, "\\" * 15]:
+        with pytest.raises(DefinitionError) as exc:
+            xl.parse_rational(token, "x")
+        assert str(exc.value) == f"x: bad rational {token!r}"
+    token = "1e" + "9" * 28
+    with pytest.raises(DefinitionError) as exc:
+        xl.parse_rational(token, "x")
+    assert str(exc.value) == f"x: bad rational {token!r} (exponent above 4300 in magnitude)"
+    with pytest.raises(DefinitionError) as exc:
+        xl.parse_rational("x" * 31, "x")
+    assert str(exc.value) == "x: bad rational 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
 
 
 def test_parse_rational_bounds_digit_runs():
@@ -145,6 +174,27 @@ def test_nullspace_of_no_rows_is_everything():
 def test_nullspace_rejects_rows_of_another_length():
     with pytest.raises(DimensionMismatch):
         xl.nullspace(((1, 2),), 3)
+
+
+def test_mat_mul_serves_integer_and_fraction_rows():
+    a, b = ((1, 2), (3, 4)), ((0, -1), (5, 6))
+    product = xl.mat_mul(a, b)
+    assert product == ((10, 11), (20, 21))
+    assert {type(x) for row in product for x in row} == {int}
+    assert xl.mat_mul(mat([[1, 2], [3, 4]]), b) == product
+    half = ((Fraction(1, 2),),)
+    assert xl.mat_mul(half, ((Fraction(2, 3), 1),)) == ((Fraction(1, 3), Fraction(1, 2)),)
+    assert xl.mat_mul((), ()) == ()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(((1, 2),), ((1,),)), (((1,),), ((1, 2), (3,))), (((1, 2), (3,)), ((1,), (2,)))],
+    ids=["inner-length", "ragged-right", "ragged-left"],
+)
+def test_mat_mul_rejects_rows_of_mismatched_length(a, b):
+    with pytest.raises(DimensionMismatch):
+        xl.mat_mul(a, b)
 
 
 def test_inverse():

@@ -41,6 +41,7 @@ from conftest import (
     random_q_in_subspace,
     random_rational_vector,
 )
+from exact_oracles import vec_add
 from flag_oracles import flag_curvature_case, oracle_flag_curvature_simplified
 
 X, Y, Z, W = (fr(*[1 if k == i else 0 for k in range(4)]) for i in range(4))
@@ -198,7 +199,7 @@ def test_flag_u_enters_only_through_plane(metric4):
     r = make_randers(a, metric4, fr("1/2", 0, 0, 0))
     v = fr(1, 2, 0, -1)
     u1 = fr(0, 1, 1, 0)
-    u2 = xl.vec_add(xl.vec_scale(Fraction(3), u1), xl.vec_scale(Fraction(-2, 5), v))
+    u2 = vec_add(xl.vec_scale(Fraction(3), u1), xl.vec_scale(Fraction(-2, 5), v))
     r1 = flag_curvature_deng_hou(r, Flag(v=v, u=u1))
     r2 = flag_curvature_deng_hou(r, Flag(v=v, u=u2))
     assert r1.k_f == pytest.approx(r2.k_f, rel=1e-12)
