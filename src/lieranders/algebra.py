@@ -124,13 +124,13 @@ class LieAlgebra:
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in self.structure
         ):
             raise DimensionMismatch("structure constants must be dim x dim x dim")
-        self._structure_numerators  # TypeError unless every constant is an int or a Fraction
+        # kept as nested tuples, so the caller's lists stay the caller's
+        object.__setattr__(self, "structure", tuple(tuple(map(tuple, ci)) for ci in self.structure))
+        c, _ = self._structure_numerators  # TypeError unless every constant is an int or a Fraction
         for i in range(n):
             for j in range(n):
-                if self.structure[i][j] != xl.vec_scale(-1, self.structure[j][i]):
-                    raise ValueError(
-                        f"structure constants not antisymmetric at ({i},{j})"
-                    )
+                if c[i][j] != tuple(-x for x in c[j][i]):
+                    raise ValueError(f"structure constants not antisymmetric at ({i},{j})")
 
     @classmethod
     def from_brackets(cls, dim, labels, brackets) -> "LieAlgebra":
@@ -143,7 +143,7 @@ class LieAlgebra:
             v = tuple(Fraction(x, d) for x in nums)
             if len(v) != dim:
                 raise DimensionMismatch(f"bracket ({i},{j}) has {len(v)} coefficients")
-            if i == j and not xl.vec_is_zero(v):
+            if i == j and any(v):
                 raise ValueError(f"[e_{i}, e_{i}] must vanish")
             for k in range(dim):
                 c[i][j][k] = v[k]
@@ -230,7 +230,7 @@ class LieAlgebra:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 v = self.structure[i][j]
-                if not xl.vec_is_zero(v):
+                if any(v):
                     out.append(
                         f"[{self.labels[i]},{self.labels[j]}] = "
                         f"{format_combination(v, self.labels)}"

@@ -171,7 +171,7 @@ def serialize_definition(defn: DefinitionFile) -> str:
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
             coeffs = algebra.structure[i][j]
-            if not xl.vec_is_zero(coeffs):
+            if any(coeffs):
                 entries.append({"i": i, "j": j, "coeffs": [str(c) for c in coeffs]})
     doc["brackets"] = entries
     if defn.metric_given:

@@ -3,12 +3,16 @@
 Matrices are tuples of row tuples.  ``common_denominator`` is the one
 exactness gate: every exact constructor and elimination passes its input
 through it, and anything but an int or a ``fractions.Fraction`` (a float, a
-string, a ``Decimal``) raises TypeError.  ``integer_rows`` gates a nested
-table and keeps its numerators in the table's rows; the eliminations run on
-them in Fractions, so results are exact, and ``mat_mul`` multiplies integer
-rows and Fraction rows alike.  Sizes are tiny (typically 4x4), so
-Gauss-Jordan elimination is all we need, and one elimination
-(``spd_inverse``) both decides positive definiteness and gives the inverse.
+string, a ``Decimal``, a numpy integer) raises TypeError.  ``integer_rows``
+gates a nested table and keeps its numerators in the table's rows.  One
+elimination, ``_eliminate``, serves ``rref``, ``rank``, ``nullspace`` and
+``spd_inverse``: Gauss-Jordan on the integer rows without fractions, each
+step dividing exactly by the previous pivot (E. H. Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
+22, 1968), so ``Fraction``s are built only for the results.  Without row
+exchanges its pivots are the leading principal minors, so one elimination
+of [a | I] (``spd_inverse``) both decides positive definiteness and gives
+the inverse.  ``mat_mul`` multiplies integer rows and Fraction rows alike.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import DefinitionError, DimensionMismatch
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
-_ZERO = Fraction(0)
+_EXACT = (int, Fraction)  # the exact input types; bool is an int
 
 # Largest decimal exponent, and longest run of digits, a parsed rational may
 # carry: Python's default limit on int <-> str digits.  Fraction("1e-9999999")
@@ -78,15 +82,15 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
     """Integer numerators over the least common denominator.
 
     Returns ``(nums, d)`` with ``values[i] == nums[i] / d`` for the least
-    positive such ``d``; no values give ``([], 1)``.  Accepts ints and
-    Fractions; anything else (a float, a string) raises TypeError.
+    positive such ``d``; no values give ``([], 1)``.  Accepts ints (bools
+    too) and Fractions; anything else (a float, a string, a numpy integer)
+    raises TypeError.
     """
     values = list(values)
-    try:
-        dens = [x.denominator for x in values]
-    except AttributeError:
-        bad = next(x for x in values if not hasattr(x, "denominator"))
-        raise _refuse(bad) from None
+    # by type, not by a ``denominator`` attribute: numpy integers have one and wrap around
+    dens = [x.denominator for x in values if isinstance(x, _EXACT)]
+    if len(dens) != len(values):
+        raise _refuse(next(x for x in values if not isinstance(x, _EXACT)))
     d = math.lcm(*dens)
     if d == 1:
         return [x.numerator for x in values], 1
@@ -111,24 +115,6 @@ def vec_scale(c, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-def vec_is_zero(u: Vector) -> bool:
-    return not any(u)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    total = Fraction(0)
-    for a, b in zip(u, v):
-        if a and b:
-            total += a * b
-    return total
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """``a b`` in the entries' own type: integer rows give integer rows."""
     if any(len(row) != len(b) for row in a) or len({len(row) for row in b}) > 1:
@@ -141,94 +127,100 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form, in Fractions; returns (rows, pivot columns).
+def _eliminate(rows: Sequence[Sequence[int | Fraction]], exchange: bool = True):
+    """Fraction-free Gauss-Jordan elimination of ``rows`` on their integer rows.
 
-    Zero rows are dropped, pivots are 1, and rows come out sorted by pivot
-    column, so the result is a canonical representative of the row space.
-    Rows of different lengths raise DimensionMismatch.  Eliminates on the
-    integer rows, d times ``rows``, which span the same space.
+    Returns ``(work, pivots, minors)``: the eliminated integer rows, the
+    pivot columns, and 1 followed by the pivot values.  Each step rewrites
+    every other row as ``(p row - row[col] top) // prev``, with ``top`` the
+    pivot row, ``p`` its pivot and ``prev`` the pivot value before it.
+    Bareiss's identity makes every entry a minor of the input, so the
+    division is exact, and each pivot row ends with ``minors[-1]`` in its
+    own pivot column and zeros in the other pivot columns.  With
+    ``exchange`` a column's pivot is its first nonzero entry at or below the
+    next pivot row; without, the pivot of row k is its diagonal entry, the
+    elimination stops at the first zero one, and each pivot value is a
+    leading principal minor.  Rows of different lengths raise
+    DimensionMismatch.
     """
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise DimensionMismatch(f"rows must share one length; got {sorted({len(r) for r in rows})}")
-    work = [[Fraction(x) if x else _ZERO for x in r] for r in integer_rows(rows, 2)[0]]
+    work = [list(row) for row in integer_rows(rows, 2)[0]]
     pivots: list[int] = []
-    r = 0
+    minors = [1]  # the empty minor, then one per pivot
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv if x else x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y if y else x for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
+        r = len(pivots)
         if r == len(work):
             break
-    reduced = tuple(tuple(row) for row in work[:r])
+        if exchange:
+            k = next((i for i in range(r, len(work)) if work[i][col]), None)
+            if k is None:
+                continue
+            work[r], work[k] = work[k], work[r]
+        elif not work[r][col]:
+            break
+        top, prev = work[r], minors[-1]
+        p = top[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != r and (f or p != prev):  # else the row is unchanged
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(col)
+        minors.append(p)
+    return work, pivots, minors
+
+
+def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form, in Fractions; returns (rows, pivot columns).
+
+    Zero rows are dropped, pivots are 1, and rows come out sorted by pivot
+    column, so the result is a canonical representative of the row space:
+    the pivot rows of ``_eliminate`` over the last pivot value.  Rows of
+    different lengths raise DimensionMismatch.
+    """
+    work, pivots, minors = _eliminate(rows)
+    reduced = tuple(tuple(Fraction(x, minors[-1]) for x in row) for row in work[: len(pivots)])
     return reduced, tuple(pivots)
 
 
-def rank(rows: Sequence[Vector]) -> int:
-    return len(rref(rows)[0])
-
-
-def _independent_pair(v: Vector, u: Vector) -> bool:
-    """Whether v and u are linearly independent, decided exactly.
-
-    They are when some 2x2 minor v_i u_j - v_j u_i is nonzero, tested on the
-    integer numerators of each vector (scaling a vector does not change
-    which minors vanish).  False in dimension 1 and when either vector is
-    zero; no ``Fraction`` rref.
-    """
-    if len(v) != len(u):
-        raise DimensionMismatch(f"pair of lengths {len(v)} and {len(u)}")
-    (vn, _), (un, _) = common_denominator(v), common_denominator(u)
-    n = len(vn)
-    return any(vn[i] * un[j] != vn[j] * un[i] for i in range(n) for j in range(i + 1, n))
+def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(m: Sequence[Sequence[int | Fraction]], ncols: int) -> Matrix:
-    """Canonical (rref) basis of {x in Q^ncols : m x = 0}; no rows give Q^ncols."""
+    """Canonical (rref) basis of {x in Q^ncols : m x = 0}; no rows give Q^ncols.
+
+    Free column j gives the integer solution with x_j = p, the last pivot
+    value (1 for no pivots), and x_c = -row[j] at the pivot column c of each
+    eliminated row.
+    """
     if any(len(row) != ncols for row in m):
         raise DimensionMismatch(f"rows of a system in {ncols} unknowns must have length {ncols}")
-    reduced, pivots = rref(m)
-    free = [j for j in range(ncols) if j not in pivots]
+    work, pivots, minors = _eliminate(m)
     basis = []
-    for j in free:
-        x = [Fraction(0)] * ncols
-        x[j] = Fraction(1)
-        for row, pcol in zip(reduced, pivots):
-            x[pcol] = -row[j]
-        basis.append(tuple(x))
+    for j in range(ncols):
+        if j not in pivots:
+            x = [0] * ncols
+            x[j] = minors[-1]
+            for row, pcol in zip(work, pivots):
+                x[pcol] = -row[j]
+            basis.append(x)
     return rref(basis)[0]
 
 
 def spd_inverse(a: Sequence[Sequence[int | Fraction]]) -> Matrix | None:
     """Inverse of a positive-definite matrix, or None when ``a`` is not one.
 
-    One Gauss-Jordan elimination of [a | I] without row exchanges.  The k-th
-    leading principal minor is the product of the first k pivots, so by
-    Sylvester's criterion a symmetric ``a`` is positive definite exactly
-    when every pivot is positive; symmetry is the caller's to check.  It runs
-    on the integer rows: [d a | d I] reduces to [I | a^-1].
+    ``_eliminate`` of [a | I], that is of [d a | d I], without row
+    exchanges: its k-th pivot value is the k-th leading principal minor of
+    d a, so by Sylvester's criterion a symmetric ``a`` is positive definite
+    exactly when there are n pivots and all are positive; symmetry is the
+    caller's to check.  The rows then end as [p I | p a^-1], p the last pivot.
     """
     n = len(a)
-    rows, d = integer_rows(a, 2)
-    work = [[Fraction(x) if x else _ZERO for x in row] + [Fraction(d * (i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col, top in enumerate(work):
-        pivot = top[col]
-        if pivot <= 0:
-            return None
-        top[:] = [x / pivot if x else x for x in top]
-        for row in work:
-            if row is not top and row[col]:
-                factor = row[col]
-                row[:] = [x - factor * y if y else x for x, y in zip(row, top)]
-    return tuple(tuple(row[n:]) for row in work)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    work, pivots, minors = _eliminate(rows, exchange=False)
+    if len(pivots) < n or min(minors) <= 0:
+        return None
+    return tuple(tuple(Fraction(x, minors[-1]) for x in row[n:]) for row in work)

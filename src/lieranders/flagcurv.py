@@ -50,7 +50,7 @@ class Flag:
     u: AlgebraVector
 
     def __post_init__(self):
-        if not xl._independent_pair(self.v, self.u):
+        if xl.rank((self.v, self.u)) != 2:
             raise DegenerateFlag("flag pole and completion are linearly dependent")
 
 
@@ -159,7 +159,7 @@ def u_map(
         metric.inner(algebra.bracket(e, v), s) + metric.inner(algebra.bracket(e, s), v)
         for e in algebra.basis()
     )
-    return xl.vec_scale(Fraction(1, 2), xl.mat_vec(metric.inverse_gram, t))
+    return tuple(sum(map(mul, row, t)) / 2 for row in metric.inverse_gram)
 
 
 def flag_curvature_deng_hou(r: RandersStructure, flag: Flag) -> FlagCurvatureResult:

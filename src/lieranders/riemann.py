@@ -72,8 +72,10 @@ class MetricTensor:
             raise DimensionMismatch("a metric needs dimension >= 1; got an empty gram matrix")
         if any(len(row) != n for row in self.gram):
             raise DimensionMismatch("gram matrix must be square")
-        self._gram_numerators  # TypeError unless every entry is an int or a Fraction
-        if self.gram != xl.transpose(self.gram):
+        # kept as nested tuples, so the caller's lists stay the caller's
+        object.__setattr__(self, "gram", tuple(map(tuple, self.gram)))
+        g, _ = self._gram_numerators  # TypeError unless every entry is an int or a Fraction
+        if g != xl.transpose(g):
             raise ValueError("gram matrix must be symmetric")
         # exact Sylvester criterion: no tolerance needed on rational input
         if self.inverse_gram is None:

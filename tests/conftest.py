@@ -68,7 +68,7 @@ def random_rational_vector(rng, dim, max_abs_num=9, max_den=4):
 def random_nonzero_vector(rng, dim):
     while True:
         v = random_rational_vector(rng, dim)
-        if not xl.vec_is_zero(v):
+        if any(v):
             return v
 
 
@@ -77,7 +77,7 @@ def random_flag_pair(rng, dim):
     v = random_nonzero_vector(rng, dim)
     while True:
         u = random_rational_vector(rng, dim)
-        if xl._independent_pair(v, u):
+        if xl.rank((v, u)) == 2:
             return v, u
 
 
@@ -107,7 +107,7 @@ def douglas_pole_flags(r, n, seed):
         for b in basis:
             v = vec_add(v, xl.vec_scale(random_rational(rng), b))
         u = random_rational_vector(rng, r.dim)
-        if xl._independent_pair(v, u):
+        if xl.rank((v, u)) == 2:
             flags.append(Flag(v=v, u=u))
     return flags
 

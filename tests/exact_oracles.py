@@ -4,11 +4,12 @@ The library sums ``MetricTensor.inner``, ``LieAlgebra.bracket``, the
 Jacobi defects, the Levi-Civita table, the curvature entries, the bivector
 forms, the compiled ``A`` and ``C``, the Douglas and Berwald tests and
 subspaces, the sectional curvature, the Nijenhuis tensor and the
-hypercomplex checks in Python ints over memoised numerators.  The functions here compute the same values one ``Fraction`` at
-a time, from the frozen ``structure`` and ``gram`` fields alone, and the two
-must agree with ``==``;
-forms, which the library stores as symmetric monomials, are compared as
-polynomials (``symmetrised``).
+hypercomplex checks in Python ints over memoised numerators, and runs its
+eliminations (``rref``, ``spd_inverse``) fraction-free on integer rows.  The
+functions here compute the same values one ``Fraction`` at a time, from the
+frozen ``structure`` and ``gram`` fields alone, and the two must agree with
+``==``; forms, which the library stores as symmetric monomials, are
+compared as polynomials (``symmetrised``).
 ``oracle_nabla`` and ``oracle_of`` extend a ``Fraction`` connection or
 curvature table to arbitrary vectors; the library keeps no such extension.
 """
@@ -45,6 +46,80 @@ def format_vector(v):
     return "(" + ", ".join(map(str, v)) + ")"
 
 
+def vec_is_zero(u):
+    return not any(u)
+
+
+def dot(u, v):
+    if len(u) != len(v):
+        raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def mat_vec(m, v):
+    return tuple(dot(row, v) for row in m)
+
+
+def oracle_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination in Fractions:
+    (rows, pivot columns), zero rows dropped, pivots 1."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatch(f"rows must share one length; got {sorted({len(r) for r in rows})}")
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def oracle_nullspace(m, ncols):
+    """Canonical basis of {x : m x = 0} from ``oracle_rref``: at each free
+    column j, x_j = 1 and x_c = -row[j] at the pivot column c of each row."""
+    reduced, pivots = oracle_rref(m)
+    basis = []
+    for j in range(ncols):
+        if j not in pivots:
+            x = [Fraction(0)] * ncols
+            x[j] = Fraction(1)
+            for row, pcol in zip(reduced, pivots):
+                x[pcol] = -row[j]
+            basis.append(tuple(x))
+    return oracle_rref(basis)[0]
+
+
+def oracle_spd_inverse(a):
+    """Gauss-Jordan elimination of [a | I] in Fractions without row exchanges:
+    the inverse when every pivot is positive (Sylvester's criterion), else None."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col, top in enumerate(work):
+        pivot = top[col]
+        if pivot <= 0:
+            return None
+        top[:] = [x / pivot for x in top]
+        for row in work:
+            if row is not top and row[col]:
+                factor = row[col]
+                row[:] = [x - factor * y for x, y in zip(row, top)]
+    return tuple(tuple(row[n:]) for row in work)
+
+
 def oracle_inner(metric, u, v):
     """g(u, v) = sum_ij u_i g_ij v_j in Fractions, zero factors skipped."""
     if len(u) != metric.dim or len(v) != metric.dim:
@@ -75,17 +150,17 @@ def oracle_jacobi_check(algebra):
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             inner = algebra.bracket(algebra.basis_vector(a), algebra.basis_vector(b))
             total = vec_add(total, algebra.bracket(inner, algebra.basis_vector(c)))
-        if not xl.vec_is_zero(total):
+        if not vec_is_zero(total):
             violations.append((i, j, k, total))
     return violations
 
 
 def oracle_derived_algebra(algebra):
-    """[g, g] as the rref span of the basis brackets, rebuilt on each call."""
+    """[g, g] as the ``oracle_rref`` span of the basis brackets, rebuilt on each call."""
     images = [
         algebra.structure[i][j] for i in range(algebra.dim) for j in range(i + 1, algebra.dim)
     ]
-    return Subspace.span(images, algebra.dim)
+    return Subspace(algebra.dim, oracle_rref(images)[0])
 
 
 def oracle_ad_star(algebra, metric, v):
@@ -104,8 +179,8 @@ def oracle_levi_civita(algebra, metric):
     return ConnectionTable(gamma=tuple(
         tuple(
             xl.vec_scale(half, vec_sub(
-                vec_sub(algebra.structure[i][j], xl.mat_vec(stars[i], e[j])),
-                xl.mat_vec(stars[j], e[i]),
+                vec_sub(algebra.structure[i][j], mat_vec(stars[i], e[j])),
+                mat_vec(stars[j], e[i]),
             ))
             for j in range(n)
         )
@@ -195,7 +270,7 @@ def oracle_is_berwald(algebra, metric, q):
     evidence = []
     for i in range(algebra.dim):
         deriv = oracle_nabla(conn, algebra.basis_vector(i), q)
-        if not xl.vec_is_zero(deriv):
+        if not vec_is_zero(deriv):
             evidence.append(
                 f"nabla_{algebra.labels[i]} Q = {format_combination(deriv, algebra.labels)}"
             )
@@ -207,9 +282,9 @@ def oracle_douglas_subspace(algebra, metric):
     rows G b, b in the basis of ``oracle_derived_algebra``."""
     derived, n = oracle_derived_algebra(algebra), algebra.dim
     if not derived.basis:
-        return Subspace.span([xl.basis_vector(n, i) for i in range(n)], n)
-    constraints = tuple(xl.mat_vec(metric.gram, b) for b in derived.basis)
-    return Subspace(ambient_dim=n, basis=xl.nullspace(constraints, n))
+        return Subspace(n, xl.identity_matrix(n))
+    constraints = tuple(mat_vec(metric.gram, b) for b in derived.basis)
+    return Subspace(ambient_dim=n, basis=oracle_nullspace(constraints, n))
 
 
 def oracle_berwald_subset(algebra, metric, within):
@@ -224,12 +299,12 @@ def oracle_berwald_subset(algebra, metric, within):
         for k in range(algebra.dim):
             rows.append(tuple(d[k] for d in derivs))
     vectors = []
-    for coeffs in xl.nullspace(tuple(rows), within.dim):
+    for coeffs in oracle_nullspace(tuple(rows), within.dim):
         v = xl.zero_vector(algebra.dim)
         for c, b in zip(coeffs, within.basis):
             v = vec_add(v, xl.vec_scale(c, b))
         vectors.append(v)
-    return Subspace.span(vectors, algebra.dim)
+    return Subspace(algebra.dim, oracle_rref(vectors)[0])
 
 
 def oracle_sectional_curvature(algebra, metric, u, v, curvature=None):
@@ -345,14 +420,14 @@ def oracle_correction_forms(r):
 
 def oracle_nijenhuis(algebra, j, u, v):
     """N(u,v) = [u,v] + J[Ju,v] + J[u,Jv] - [Ju,Jv] on left-invariant fields,
-    in Fractions through ``oracle_bracket`` and ``exactlinalg.mat_vec``."""
+    in Fractions through ``oracle_bracket`` and ``mat_vec``."""
     if len(j) != algebra.dim:
         raise DimensionMismatch("J must act on the algebra")
-    ju = xl.mat_vec(j, u)
-    jv = xl.mat_vec(j, v)
+    ju = mat_vec(j, u)
+    jv = mat_vec(j, v)
     out = oracle_bracket(algebra, u, v)
-    out = vec_add(out, xl.mat_vec(j, oracle_bracket(algebra, ju, v)))
-    out = vec_add(out, xl.mat_vec(j, oracle_bracket(algebra, u, jv)))
+    out = vec_add(out, mat_vec(j, oracle_bracket(algebra, ju, v)))
+    out = vec_add(out, mat_vec(j, oracle_bracket(algebra, u, jv)))
     return vec_sub(out, oracle_bracket(algebra, ju, jv))
 
 

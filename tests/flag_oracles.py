@@ -9,17 +9,16 @@ non-Berwaldian catalog families.
 
 import math
 
-from lieranders import exactlinalg as xl
 from lieranders.classify import require_douglas
 from lieranders.flagcurv import FlagCurvatureResult
 
-from exact_oracles import oracle_bracket, oracle_inner, oracle_sectional_curvature
+from exact_oracles import mat_vec, oracle_bracket, oracle_inner, oracle_sectional_curvature
 
 
 def ad_star_on_self(algebra, metric, v):
     # ad*_V V without building the matrix: g(ad*_V V, e_k) = g(V, [V, e_k])
     t = tuple(oracle_inner(metric, v, oracle_bracket(algebra, v, e)) for e in algebra.basis())
-    return xl.mat_vec(metric.inverse_gram, t)
+    return mat_vec(metric.inverse_gram, t)
 
 
 def bracket_terms(r, v):

@@ -13,7 +13,7 @@ from lieranders import exactlinalg as xl
 from lieranders.errors import DimensionMismatch
 
 from conftest import fr
-from exact_oracles import oracle_jacobi_check, vec_add
+from exact_oracles import dot, oracle_jacobi_check, vec_add
 
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 VECTORS = st.lists(RATIONALS, min_size=4, max_size=4).map(tuple)
@@ -80,7 +80,7 @@ def test_case2_bracket_closed_form(p, q, a, b, c, d):
     got = alg.bracket((Fraction(0), Fraction(0), p, q), (a, b, c, d))
     assert got == (q * b - p * a, -(p * b + q * a), Fraction(0), Fraction(0))
     # consistency: g([Q,V],V) = -p (a^2 + b^2) on the orthonormal basis
-    assert xl.dot(got, (a, b, c, d)) == -p * (a * a + b * b)
+    assert dot(got, (a, b, c, d)) == -p * (a * a + b * b)
 
 
 def test_bracket_dimension_mismatch():
@@ -140,6 +140,29 @@ def test_antisymmetry_enforced_at_construction():
         LieAlgebra(dim=2, labels=("a", "b"), structure=tuple(
             tuple(tuple(v) for v in row) for row in c
         ))
+
+
+def test_list_built_algebra_equals_its_tuple_twin():
+    twin = catalog(2)
+    lists = [[list(cij) for cij in ci] for ci in twin.structure]
+    algebra = LieAlgebra(dim=4, labels=twin.labels, structure=lists)
+    assert algebra == twin and hash(algebra) == hash(twin)
+    assert all(type(cij) is tuple for ci in algebra.structure for cij in ci)
+    lists[0][2][0] = 5  # the caller's lists are not the algebra's
+    assert algebra == twin and algebra.derived_algebra() == twin.derived_algebra()
+
+
+@pytest.mark.parametrize("pair, c", [
+    ((0, 1), [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]),  # [a, b] = a, [b, a] = 0
+    ((0, 1), [[[0, 0], [1, 0]], [[Fraction(1, 2), 0], [0, 0]]]),
+    ((0, 0), [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]),  # [a, a] != 0
+    ((1, 1), [[[0, 0], [0, 0]], [[0, 0], [0, Fraction(1, 3)]]]),
+])
+def test_antisymmetry_messages_on_lists_and_tuples(pair, c):
+    message = re.escape(f"structure constants not antisymmetric at ({pair[0]},{pair[1]})")
+    for structure in (c, tuple(tuple(map(tuple, ci)) for ci in c)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LieAlgebra(dim=2, labels=("a", "b"), structure=structure)
 
 
 def test_float_structure_constants_rejected_at_construction():

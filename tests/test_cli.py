@@ -38,6 +38,9 @@ HYPER = "tests/golden/case2_hyper.json"
 TINY = "tests/golden/tiny_metric.json"  # the case-2 algebra under 1e-6 I
 NON_LIE_HYPER = "tests/golden/nonlie_hyper.json"  # fails Jacobi, holds a hypercomplex triple
 BAD_LABEL = "tests/golden/bad_label.json"  # case 3 with the label "1/2*X" for Y
+# case 2 under the indefinite Gram [[0,1],[1,0]] + I: every pivot of an
+# elimination that exchanged rows would be 1
+INDEFINITE = "tests/golden/indefinite_metric.json"
 # a quaternion triple P J P^-1 with fractional entries, hyper-Hermitian for
 # G = P^-T P^-1: on the abelian case 0, and on case 4, where J2 and J3 have
 # fractional Nijenhuis defects
@@ -633,6 +636,13 @@ def test_check_rejects_a_label_that_is_not_an_identifier(capsys):
     assert code == cli.EXIT_DEFINITION
     assert out == ""
     assert err == "error: labels[1]: '1/2*X' is not an identifier\n"
+
+
+def test_check_rejects_an_indefinite_metric(capsys):
+    code, out, err = run(["check", INDEFINITE], capsys)
+    assert code == cli.EXIT_DEFINITION == 3
+    assert out == ""
+    assert err == "error: metric: gram matrix must be positive definite\n"
 
 
 def test_case_skips_jacobi_gate(monkeypatch, capsys):

@@ -94,7 +94,7 @@ def random_spaces(draw):
     algebra = LieAlgebra.from_brackets(n, tuple(f"e{i}" for i in range(n)), brackets)
     p = draw(st.tuples(*[vector] * n))
     u, v = draw(vector), draw(vector)
-    assume(xl._independent_pair(u, v))
+    assume(xl.rank((u, v)) == 2)
     return algebra, spd_metric(p), [(u, v)]
 
 

@@ -3,6 +3,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,9 +19,16 @@ from lieranders import (
     verify_complex_structure,
 )
 from lieranders import exactlinalg as xl
-from lieranders.errors import DefinitionError, DimensionMismatch
+from lieranders.errors import DefinitionError, DegenerateFlag, DimensionMismatch
 
 from conftest import mat
+from exact_oracles import (
+    dot,
+    oracle_derived_algebra,
+    oracle_nullspace,
+    oracle_rref,
+    oracle_spd_inverse,
+)
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -48,10 +56,15 @@ EXACT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+@pytest.mark.parametrize(
+    "bad",
+    [0.5, "1/2", Decimal("0.5"), np.int64(2**31), np.int32(3)],
+    ids=["float", "str", "decimal", "int64", "int32"],
+)
 @pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
 def test_exact_entry_points_refuse_non_rationals(entry, bad):
-    # one gate, common_denominator, refuses by type before any arithmetic
+    # one gate, common_denominator, refuses by type before any arithmetic: a
+    # numpy integer has a ``denominator`` too, and its products wrap around
     message = f"refusing to coerce {type(bad).__name__} {bad!r} to an exact rational"
     with pytest.raises(TypeError, match=re.escape(message)):
         EXACT_ENTRY_POINTS[entry](bad)
@@ -159,7 +172,7 @@ def test_nullspace_orthogonal_to_rows():
     assert len(basis) == 2
     for v in basis:
         for row in m:
-            assert xl.dot(row, v) == 0
+            assert dot(row, v) == 0
 
 
 def test_nullspace_of_invertible_is_empty():
@@ -307,22 +320,41 @@ def test_common_denominator_is_least(values):
 
 
 def test_independent_pair_edge_cases():
-    assert not xl._independent_pair((Fraction(1, 2),), (Fraction(3),))  # dimension 1
-    assert not xl._independent_pair((0, 0, 0), (1, 2, 3))  # zero vector
-    assert not xl._independent_pair((1, 2, 3), (0, 0, 0))
-    assert not xl._independent_pair((), ())
-    assert not xl._independent_pair((1, Fraction(2, 3)), (Fraction(3, 2), 1))
-    assert xl._independent_pair((1, Fraction(2, 3)), (Fraction(3, 2), Fraction(1, 2)))
-    with pytest.raises(DimensionMismatch):
-        xl._independent_pair((1, 0), (0, 1, 0))
+    # a Flag needs rank((v, u)) == 2
+    pairs = [
+        ((Fraction(1, 2),), (Fraction(3),)),  # dimension 1
+        ((0, 0, 0), (1, 2, 3)),  # zero vector
+        ((1, 2, 3), (0, 0, 0)),
+        ((), ()),
+        ((1, Fraction(2, 3)), (Fraction(3, 2), 1)),
+    ]
+    for v, u in pairs:
+        assert xl.rank((v, u)) < 2
+        with pytest.raises(DegenerateFlag):
+            Flag(v=v, u=u)
+    v, u = (1, Fraction(2, 3)), (Fraction(3, 2), Fraction(1, 2))
+    assert xl.rank((v, u)) == 2 and Flag(v=v, u=u).u == u
+    for v, u in [((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1))]:
+        with pytest.raises(DimensionMismatch):
+            Flag(v=v, u=u)
+        with pytest.raises(DimensionMismatch):
+            xl.rank((v, u))
 
 
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(*[st.tuples(*[RATIONALS] * n)] * 2)
 ))
 def test_independent_pair_agrees_with_rank(pair):
+    # the pair is independent exactly when some 2x2 minor v_i u_j - v_j u_i is nonzero
     v, u = pair
-    assert xl._independent_pair(v, u) == (xl.rank([v, u]) == 2)
+    n = len(v)
+    minor = any(v[i] * u[j] != v[j] * u[i] for i in range(n) for j in range(i + 1, n))
+    assert (xl.rank([v, u]) == 2) == minor == (len(oracle_rref([v, u])[1]) == 2)
+    if minor:
+        assert Flag(v=v, u=u).v == v
+    else:
+        with pytest.raises(DegenerateFlag):
+            Flag(v=v, u=u)
 
 
 @given(st.integers(min_value=1, max_value=6).flatmap(
@@ -330,7 +362,95 @@ def test_independent_pair_agrees_with_rank(pair):
 ))
 def test_independent_pair_rejects_multiples(case):
     v, scale = case
-    assert not xl._independent_pair(v, tuple(scale * x for x in v))
+    assert xl.rank([v, tuple(scale * x for x in v)]) <= 1
+    with pytest.raises(DegenerateFlag):
+        Flag(v=v, u=tuple(scale * x for x in v))
+
+
+ENTRIES = st.one_of(st.integers(-6, 6), RATIONALS)
+
+
+@st.composite
+def systems(draw):
+    """(ncols, rows): rational or int rows with zero, repeated and dependent
+    rows mixed in, in a drawn order."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * n)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b, s, t = (draw(st.sampled_from(rows)), draw(st.sampled_from(rows)),
+                          draw(ENTRIES), draw(ENTRIES))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return n, draw(st.permutations(rows))
+
+
+@given(systems())
+def test_eliminations_equal_the_fraction_oracles(system):
+    n, rows = system
+    reduced, pivots = oracle_rref(rows)
+    assert xl.rref(rows) == (reduced, pivots)
+    assert xl.rank(rows) == len(pivots)
+    basis = xl.nullspace(rows, n)
+    assert basis == oracle_nullspace(rows, n)
+    assert len(basis) == n - xl.rank(rows)
+    assert all(dot(row, x) == 0 for row in rows for x in basis)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n matrices, n in 1..5: P^T P + s I, positive definite for
+    s > 0 and singular or indefinite for some s <= 0, or random symmetric
+    entries; sometimes conjugated by a row swap, which moves a zero onto the
+    diagonal."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        p = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=1, max_size=n))
+        s = draw(st.integers(-2, 2))
+        a = [[sum(r[i] * r[j] for r in p) + s * (i == j) for j in range(n)] for i in range(n)]
+    else:
+        upper = draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))
+        a = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        perm = list(range(n))
+        perm[i], perm[j] = perm[j], perm[i]
+        a = [[a[perm[r]][perm[c]] for c in range(n)] for r in range(n)]
+    return a
+
+
+@given(symmetric_matrices())
+def test_spd_inverse_equals_the_fraction_oracle(a):
+    assert xl.spd_inverse(a) == oracle_spd_inverse(a)
+
+
+def test_spd_inverse_does_not_exchange_rows():
+    # the indefinite Gram of tests/golden/indefinite_metric.json: its first
+    # minor is 0, and exchanging the first two rows would give pivots 1, 1, 1, 1
+    a = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert xl.spd_inverse(a) is None and oracle_spd_inverse(a) is None
+    assert xl.rank(a) == 4
+    with pytest.raises(ValueError, match="positive definite"):
+        MetricTensor(gram=a)
+
+
+def rh(n):
+    """[e_0, e_j] = e_j for j >= 1: the algebra of real hyperbolic space."""
+    return LieAlgebra.from_brackets(
+        n, tuple(f"e{i}" for i in range(n)), {(0, j): xl.basis_vector(n, j) for j in range(1, n)}
+    )
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rh_derived_algebra_on_both_routes(n):
+    algebra = rh(n)
+    derived = algebra.derived_algebra()
+    assert derived == oracle_derived_algebra(algebra)
+    assert derived.basis == tuple(xl.basis_vector(n, j) for j in range(1, n))
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "str"])

@@ -46,6 +46,7 @@ from conftest import (
 )
 from exact_oracles import (
     mat_scale,
+    mat_vec,
     oracle_ad_star,
     oracle_curvature_tensor,
     oracle_integer_curvature_tensor,
@@ -54,6 +55,7 @@ from exact_oracles import (
     oracle_of,
     sparse_entries,
     vec_add,
+    vec_is_zero,
     vec_sub,
 )
 
@@ -88,6 +90,30 @@ def test_metric_validation():
     MetricTensor(gram=mat([[2, 1], [1, 1]]))  # fine
 
 
+def test_list_built_metric_equals_its_tuple_twin():
+    rows = [[2, 1], [1, Fraction(3, 2)]]
+    metric = MetricTensor(gram=rows)
+    twin = MetricTensor(gram=((2, 1), (1, Fraction(3, 2))))
+    assert metric == twin and hash(metric) == hash(twin)
+    assert all(type(row) is tuple for row in metric.gram)
+    rows[0][1] = 7  # the caller's lists are not the metric's
+    assert metric == twin and metric.inverse_gram == twin.inverse_gram
+    assert MetricTensor(gram=[[1, 0], [0, 1]]) == identity_metric(2)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [3, 1]], "gram matrix must be symmetric"),
+    ([[1, Fraction(1, 2)], [Fraction(1, 3), 1]], "gram matrix must be symmetric"),
+    ([[1, 2], [2, 1]], "gram matrix must be positive definite"),
+    ([[0, 1], [1, 0]], "gram matrix must be positive definite"),
+    ([[1, 0], [0, 0]], "gram matrix must be positive definite"),
+])
+def test_bad_gram_messages_on_lists_and_tuples(rows, message):
+    for gram in (rows, tuple(map(tuple, rows))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MetricTensor(gram=gram)
+
+
 def test_dimension_zero_metric_rejected():
     message = r"^a metric needs dimension >= 1; got an empty gram matrix$"
     with pytest.raises(DimensionMismatch, match=message):
@@ -112,9 +138,9 @@ def test_ad_star_abelian_is_zero(metric4):
 
 def test_ad_star_case3_Y(metric4):
     m = oracle_ad_star(catalog(3), metric4, Y)
-    assert xl.mat_vec(m, Y) == fr(-1, 0, 0, 0)
+    assert mat_vec(m, Y) == fr(-1, 0, 0, 0)
     for e in (X, Z, W):
-        assert xl.mat_vec(m, e) == fr(0, 0, 0, 0)
+        assert mat_vec(m, e) == fr(0, 0, 0, 0)
 
 
 def ad_matrix(algebra, v):
@@ -141,12 +167,12 @@ def test_ad_star_defining_identity(metric_name, metric4):
         for _ in range(5):
             w = random_rational_vector(rng, 4)
             s = random_rational_vector(rng, 4)
-            assert metric.inner(xl.mat_vec(m, w), s) == metric.inner(w, a.bracket(v, s))
+            assert metric.inner(mat_vec(m, w), s) == metric.inner(w, a.bracket(v, s))
 
 
 def test_levi_civita_abelian(metric4):
     conn = levi_civita(catalog(0), metric4)
-    assert all(xl.vec_is_zero(g) for row in conn.gamma for g in row)
+    assert all(vec_is_zero(g) for row in conn.gamma for g in row)
 
 
 def test_levi_civita_case3_values(metric4):
@@ -203,7 +229,7 @@ def test_curvature_abelian_zero(metric4):
     a = catalog(0)
     table = curvature_tensor(a, levi_civita(a, metric4))
     assert all(
-        xl.vec_is_zero(table.r[i][j][k])
+        vec_is_zero(table.r[i][j][k])
         for i in range(4)
         for j in range(4)
         for k in range(4)
@@ -326,7 +352,7 @@ def test_curvature_identities(case_id, metric_name, metric4):
             vec_add(oracle_of(table, u, v, w), oracle_of(table, v, w, u)),
             oracle_of(table, w, u, v),
         )
-        assert xl.vec_is_zero(total)
+        assert vec_is_zero(total)
         # pair symmetry
         assert metric.inner(oracle_of(table, u, v, w), s) == metric.inner(
             oracle_of(table, w, s, u), v

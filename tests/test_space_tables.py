@@ -43,6 +43,7 @@ from lieranders.riemann import IntegerForm
 
 from conftest import SPACES, dense_metric, douglas_q, fr
 from exact_oracles import (
+    mat_vec,
     oracle_bivector_forms,
     oracle_correction_forms,
     oracle_derived_algebra,
@@ -99,7 +100,7 @@ def test_memoised_tables_equal_fraction_oracles(space):
 
     rows, d = tables.derived_lowered
     assert [fractions(row, d) for row in rows] == [
-        list(xl.mat_vec(metric.gram, b)) for b in oracle_derived_algebra(algebra).basis
+        list(mat_vec(metric.gram, b)) for b in oracle_derived_algebra(algebra).basis
     ]
 
     # the forms are stored as symmetric monomials: compared as polynomials
