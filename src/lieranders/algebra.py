@@ -67,6 +67,8 @@ class Subspace:
     basis: tuple[AlgebraVector, ...]
 
     def __post_init__(self):
+        # kept as a tuple of tuples, so list-built twins compare equal and hash
+        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
         if any(len(v) != self.ambient_dim for v in self.basis):
             raise DimensionMismatch(f"basis vectors must have length {self.ambient_dim}")
         xl.common_denominator(x for v in self.basis for x in v)  # TypeError unless exact
@@ -116,6 +118,7 @@ class LieAlgebra:
 
     def __post_init__(self):
         n = self.dim
+        object.__setattr__(self, "labels", tuple(self.labels))
         if n < 1:
             raise DimensionMismatch(f"a Lie algebra needs dimension >= 1; got {n}")
         if len(self.labels) != n:
@@ -124,7 +127,8 @@ class LieAlgebra:
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in self.structure
         ):
             raise DimensionMismatch("structure constants must be dim x dim x dim")
-        # kept as nested tuples, so the caller's lists stay the caller's
+        # labels and structure kept as tuples, so the caller's lists stay the
+        # caller's and a list-built algebra equals and hashes as its tuple twin
         object.__setattr__(self, "structure", tuple(tuple(map(tuple, ci)) for ci in self.structure))
         c, _ = self._structure_numerators  # TypeError unless every constant is an int or a Fraction
         for i in range(n):

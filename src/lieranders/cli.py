@@ -2,8 +2,9 @@
 
 Subcommands: catalog, check, classify, theorem, flag, sweep, hyper-verify.
 Rational inputs are comma lists of "p/q" strings; floats are printed with 12
-significant digits (``%.12g``).  Reports carry no timestamps, so output is
-byte-identical for fixed inputs and seed.
+significant digits (``%.12g``), the sweep's rows a block at a time by the
+numpy kernel ``kernels.format_csv_block``, in the same bytes.  Reports carry
+no timestamps, so output is byte-identical for fixed inputs and seed.
 
 Each handler imports the library modules it uses, so a command loads only
 what it runs.  ``--version`` loads ``errors`` alone.  ``catalog``,
@@ -13,7 +14,7 @@ what it runs.  ``--version`` loads ``errors`` alone.  ``catalog``,
 ``algebra``, ``exactlinalg`` and ``riemann``, and ``--file`` adds
 ``definition`` and ``hypercomplex`` to a command.  Only the sweep path
 (``cmd_sweep``, ``write_sweep_rows`` and the ``--seed`` type) imports
-:mod:`lieranders.sweep` and, through it, ``kernels`` and numpy; every other
+:mod:`lieranders.sweep` and ``kernels``, and through them numpy; every other
 command runs without numpy.
 
 Exit codes: 0 success, 1 failed verification, 2 usage (among them a
@@ -54,10 +55,10 @@ EXIT_DEGENERATE = 6
 EXIT_VALIDATION = 7
 EXIT_BROKEN_PIPE = 141
 
-# Sweep rows per "%" format call.  Blocks of 64 to 5000 rows format equally
-# fast; small ones keep the temporary strings, and so peak memory, independent
-# of the number of flags.
-CSV_BLOCK = 256
+# Sweep values per format_csv_block call (512 rows of dim 4), written block by
+# block, so peak memory does not grow with the flags; 2048 to 6144 values format
+# about equally fast, larger blocks can page-fault their buffers in each time.
+CSV_BLOCK = 4096
 # Sweep coordinate columns are named a, b, c, ... by position.
 CSV_COORDS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -234,28 +235,22 @@ def cmd_flag(args, out) -> int:
     return EXIT_OK
 
 
-def csv_row_template(dim: int) -> str:
-    """``%``-template of one sweep row: dim coordinates, K_g, K_F, correction
-    as ``%.12g`` and the sign match as ``%d``."""
-    return ",".join(["%.12g"] * (dim + 3)) + ",%d\n"
-
-
 def write_sweep_rows(result, out) -> None:
-    """Write one CSV row per flag, ``CSV_BLOCK`` rows per format call.
-
-    ``"%.12g" % x`` and ``f"{x:.12g}"`` agree on every double, so the bytes
-    are those of formatting each value on its own.
-    """
+    """Write one CSV row per flag, about ``CSV_BLOCK`` values at a time, each
+    block formatted by :func:`lieranders.kernels.format_csv_block`: the bytes
+    of formatting each value on its own with ``%.12g``."""
     import numpy as np
 
-    row = csv_row_template(result.v.shape[1])
-    for start in range(0, len(result), CSV_BLOCK):
-        part = slice(start, start + CSV_BLOCK)
+    from .kernels import format_csv_block
+
+    rows = CSV_BLOCK // (result.v.shape[1] + 4)
+    for start in range(0, len(result), rows):
+        part = slice(start, start + rows)
         block = np.column_stack((
             result.v[part], result.k_g[part], result.k_f[part],
             result.correction[part], result.sign_match[part],
         ))
-        out.write((row * len(block)) % tuple(block.ravel().tolist()))
+        out.write(format_csv_block(block).decode("ascii"))
 
 
 def cmd_sweep(args, out) -> int:

@@ -145,10 +145,13 @@ def test_antisymmetry_enforced_at_construction():
 def test_list_built_algebra_equals_its_tuple_twin():
     twin = catalog(2)
     lists = [[list(cij) for cij in ci] for ci in twin.structure]
-    algebra = LieAlgebra(dim=4, labels=twin.labels, structure=lists)
+    labels = list(twin.labels)
+    algebra = LieAlgebra(dim=4, labels=labels, structure=lists)
     assert algebra == twin and hash(algebra) == hash(twin)
+    assert type(algebra.labels) is tuple
     assert all(type(cij) is tuple for ci in algebra.structure for cij in ci)
     lists[0][2][0] = 5  # the caller's lists are not the algebra's
+    labels[0] = "T"
     assert algebra == twin and algebra.derived_algebra() == twin.derived_algebra()
 
 
@@ -242,6 +245,14 @@ def test_subspace_direct_construction_checks_basis():
     with pytest.raises(ValueError, match="rref"):
         Subspace(2, ((0, 1), (1, 0)))  # rows out of pivot order
     assert Subspace(2, ((1, 0),)) == Subspace.span([(1, 0)], 2)
+
+
+@pytest.mark.parametrize("basis", [[(1, 0)], [[1, 0]]], ids=["list-of-tuples", "list-of-lists"])
+def test_list_built_subspace_equals_its_tuple_twin(basis):
+    twin = Subspace.span([(1, 0)], 2)
+    s = Subspace(ambient_dim=2, basis=basis)
+    assert s == twin and hash(s) == hash(twin)
+    assert type(s.basis) is tuple and type(s.basis[0]) is tuple
 
 
 def test_subspace_direct_construction_refuses_non_rationals():

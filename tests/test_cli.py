@@ -1,5 +1,6 @@
 """CLI subcommands, output format, and exit-code mapping."""
 
+import io
 import json
 import math
 import os
@@ -9,13 +10,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lieranders.sweep
-from lieranders import LieAlgebra, cli, make_randers
+from lieranders import LieAlgebra, cli, kernels, make_randers
 from lieranders.definition import DefinitionFile, save_definition
 from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutation_triples
-from lieranders.sweep import run_sweep
+from lieranders.sweep import SweepResult, run_sweep
 from lieranders import catalog, identity_metric
 
 from conftest import deadline, fr
@@ -318,7 +320,8 @@ def reference_rows(structure, n, seed):
 
 
 @pytest.mark.parametrize("csv", [True, False], ids=["csv", "report"])
-@pytest.mark.parametrize("n", [1, cli.CSV_BLOCK, 3 * cli.CSV_BLOCK + 5])
+# a block is CSV_BLOCK // 8 rows of 8 values: one, three and 5 rows
+@pytest.mark.parametrize("n", [1, 256, cli.CSV_BLOCK // 8, 773, 3 * cli.CSV_BLOCK // 8 + 5])
 def test_sweep_output_matches_per_value_format(capsys, n, csv):
     q = "0,0,1/2,0"
     argv = ["sweep", "--case", "2", "--Q", q, "--samples", str(n), "--seed", "9"]
@@ -337,13 +340,35 @@ def test_sweep_output_matches_per_value_format(capsys, n, csv):
     assert out == expected
 
 
-def test_csv_row_template_matches_per_value_format():
+def test_csv_block_matches_per_value_format():
     # dim 4; the sign match arrives as a float from the stacked block
     values = (-0.0, 5e-324, 1e16, 1 / 3, math.inf, -math.inf, math.nan)
     for flag in (0.0, 1.0):
-        line = cli.csv_row_template(4) % (*values, flag)
+        line = kernels.format_csv_block(np.array([[*values, flag]])).decode()
         assert line == ",".join(f"{x:.12g}" for x in values) + f",{int(flag)}\n"
     assert line == "-0,4.94065645841e-324,1e+16,0.333333333333,inf,-inf,nan,1\n"
+
+
+@pytest.mark.parametrize("dim", [2, 4, 26])
+@pytest.mark.parametrize("case", ["one-row", "one-block", "partial-last-block"])
+def test_write_sweep_rows_matches_per_value_format(case, dim):
+    # one row, the first block, and a final partial block, on columns that mix
+    # random bits (nan, inf, subnormals, 3-digit exponents) with -0.0 and 1e-5
+    rows = cli.CSV_BLOCK // (dim + 4)  # a block's rows
+    n = {"one-row": 1, "one-block": rows, "partial-last-block": 2 * rows + 7}[case]
+    rng = np.random.default_rng(dim * 10007 + n)
+    cols = rng.integers(0, 2**64, (n, dim + 3), dtype=np.uint64).view(np.float64)
+    cols[rng.random(cols.shape) < 0.2] = -0.0
+    cols[rng.random(cols.shape) < 0.1] = 1e-5
+    result = SweepResult(v=cols[:, :dim], k_g=cols[:, dim], k_f=cols[:, dim + 1],
+                         correction=cols[:, dim + 2], sign_match=rng.random(n) < 0.5)
+    out = io.StringIO()
+    cli.write_sweep_rows(result, out)
+    want = "".join(
+        ",".join(f"{x:.12g}" for x in row) + f",{int(flag)}\n"
+        for row, flag in zip(cols.tolist(), result.sign_match)
+    )
+    assert out.getvalue() == want
 
 
 def write_doc(tmp_path, name, doc):

@@ -12,12 +12,17 @@ in dimensions 2-5.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieranders import (
     Flag,
@@ -296,3 +301,85 @@ def test_correction_batch_matches_closed_form(case_id):
     _, _, corr, _ = kernel_columns(r, V, V[::-1])
     want = [flag_curvature_case(case_id, float(p), float(q), *row, k_g=0.0) for row in V]
     np.testing.assert_allclose(corr, want, rtol=1e-12, atol=1e-15)
+
+
+# format_csv_block against "%.12g" per value (CPython's correctly rounded
+# dtoa), on the row widths k = dim + 4 of dims 2, 4 and 26
+
+
+def g12_rows(block):
+    """The reference bytes: each value of each row formatted on its own."""
+    return "".join(",".join("%.12g" % x for x in row) + "\n" for row in block.tolist()).encode()
+
+
+def assert_g12(values, k):
+    values = np.asarray(values, dtype=np.float64)
+    block = values[: len(values) // k * k].reshape(-1, k)
+    got, want = kernels.format_csv_block(block), g12_rows(block)
+    bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
+    assert got == want, bad[:3]
+
+
+def thirteen_digit_ties(rng, n):
+    """Exact doubles whose 13th significant digit is a final 5: D 10^s for
+    a 13-digit D ending in 5 (1234567890125.0), and u / 2^s = 5^s u / 10^s
+    with 5^s u such a D (1234567890.125)."""
+    d = rng.integers(10**11, 9 * 10**11, n) * 10 + 5
+    scaled = d * 10.0 ** rng.integers(0, 4, n)
+    s = rng.integers(1, 13, n)
+    lo, hi = -(-10**12 // 5**s), (10**13 - 1) // 5**s
+    u = (lo + (rng.random(n) * (hi - lo)).astype(np.int64)) | 1
+    return np.concatenate([[1234567890125.0, 1234567890.125], scaled, u / 2.0**s])
+
+
+def g12_sets(seed, n):
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], n)
+    powers = 10.0 ** np.arange(-323, 309)
+    return {
+        "uniform": rng.uniform(-1, 1, n),
+        "log-spread": sign * 10.0 ** rng.uniform(-308, 308, n),
+        "random-bits": rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        "powers-of-ten": np.concatenate([
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers,
+            powers[:-1] * 9.999999999995, powers * 0.9999999999995,
+        ]),
+        "13-digit-ties": thirteen_digit_ties(rng, n) * rng.choice([-1.0, 1.0], 2 * n + 2),
+        "subnormal": sign * rng.integers(1, 2**52, n, dtype=np.uint64).view(np.float64),
+        "special": rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0], n),
+        "zero-one": rng.integers(0, 2, n).astype(np.float64),
+        "exponents": sign * 10.0 ** np.concatenate([
+            rng.uniform(-9, -4, n // 4), rng.uniform(12, 99, n // 4),  # e-05 .. e+99
+            rng.uniform(100, 308, n // 4), rng.uniform(-323, -100, n // 4),  # e+100, e-100
+        ]),
+    }
+
+
+@pytest.mark.parametrize("k", [6, 8, 30])
+@pytest.mark.parametrize("name", list(g12_sets(0, 8)))
+def test_format_csv_block_matches_g12_on_seeded_sets(name, k):
+    assert_g12(g12_sets(29, 40000)[name], k)
+
+
+G12_DOUBLES = st.one_of(
+    st.floats(),  # nan, +-inf, +-0, subnormals and the whole exponent range
+    st.floats(-1, 1),
+    st.integers(-(2**53), 2**53).map(float),
+    st.sampled_from([1234567890125.0, 1234567890.125, 999999999999.5, 0.5, 1e-5, 1e16, 5e-324]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1, 10), st.integers(-310, 308)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.sampled_from([6, 8, 30]), data=st.data())
+def test_format_csv_block_matches_g12(k, data):
+    rows = data.draw(st.integers(1, 6))
+    assert_g12(data.draw(st.lists(G12_DOUBLES, min_size=rows * k, max_size=rows * k)), k)
+
+
+def test_format_csv_block_tables_are_lazy():
+    # a fresh import builds no tables: only the first call pays for them
+    code = ("import lieranders.kernels as k; assert k._g12_tables.cache_info().currsize == 0; "
+            "k.format_csv_block(k.np.ones((1, 1))); assert k._g12_tables.cache_info().currsize == 1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
