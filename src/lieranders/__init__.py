@@ -18,10 +18,7 @@ _SOURCES = {
         "CaseReport", "Classification", "RandersClass", "classify_randers",
         "douglas_subspace", "is_berwald", "is_douglas", "reproduce_theorem",
     ),
-    "definition": (
-        "DefinitionFile", "load_definition", "parse_definition", "save_definition",
-        "serialize_definition",
-    ),
+    "definition": ("DefinitionFile", "load_definition", "parse_definition"),
     "errors": (
         "DefinitionError", "DegenerateFlag", "DegeneratePlane", "DimensionMismatch",
         "LieRandersError", "NormTooLarge", "NotDouglas",
@@ -31,8 +28,8 @@ _SOURCES = {
         "flag_curvature_deng_hou", "flag_curvature_simplified", "sign_certificate", "u_map",
     ),
     "hypercomplex": (
-        "ComplexStructureTriple", "find_signed_permutation_triples", "verify_complex_structure",
-        "verify_hyper_hermitian", "verify_hypercomplex",
+        "ComplexStructureTriple", "verify_complex_structure", "verify_hyper_hermitian",
+        "verify_hypercomplex",
     ),
     "randers": ("RandersStructure", "make_randers"),
     "riemann": (

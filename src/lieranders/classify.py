@@ -160,14 +160,15 @@ class CaseReport:
     berwald: Subspace
 
 
-def reproduce_theorem(metric: MetricTensor | None = None) -> list[CaseReport]:
-    """Douglas subspace and its Berwald subset for catalog cases 1-4."""
+def reproduce_theorem() -> list[CaseReport]:
+    """Douglas subspace and its Berwald subset for catalog cases 1-4 under
+    the identity metric."""
     reports = []
     for case_id in (1, 2, 3, 4):
         algebra = catalog(case_id)
-        m = metric if metric is not None else identity_metric(algebra.dim)
-        douglas = douglas_subspace(algebra, m)
-        berwald = berwald_subset(algebra, m, douglas)
+        metric = identity_metric(algebra.dim)
+        douglas = douglas_subspace(algebra, metric)
+        berwald = berwald_subset(algebra, metric, douglas)
         reports.append(CaseReport(case_id=case_id, douglas=douglas, berwald=berwald))
     return reports
 

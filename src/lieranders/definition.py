@@ -1,8 +1,7 @@
-"""Reading and writing algebra definition files.
+"""Reading algebra definition files.
 
 A definition file is JSON with exact rational scalars written as strings
-("p/q" or plain integers), so a parse -> serialize -> parse round trip is
-structurally lossless:
+("p/q" or plain integers):
 
     {
       "dim": 4,
@@ -43,7 +42,6 @@ class DefinitionFile:
     metric: MetricTensor
     q_field: AlgebraVector | None
     hypercomplex: ComplexStructureTriple | None
-    metric_given: bool
 
 
 def _json_int(text: str) -> int | str:
@@ -122,8 +120,7 @@ def parse_definition(text: str) -> DefinitionFile:
     except (ValueError, LieRandersError) as exc:
         raise DefinitionError(f"brackets: {exc}") from exc
 
-    metric_given = "metric" in raw
-    if metric_given:
+    if "metric" in raw:
         try:
             metric = MetricTensor(gram=_matrix(raw["metric"], dim, "metric"))
         except ValueError as exc:
@@ -144,13 +141,7 @@ def parse_definition(text: str) -> DefinitionFile:
             j3=_matrix(mats[2], dim, "hypercomplex[2]"),
         )
 
-    return DefinitionFile(
-        algebra=algebra,
-        metric=metric,
-        q_field=q_field,
-        hypercomplex=triple,
-        metric_given=metric_given,
-    )
+    return DefinitionFile(algebra=algebra, metric=metric, q_field=q_field, hypercomplex=triple)
 
 
 def load_definition(path) -> DefinitionFile:
@@ -162,28 +153,3 @@ def load_definition(path) -> DefinitionFile:
     except UnicodeDecodeError as exc:
         raise DefinitionError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_definition(text)
-
-
-def serialize_definition(defn: DefinitionFile) -> str:
-    algebra = defn.algebra
-    doc: dict = {"dim": algebra.dim, "labels": list(algebra.labels)}
-    entries = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            coeffs = algebra.structure[i][j]
-            if any(coeffs):
-                entries.append({"i": i, "j": j, "coeffs": [str(c) for c in coeffs]})
-    doc["brackets"] = entries
-    if defn.metric_given:
-        doc["metric"] = [[str(x) for x in row] for row in defn.metric.gram]
-    if defn.q_field is not None:
-        doc["Q"] = [str(x) for x in defn.q_field]
-    if defn.hypercomplex is not None:
-        doc["hypercomplex"] = [
-            [[str(x) for x in row] for row in j] for j in defn.hypercomplex.matrices()
-        ]
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def save_definition(defn: DefinitionFile, path) -> None:
-    Path(path).write_text(serialize_definition(defn), encoding="utf-8")

@@ -5,9 +5,8 @@ structure-constant algebra, so every check here is exact: it runs in ints on
 the numerators of J (``exactlinalg.integer_rows``, a TypeError for an entry
 other than an int or a Fraction), of the Gram matrix and of the structure
 constants, and builds Fractions only for a violation's text.  The module only
-verifies candidate structures; it ships no catalog triples as ground truth.
-Candidates come from :func:`find_signed_permutation_triples`, a search over
-signed permutation matrices that decides each one's integrability once.
+verifies the triple it is given, as a definition file's ``hypercomplex``
+field; it neither ships catalog triples as ground truth nor searches for one.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ class ComplexStructureTriple:
                 raise DimensionMismatch("all three matrices must be square, same size")
         # TypeError unless every entry is an int or a Fraction
         xl.common_denominator(x for j in self.matrices() for row in j for x in row)
-
-    @property
-    def dim(self) -> int:
-        return len(self.j1)
 
     def matrices(self) -> tuple[Matrix, Matrix, Matrix]:
         return (self.j1, self.j2, self.j3)
@@ -147,58 +142,3 @@ def verify_hyper_hermitian(metric: MetricTensor, triple: ComplexStructureTriple)
         if not ok:
             violations.append(f"J{idx} is not a g-isometry")
     return HermitianReport(isometry_ok=tuple(flags), violations=violations)
-
-
-def signed_permutation_complex_candidates(dim: int) -> list[Matrix]:
-    """All signed permutation matrices J with J^2 = -I.
-
-    Such a J pairs the basis into 2-cycles i -> j -> i with opposite signs, so
-    the search space is tiny (12 matrices in dimension 4).
-    """
-    if dim % 2:
-        return []
-    out = []
-
-    def pairings(rest):
-        if not rest:
-            yield []
-            return
-        first = rest[0]
-        for k in range(1, len(rest)):
-            for sub in pairings(rest[1:k] + rest[k + 1 :]):
-                yield [(first, rest[k])] + sub
-
-    for pairing in pairings(list(range(dim))):
-        for signs in itertools.product((1, -1), repeat=len(pairing)):
-            m = [[0] * dim for _ in range(dim)]
-            for (a, b), s in zip(pairing, signs):
-                m[b][a] = s   # e_a -> s e_b
-                m[a][b] = -s  # e_b -> -s e_a
-            out.append(tuple(tuple(row) for row in m))
-    return out
-
-
-def find_signed_permutation_triples(
-    algebra: LieAlgebra, metric: MetricTensor | None = None
-) -> list[ComplexStructureTriple]:
-    """Hypercomplex triples among signed permutations.
-
-    Returns every (J1, J2, J1 J2) passing all hypercomplex axioms on the given
-    algebra and, when a metric is supplied, the hyper-Hermitian condition too.
-    Each candidate's integrability is decided once; an anticommuting pair of
-    integrable candidates then gives a triple when J3 = J1 J2, itself a
-    candidate since J3^2 = -I, is integrable as well.
-    """
-    candidates = signed_permutation_complex_candidates(algebra.dim)
-    integrable = [j for j in candidates if verify_complex_structure(algebra, j).integrable]
-    known = set(integrable)
-    found = []
-    for j1, j2 in itertools.permutations(integrable, 2):
-        j3 = xl.mat_mul(j1, j2)
-        if j3 not in known or not _scaled_equal(1, xl.mat_mul(j2, j1), -1, j3):
-            continue
-        triple = ComplexStructureTriple(j1=j1, j2=j2, j3=j3)
-        if metric is not None and not verify_hyper_hermitian(metric, triple).ok:
-            continue
-        found.append(triple)
-    return found

@@ -148,8 +148,8 @@ def format_csv_block(block: np.ndarray) -> bytes:
 
     One fixed-width cell per value, from table words, then NUL padding
     dropped by one ``bytes.translate``.  A value whose rounding is in doubt
-    (a fraction within ``_TIE_BOUND`` of 1/2, or N out of [1e11, 1e12)) is
-    formatted by ``%`` instead, all of a block's in one call.
+    (a fraction within ``_TIE_BOUND`` of 1/2, or N >= 1e12) is formatted by
+    ``%`` instead, all of a block's in one call.
     """
     words, pre, scale, states, prefix, suffix, marks = _g12_tables()
     block = np.asarray(block, dtype=np.float64)
@@ -167,8 +167,10 @@ def format_csv_block(block: np.ndarray) -> bytes:
         y *= scale[ei]
         nb = y + 2.0**52  # round half even into the low mantissa bits
         n = nb - 2.0**52
+        # floor(log10 |x|) overshoots e only where log10 |x| is a few ulps
+        # (each <= 2^-44) below e: there |x| > 10^e (1 - 1e-12), so y > 1e11 - 1/2
+        # and N = 1e11 is the correct rounding; y < 1e11 needs no fallback
         ok = np.abs(y - n) < 0.5 - _TIE_BOUND
-        ok &= (y >= 1e11) | (a == 0)
         ok &= n < 1e12
     r = nb.view(np.int64)
     r -= 0x4330000000000000  # the bits of 2^52

@@ -8,6 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from lieranders import (
+    ComplexStructureTriple,
     Flag,
     LieAlgebra,
     MetricTensor,
@@ -21,6 +22,16 @@ from lieranders.errors import DimensionMismatch
 from lieranders.sweep import make_rng
 
 from exact_oracles import vec_add
+
+
+# left multiplication by i, j and k on H with (X, Y, Z, W) = (1, i, j, k): a
+# hypercomplex triple on catalog cases 0, 1 and 3, hyper-Hermitian for the
+# identity metric
+_LEFT_I = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
+_LEFT_J = ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0))
+QUATERNION_TRIPLE = ComplexStructureTriple(
+    j1=_LEFT_I, j2=_LEFT_J, j3=xl.mat_mul(_LEFT_I, _LEFT_J)
+)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,9 @@ frozen ``structure`` and ``gram`` fields alone, and the two must agree with
 compared as polynomials (``symmetrised``).
 ``oracle_nabla`` and ``oracle_of`` extend a ``Fraction`` connection or
 curvature table to arbitrary vectors; the library keeps no such extension.
+``oracle_find_signed_permutation_triples`` searches the signed permutation
+matrices for hypercomplex triples; the library verifies a given triple and
+searches for none.
 """
 
 import itertools
@@ -22,7 +25,7 @@ from operator import mul
 from lieranders import exactlinalg as xl
 from lieranders.algebra import Subspace, format_combination
 from lieranders.errors import DegeneratePlane, DimensionMismatch
-from lieranders.hypercomplex import ComplexStructureTriple, signed_permutation_complex_candidates
+from lieranders.hypercomplex import ComplexStructureTriple
 from lieranders.riemann import ConnectionTable, CurvatureTable
 
 
@@ -448,6 +451,35 @@ def oracle_complex_report(algebra, j):
             integrable = False
             violations.append(f"N({algebra.labels[a]},{algebra.labels[b]}) = {format_vector(nij)}")
     return square_ok, integrable, violations
+
+
+def signed_permutation_complex_candidates(dim):
+    """All signed permutation matrices J with J^2 = -I, as int matrices.
+
+    Such a J pairs the basis into 2-cycles i -> j -> i with opposite signs, so
+    the search space is tiny (12 matrices in dimension 4).
+    """
+    if dim % 2:
+        return []
+    out = []
+
+    def pairings(rest):
+        if not rest:
+            yield []
+            return
+        first = rest[0]
+        for k in range(1, len(rest)):
+            for sub in pairings(rest[1:k] + rest[k + 1 :]):
+                yield [(first, rest[k])] + sub
+
+    for pairing in pairings(list(range(dim))):
+        for signs in itertools.product((1, -1), repeat=len(pairing)):
+            m = [[0] * dim for _ in range(dim)]
+            for (a, b), s in zip(pairing, signs):
+                m[b][a] = s   # e_a -> s e_b
+                m[a][b] = -s  # e_b -> -s e_a
+            out.append(tuple(tuple(row) for row in m))
+    return out
 
 
 def oracle_find_signed_permutation_triples(algebra, metric=None):

@@ -15,12 +15,10 @@ import pytest
 
 import lieranders.sweep
 from lieranders import LieAlgebra, cli, kernels, make_randers
-from lieranders.definition import DefinitionFile, save_definition
-from lieranders.hypercomplex import ComplexStructureTriple, find_signed_permutation_triples
 from lieranders.sweep import SweepResult, run_sweep
 from lieranders import catalog, identity_metric
 
-from conftest import deadline, fr
+from conftest import QUATERNION_TRIPLE, deadline, fr
 from exact_oracles import mat_scale
 
 
@@ -566,17 +564,30 @@ def test_vector_option_still_needs_a_value(capsys, argv):
     assert "expected one argument" in capsys.readouterr().err
 
 
+# the brackets of catalog cases 2 and 3
+CASE2_BRACKETS = [
+    {"i": 0, "j": 2, "coeffs": ["1", "0", "0", "0"]},
+    {"i": 0, "j": 3, "coeffs": ["0", "1", "0", "0"]},
+    {"i": 1, "j": 2, "coeffs": ["0", "1", "0", "0"]},
+    {"i": 1, "j": 3, "coeffs": ["-1", "0", "0", "0"]},
+]
+CASE3_BRACKETS = [
+    {"i": 0, "j": 1, "coeffs": ["0", "1", "0", "0"]},
+    {"i": 0, "j": 2, "coeffs": ["0", "0", "1", "0"]},
+    {"i": 0, "j": 3, "coeffs": ["0", "0", "0", "1"]},
+]
+
+
 def test_check_valid_file(tmp_path, capsys):
-    path = tmp_path / "case3.json"
-    defn = DefinitionFile(
-        algebra=catalog(3),
-        metric=identity_metric(4),
-        q_field=fr("1/2", 0, 0, 0),
-        hypercomplex=find_signed_permutation_triples(catalog(3), identity_metric(4))[0],
-        metric_given=True,
-    )
-    save_definition(defn, path)
-    code, out, _ = run(["check", str(path)], capsys)
+    doc = {
+        "dim": 4,
+        "labels": ["X", "Y", "Z", "W"],
+        "brackets": CASE3_BRACKETS,
+        "metric": [[int(i == j) for j in range(4)] for i in range(4)],
+        "Q": ["1/2", "0", "0", "0"],
+        "hypercomplex": QUATERNION_TRIPLE.matrices(),
+    }
+    code, out, _ = run(["check", write_doc(tmp_path, "case3.json", doc)], capsys)
     assert code == 0
     assert "jacobi identity: ok" in out
     assert "hypercomplex: ok" in out
@@ -638,15 +649,7 @@ def test_hyper_verify_file_failing_jacobi_is_rejected(capsys):
 )
 def test_check_rejects_ambiguous_labels(tmp_path, capsys, labels):
     # case 3's brackets; classify would print "nabla_X Q = -1/2*X" three times
-    doc = {
-        "dim": 4,
-        "labels": labels,
-        "brackets": [
-            {"i": 0, "j": 1, "coeffs": ["0", "1", "0", "0"]},
-            {"i": 0, "j": 2, "coeffs": ["0", "0", "1", "0"]},
-            {"i": 0, "j": 3, "coeffs": ["0", "0", "0", "1"]},
-        ],
-    }
+    doc = {"dim": 4, "labels": labels, "brackets": CASE3_BRACKETS}
     path = write_doc(tmp_path, "labels.json", doc)
     for argv in (["check", path], ["classify", "--file", path, "--Q", "1/2,0,0,0"]):
         code, out, err = run(argv, capsys)
@@ -715,6 +718,29 @@ def test_check_rejects_json_booleans_as_integers(tmp_path, capsys, doc, field):
     assert err.startswith(f"error: {field}")
 
 
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        ([1, 2], "top level must be a JSON object"),
+        ({"dim": 2, "brackets": {}}, "brackets: expected a list"),
+        ({"dim": 2, "brackets": [3]}, "brackets[0]: expected an object"),
+        (
+            {"dim": 2, "brackets": [{"i": 0, "j": 0, "coeffs": ["1", "0"]}]},
+            "brackets: [e_0, e_0] must vanish",
+        ),
+        ({"dim": 2, "brackets": [], "metric": [["1", "0"]]}, "metric: expected 2 rows"),
+        (None, "--Q: expected 4 comma-separated rationals"),
+    ],
+    ids=["top-level", "brackets-object", "bracket-entry", "self-bracket", "metric-rows", "q-length"],
+)
+def test_validation_error_is_one_line_exit_3(tmp_path, capsys, doc, err):
+    if doc is None:
+        argv = ["classify", "--case", "2", "--Q", "1,2"]
+    else:
+        argv = ["check", write_doc(tmp_path, "bad.json", doc)]
+    assert run(argv, capsys) == (cli.EXIT_DEFINITION, "", f"error: {err}\n")
+
+
 def test_check_parse_error_exit(tmp_path, capsys):
     path = tmp_path / "syntax.json"
     path.write_text("{")
@@ -749,61 +775,39 @@ def test_unreadable_definition_file_exits_3(tmp_path, capsys, argv, target):
 
 
 def test_hyper_verify_pass_and_fail(tmp_path, capsys):
-    triple = find_signed_permutation_triples(catalog(0), identity_metric(4))[0]
-    good = DefinitionFile(
-        algebra=catalog(0), metric=identity_metric(4), q_field=None,
-        hypercomplex=triple, metric_given=False,
-    )
-    path = tmp_path / "good.json"
-    save_definition(good, path)
-    code, out, _ = run(["hyper-verify", str(path)], capsys)
+    # the abelian case 0 under the identity metric
+    j1, j2, j3 = QUATERNION_TRIPLE.matrices()
+    good = {"dim": 4, "hypercomplex": [j1, j2, j3]}
+    code, out, _ = run(["hyper-verify", write_doc(tmp_path, "good.json", good)], capsys)
     assert code == 0
     assert "hypercomplex verification: PASS" in out
 
-    bad = DefinitionFile(
-        algebra=catalog(0), metric=identity_metric(4), q_field=None,
-        hypercomplex=ComplexStructureTriple(
-            j1=triple.j1, j2=triple.j2, j3=mat_scale(-1, triple.j3)
-        ),
-        metric_given=False,
-    )
-    path2 = tmp_path / "bad.json"
-    save_definition(bad, path2)
-    code, out, _ = run(["hyper-verify", str(path2)], capsys)
+    bad = {"dim": 4, "hypercomplex": [j1, j2, mat_scale(-1, j3)]}
+    code, out, _ = run(["hyper-verify", write_doc(tmp_path, "bad.json", bad)], capsys)
     assert code == 1
     assert "FAIL" in out
 
-    plain = DefinitionFile(
-        algebra=catalog(0), metric=identity_metric(4), q_field=None,
-        hypercomplex=None, metric_given=False,
-    )
-    path3 = tmp_path / "none.json"
-    save_definition(plain, path3)
-    code, _, err = run(["hyper-verify", str(path3)], capsys)
+    code, _, err = run(["hyper-verify", write_doc(tmp_path, "none.json", {"dim": 4})], capsys)
     assert code == cli.EXIT_DEFINITION
 
 
 def test_commands_accept_definition_files(tmp_path, capsys):
-    defn = DefinitionFile(
-        algebra=catalog(2), metric=identity_metric(4), q_field=None,
-        hypercomplex=None, metric_given=False,
-    )
-    path = tmp_path / "case2.json"
-    save_definition(defn, path)
+    doc = {"dim": 4, "labels": ["X", "Y", "Z", "W"], "brackets": CASE2_BRACKETS}
+    path = write_doc(tmp_path, "case2.json", doc)
 
-    code, out, _ = run(["classify", "--file", str(path), "--Q", "0,0,1/2,0"], capsys)
+    code, out, _ = run(["classify", "--file", path, "--Q", "0,0,1/2,0"], capsys)
     assert code == 0
     assert "class: NonBerwaldDouglas" in out
 
     code, out, _ = run(
-        ["sweep", "--file", str(path), "--Q", "0,0,1/2,0", "--samples", "2", "--seed", "4"],
+        ["sweep", "--file", path, "--Q", "0,0,1/2,0", "--samples", "2", "--seed", "4"],
         capsys,
     )
     assert code == 0
-    assert str(path) in out.splitlines()[0]
+    assert path in out.splitlines()[0]
 
     code, out, _ = run(
-        ["flag", "--file", str(path), "--Q", "0,0,0,1/2",
+        ["flag", "--file", path, "--Q", "0,0,0,1/2",
          "--V", "1,0,0,0", "--U", "0,1,0,0"],
         capsys,
     )

@@ -1,21 +1,14 @@
-"""Definition file parsing, serialization and the exact round trip."""
+"""Definition file parsing and loading."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
-from lieranders import (
-    DefinitionError,
-    catalog,
-    load_definition,
-    parse_definition,
-    save_definition,
-    serialize_definition,
-)
-from lieranders.definition import DefinitionFile
-from lieranders.hypercomplex import find_signed_permutation_triples
+from lieranders import DefinitionError, catalog, load_definition, parse_definition
 from lieranders.riemann import identity_metric
+
+from conftest import QUATERNION_TRIPLE
 
 CASE4_TEXT = """
 {
@@ -36,35 +29,24 @@ def test_parse_case4():
     defn = parse_definition(CASE4_TEXT)
     assert defn.algebra.structure == catalog(4).structure
     assert defn.q_field == (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))
-    assert not defn.metric_given
     assert defn.metric.gram == identity_metric(4).gram
+    assert defn.hypercomplex is None
 
 
-def test_round_trip_is_exact():
-    triple = find_signed_permutation_triples(catalog(3), identity_metric(4))[0]
-    defn = DefinitionFile(
-        algebra=catalog(4),
-        metric=identity_metric(4),
-        q_field=(Fraction(1, 3), Fraction(0), Fraction(0), Fraction(0)),
-        hypercomplex=triple,
-        metric_given=True,
-    )
-    text = serialize_definition(defn)
-    again = parse_definition(text)
-    assert again.algebra.structure == defn.algebra.structure
-    assert again.algebra.labels == defn.algebra.labels
-    assert again.metric.gram == defn.metric.gram
-    assert again.q_field == defn.q_field
-    assert again.hypercomplex == defn.hypercomplex
-    # serialize once more: byte-identical
-    assert serialize_definition(again) == text
-
-
-def test_save_and_load(tmp_path):
-    defn = parse_definition(CASE4_TEXT)
+def test_load_definition(tmp_path):
+    # every field, as "p/q" strings and as JSON integers
+    doc = json.loads(CASE4_TEXT)
+    doc["metric"] = [["2", "1/2", 0, 0], ["1/2", "1", 0, 0], [0, 0, 1, 0], [0, 0, 0, "3"]]
+    doc["hypercomplex"] = QUATERNION_TRIPLE.matrices()
     path = tmp_path / "case4.json"
-    save_definition(defn, path)
-    assert load_definition(path).algebra.structure == defn.algebra.structure
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    defn = load_definition(path)
+    assert defn.algebra.structure == catalog(4).structure
+    assert defn.algebra.labels == ("X", "Y", "Z", "W")
+    half = Fraction(1, 2)
+    assert defn.metric.gram == ((2, half, 0, 0), (half, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3))
+    assert defn.q_field == (half, 0, 0, 0)
+    assert defn.hypercomplex == QUATERNION_TRIPLE
 
 
 def test_default_labels():

@@ -1,10 +1,13 @@
-"""Hypercomplex and hyper-Hermitian verification, plus the triple search.
+"""Hypercomplex and hyper-Hermitian verification.
 
 The library checks J on the integer numerators of J and of the structure
 constants; ``exact_oracles.oracle_nijenhuis`` and ``oracle_complex_report``
-compute the same verdicts and violation text in ``Fraction`` matrices.
+compute the same verdicts and violation text in ``Fraction`` matrices, and
+``oracle_find_signed_permutation_triples`` searches triples with them.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,6 @@ from lieranders import (
     ComplexStructureTriple,
     LieAlgebra,
     catalog,
-    find_signed_permutation_triples,
     identity_metric,
     verify_complex_structure,
     verify_hyper_hermitian,
@@ -23,14 +25,14 @@ from lieranders import (
 )
 from lieranders import exactlinalg as xl
 from lieranders.errors import DimensionMismatch
-from lieranders.hypercomplex import signed_permutation_complex_candidates
 
-from conftest import dense_metric, fr
+from conftest import QUATERNION_TRIPLE, dense_metric, fr
 from exact_oracles import (
     mat_scale,
     oracle_complex_report,
     oracle_find_signed_permutation_triples,
     oracle_nijenhuis,
+    signed_permutation_complex_candidates,
 )
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -49,9 +51,13 @@ def pairing_j(*pairs):
 
 
 # standard quaternion action on (1, i, j, k) coordinates
-QUAT_J1 = pairing_j((0, 1, 1), (2, 3, 1))
-QUAT_J2 = pairing_j((0, 2, 1), (3, 1, 1))
-QUAT_J3 = xl.mat_mul(QUAT_J1, QUAT_J2)
+QUAT_J1, QUAT_J2, QUAT_J3 = QUATERNION_TRIPLE.matrices()
+
+
+@functools.cache
+def identity_triples(case_id):
+    """The oracle's hyper-Hermitian triples for the identity metric."""
+    return oracle_find_signed_permutation_triples(catalog(case_id), identity_metric(4))
 
 
 def test_nijenhuis_abelian_vanishes():
@@ -183,7 +189,7 @@ def test_hyper_hermitian_signed_permutation_passes(metric4):
 
 def test_hyper_hermitian_implies_invertible(metric4):
     # isometries of a definite form are invertible
-    for triple in find_signed_permutation_triples(catalog(0), metric4)[:3]:
+    for triple in identity_triples(0)[:3]:
         assert verify_hyper_hermitian(metric4, triple).ok
         for j in triple.matrices():
             assert xl.rank(j) == 4
@@ -203,8 +209,8 @@ def test_candidate_enumeration():
 
 
 @pytest.mark.parametrize("case_id", [0, 3])
-def test_search_finds_triples(case_id, metric4):
-    triples = find_signed_permutation_triples(catalog(case_id), metric4)
+def test_search_finds_triples(case_id):
+    triples = identity_triples(case_id)
     assert triples
     for triple in triples[:4]:
         report = verify_hypercomplex(catalog(case_id), triple)
@@ -216,19 +222,23 @@ def test_search_finds_triples(case_id, metric4):
 
 @pytest.mark.parametrize("case_id", range(5))
 def test_search_equals_brute_force_oracle(case_id, metric4):
-    # no metric, the identity, and a dense metric no triple is hyper-Hermitian for
+    # the library's verify ops, run over every ordered pair of candidates,
+    # accept exactly the oracle's triples: with no metric, the identity, and
+    # a dense metric no triple is hyper-Hermitian for
     algebra = catalog(case_id)
-    for metric in (None, metric4, dense_metric(4)):
-        assert find_signed_permutation_triples(
-            algebra, metric
-        ) == oracle_find_signed_permutation_triples(algebra, metric)
+    pairs = itertools.permutations(signed_permutation_complex_candidates(4), 2)
+    triples = [ComplexStructureTriple(j1=a, j2=b, j3=xl.mat_mul(a, b)) for a, b in pairs]
+    found = [t for t in triples if verify_hypercomplex(algebra, t).ok]
+    assert found == oracle_find_signed_permutation_triples(algebra)
+    for metric in (metric4, dense_metric(4)):
+        assert [
+            t for t in found if verify_hyper_hermitian(metric, t).ok
+        ] == oracle_find_signed_permutation_triples(algebra, metric)
 
 
-def test_search_respects_nijenhuis_obstruction(metric4):
+def test_search_respects_nijenhuis_obstruction():
     # case 2 rejects the non-integrable pairings, so it finds fewer triples
-    n_abelian = len(find_signed_permutation_triples(catalog(0), metric4))
-    n_case2 = len(find_signed_permutation_triples(catalog(2), metric4))
-    assert 0 < n_case2 < n_abelian
+    assert 0 < len(identity_triples(2)) < len(identity_triples(0))
 
 
 def test_triple_shape_validation():

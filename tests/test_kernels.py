@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from collections import defaultdict
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -359,6 +360,17 @@ def g12_sets(seed, n):
 @pytest.mark.parametrize("name", list(g12_sets(0, 8)))
 def test_format_csv_block_matches_g12_on_seeded_sets(name, k):
     assert_g12(g12_sets(29, 40000)[name], k)
+
+
+def test_format_csv_block_matches_g12_next_to_powers_of_ten():
+    # the 64 doubles below and the 8 at or above each power of ten: for most
+    # of those below, floor(log10 |x|) overshoots the exponent by one, so the
+    # kernel's y = |x| 10^(11-e) falls just under 1e11
+    bits = (10.0 ** np.arange(-323, 309)).view(np.int64)
+    x = np.unique((bits[:, None] + np.arange(-64, 8)).clip(1)).view(np.float64)
+    e = np.floor(np.log10(x)).tolist()
+    assert sum(Decimal(v).adjusted() < f for v, f in zip(x.tolist(), e)) > len(x) // 2
+    assert_g12(np.concatenate([x, -x]), 6)
 
 
 G12_DOUBLES = st.one_of(

@@ -116,7 +116,7 @@ def test_star_import_binds_every_exported_name():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert len(lieranders.__all__) == 46
+    assert len(lieranders.__all__) == 43
     assert got["bound"] == sorted(lieranders.__all__)
     assert got["same"] == lieranders.__all__
 
